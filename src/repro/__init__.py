@@ -77,6 +77,7 @@ from repro.common.errors import (
     CampaignError,
     CheckpointError,
     ConfigurationError,
+    FormatVersionError,
     GeometryError,
     InvariantViolation,
     PartitionError,
@@ -174,8 +175,8 @@ from repro.sim.cache import (
     active_result_cache,
     clear_result_cache,
     install_result_cache,
-    result_cache_key,
 )
+from repro.sim.codec import run_identity, run_key
 from repro.sim.config import (
     PAPER_LINE_SIZE,
     PAPER_LLC_SETS,
@@ -277,6 +278,7 @@ __all__ = [
     "CampaignError",
     "CheckpointError",
     "ConfigurationError",
+    "FormatVersionError",
     "GeometryError",
     "InvariantViolation",
     "ObservabilityError",
@@ -325,7 +327,8 @@ __all__ = [
     "active_result_cache",
     "clear_result_cache",
     "install_result_cache",
-    "result_cache_key",
+    "run_identity",
+    "run_key",
     "Simulator",
     "simulate",
     "render_timeline",

@@ -137,11 +137,21 @@ class CheckpointError(ReproError):
     """A simulation checkpoint cannot be written, read or applied.
 
     Covers corrupted or truncated checkpoint files (integrity-hash
-    mismatch), version skew (a checkpoint written by a newer build),
-    fingerprint mismatches (restoring against a different configuration
-    or different traces), and simulator states that cannot be
-    checkpointed at all (caller-supplied oracle callbacks, foreign
-    engine hooks, non-file event sinks).
+    mismatch), version skew (the :class:`FormatVersionError` subclass),
+    run-identity mismatches (restoring against a different
+    configuration, traces or start cycles), and simulator states that
+    cannot be checkpointed at all (caller-supplied oracle callbacks,
+    foreign engine hooks, non-file event sinks).
+    """
+
+
+class FormatVersionError(CheckpointError):
+    """A stored document was written under another format or model version.
+
+    Raised by :func:`repro.sim.codec.unseal` for a malformed or
+    mismatched ``version`` stamp and by the result cache for a
+    mismatched model-schema stamp.  Unlike its parent it means the bytes
+    are intact but stale, so callers can count it apart from corruption.
     """
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from pathlib import Path
 from typing import Union
@@ -20,6 +19,7 @@ from typing import Union
 from repro.common.errors import ObservabilityError, PersistenceError
 from repro.common.fileio import Durability, cleanup_stale_tmp, persist_text
 from repro.obs.metrics import Histogram, MetricsRegistry, format_labels
+from repro.sim.codec import canonical_json
 
 #: Path suffix → exporter, the ``write_metrics`` dispatch table.
 SUPPORTED_SUFFIXES = (".jsonl", ".csv", ".prom")
@@ -28,8 +28,7 @@ SUPPORTED_SUFFIXES = (".jsonl", ".csv", ".prom")
 def metrics_to_jsonl(registry: MetricsRegistry) -> str:
     """One canonical JSON object per series (sorted keys, compact)."""
     return "".join(
-        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        for row in registry.rows()
+        canonical_json(row) + "\n" for row in registry.rows()
     )
 
 

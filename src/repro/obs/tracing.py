@@ -21,13 +21,13 @@ every observable action; this module gives it a stable wire format:
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Set, Union
 
 from repro.common.errors import ObservabilityError
 from repro.common.fileio import check_io, guarded_write
 from repro.common.types import CoreId
+from repro.sim.codec import canonical_json
 from repro.sim.events import EventKind, SimEvent
 
 #: Bumped on any change to the per-event dict layout.
@@ -50,7 +50,7 @@ def event_to_dict(event: SimEvent) -> dict:
 
 def event_json_line(event: SimEvent) -> str:
     """One canonical JSON line (sorted keys, compact, no trailing \\n)."""
-    return json.dumps(event_to_dict(event), sort_keys=True, separators=(",", ":"))
+    return canonical_json(event_to_dict(event))
 
 
 def trace_to_jsonl_bytes(events: Iterable[SimEvent]) -> bytes:

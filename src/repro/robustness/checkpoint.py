@@ -8,7 +8,8 @@ per-set replacement state, the bus buffers and arbiters, the DRAM
 counters, the set sequencers (including queue identity inside the QLT
 pool), the shared replacement-policy RNG stream, the per-slot sampler
 arrays and the in-memory event log.  Restoring it into a freshly built
-simulator of the same configuration and traces puts the system into a
+simulator of the same run — the same :func:`repro.sim.codec.run_identity`
+of configuration, traces and start cycles — puts the system into a
 state from which the run continues *bit-identically*: a run killed at
 any instant and resumed from its last checkpoint produces the same
 report, the same metrics export and the same trace bytes as an
@@ -31,10 +32,10 @@ Design notes
   policy aliases ``system.rng``, so one ``setstate`` restores them all.
 * **Crash consistency.**  The file is written with
   :func:`repro.common.fileio.atomic_write_text` (tmp + fsync + rename +
-  directory fsync) and carries a SHA-256 integrity hash over its
-  canonical-JSON payload, so a reader sees either the previous complete
-  checkpoint or the new one — never a torn hybrid — and a corrupted
-  file is detected rather than silently restored.
+  directory fsync) inside the integrity envelope of
+  :func:`repro.sim.codec.seal`, so a reader sees either the previous
+  complete checkpoint or the new one — never a torn hybrid — and a
+  corrupted file is detected rather than silently restored.
 * **Refusals.**  States that cannot round-trip raise
   :class:`~repro.common.errors.CheckpointError` up front: ``oracle``
   replacement policies (the victim chooser is an arbitrary caller
@@ -45,16 +46,12 @@ Design notes
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.bus.buffers import (
-    PendingRequest,
     PendingWritebackBuffer,
     WritebackEntry,
     WritebackReason,
@@ -73,24 +70,35 @@ from repro.cache.replacement import (
     RoundRobinPolicy,
 )
 from repro.cache.sa_cache import SetAssociativeCache
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, FormatVersionError
 from repro.common.fileio import (
     Durability,
     cleanup_stale_tmp,
     count_io,
     persist_text,
-    read_text,
+    read_bytes,
 )
-from repro.common.types import AccessType, EntryState, TransactionKind
+from repro.common.types import EntryState, TransactionKind
 from repro.cpu.core import CoreState, TraceDrivenCore
 from repro.cpu.private_stack import PrivateStack
 from repro.llc.llc import PartitionedLlc
 from repro.sequencer.set_sequencer import SetSequencer
-from repro.sim.events import EventKind, SimEvent
+from repro.sim.codec import (
+    dataclass_state,
+    event_states,
+    load_dataclass_state,
+    load_events,
+    load_requests,
+    request_states,
+    run_identity,
+    run_key,
+    seal,
+    unseal,
+)
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: File-format discriminator, so an unrelated JSON file is rejected
 #: with a clear message instead of a cryptic missing-key error.
@@ -106,86 +114,23 @@ CHECKPOINT_KIND = "repro-sim-checkpoint"
 DEFAULT_POLL_SLOTS = 16384
 
 
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # ----------------------------------------------------------------------
-# Fingerprints
+# Identity
 # ----------------------------------------------------------------------
-def config_fingerprint(config) -> str:
-    """SHA-256 over the config's repr.
-
-    ``SystemConfig`` and everything it nests are (frozen) dataclasses
-    and enums with deterministic reprs, so two configs fingerprint
-    equal iff they would build identical systems.  The ``engine`` field
-    is part of the repr, which is what makes restoring a ``fast``
-    checkpoint under the ``reference`` engine (or vice versa) a refused
-    mismatch instead of a silent divergence.
-    """
-    return hashlib.sha256(repr(config).encode()).hexdigest()
-
-
-def trace_fingerprint(trace: MemoryTrace) -> str:
-    """SHA-256 over a trace's name and canonical record lines.
-
-    Traces are immutable, so the digest is memoised on the trace
-    object: periodic checkpointing fingerprints the same workload once
-    per *save*, and recomputing a long trace's hash every interval was
-    the dominant snapshot cost.
-    """
-    cached = getattr(trace, "_checkpoint_fingerprint", None)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    digest.update(trace.name.encode())
-    for record in trace:
-        digest.update(b"\n")
-        digest.update(record.to_line().encode())
-    fingerprint = digest.hexdigest()
-    trace._checkpoint_fingerprint = fingerprint
-    return fingerprint
-
-
-def trace_fingerprints(traces: Mapping[int, MemoryTrace]) -> Dict[str, str]:
-    """Per-core trace fingerprints (JSON keys must be strings)."""
-    return {
-        str(core): trace_fingerprint(trace)
-        for core, trace in sorted(traces.items())
-    }
-
-
-def combined_fingerprint(config, traces: Mapping[int, MemoryTrace]) -> str:
-    """One short stable identity for (config, traces) — names files."""
-    digest = hashlib.sha256()
-    digest.update(config_fingerprint(config).encode())
-    for core, fp in sorted(trace_fingerprints(traces).items()):
-        digest.update(f"{core}:{fp}".encode())
-    return digest.hexdigest()
-
-
 def default_checkpoint_path(
-    directory: Union[str, Path], config, traces: Mapping[int, MemoryTrace]
+    directory: Union[str, Path],
+    config,
+    traces: Mapping[int, MemoryTrace],
+    start_cycles: Optional[Mapping[int, int]] = None,
 ) -> Path:
-    """Deterministic checkpoint filename for one (config, traces) run."""
-    return Path(directory) / f"sim-{combined_fingerprint(config, traces)[:24]}.ckpt"
+    """Deterministic checkpoint filename for one run, by its run key."""
+    key = run_key(config, traces, start_cycles)
+    return Path(directory) / f"sim-{key[:24]}.ckpt"
 
 
 # ----------------------------------------------------------------------
 # Per-component state (snapshot / load pairs)
 # ----------------------------------------------------------------------
-def _stats_state(stats) -> Dict[str, int]:
-    return {
-        field.name: getattr(stats, field.name)
-        for field in dataclasses.fields(stats)
-    }
-
-
-def _load_stats(stats, state: Mapping[str, int]) -> None:
-    for field in dataclasses.fields(stats):
-        setattr(stats, field.name, state[field.name])
-
-
 def _policy_state(policy: ReplacementPolicy) -> Dict[str, Any]:
     if isinstance(policy, (LruPolicy, MruPolicy)):
         return {"clock": policy._clock, "last_use": list(policy._last_use)}
@@ -260,13 +205,13 @@ def _load_cacheset(cache_set: CacheSet, state: Mapping[str, Any]) -> None:
 
 def _sa_cache_state(cache: SetAssociativeCache) -> Dict[str, Any]:
     return {
-        "stats": _stats_state(cache.stats),
+        "stats": dataclass_state(cache.stats),
         "sets": [_cacheset_state(cache_set) for cache_set in cache._sets],
     }
 
 
 def _load_sa_cache(cache: SetAssociativeCache, state: Mapping[str, Any]) -> None:
-    _load_stats(cache.stats, state["stats"])
+    load_dataclass_state(cache.stats, state["stats"])
     if len(state["sets"]) != len(cache._sets):
         raise CheckpointError(
             f"cache {cache.name}: checkpoint has {len(state['sets'])} sets, "
@@ -324,85 +269,6 @@ def _load_core(core: TraceDrivenCore, state: Mapping[str, Any]) -> None:
     core._prediction_version = None
 
 
-def _request_state(request: PendingRequest) -> List[Any]:
-    # Compact positional form: the completed-request list dominates the
-    # payload on long runs (one entry per served request), so field
-    # names would triple the checkpoint size and the JSON encode cost.
-    return [
-        request.core,
-        request.block,
-        request.access.value,
-        request.enqueued_at,
-        request.first_on_bus_at,
-        request.completed_at,
-        request.bus_attempts,
-        request.served_by_hit,
-    ]
-
-
-def _load_request(state: List[Any]) -> PendingRequest:
-    (
-        core,
-        block,
-        access,
-        enqueued_at,
-        first_on_bus_at,
-        completed_at,
-        bus_attempts,
-        served_by_hit,
-    ) = state
-    return PendingRequest(
-        core=core,
-        block=block,
-        access=AccessType(access),
-        enqueued_at=enqueued_at,
-        first_on_bus_at=first_on_bus_at,
-        completed_at=completed_at,
-        bus_attempts=bus_attempts,
-        served_by_hit=served_by_hit,
-    )
-
-
-def _completed_state(completed: List[PendingRequest]) -> List[Any]:
-    # The completed-request log grows one entry per served request and
-    # dominates long-run checkpoints, so it is flattened to one stride-8
-    # value array: a flat list both builds and JSON-encodes about
-    # twice as fast as 20k nested lists, which is what keeps the
-    # periodic-save overhead inside the benchmark budget.  Entries here
-    # are always completed, so no field needs a null.
-    flat: List[Any] = []
-    for request in completed:
-        flat.extend(
-            (
-                request.core,
-                request.block,
-                request.access.value,
-                request.enqueued_at,
-                request.first_on_bus_at,
-                request.completed_at,
-                request.bus_attempts,
-                1 if request.served_by_hit else 0,
-            )
-        )
-    return flat
-
-
-def _load_completed(flat: List[Any]) -> List[PendingRequest]:
-    return [
-        PendingRequest(
-            core=flat[i],
-            block=flat[i + 1],
-            access=AccessType(flat[i + 2]),
-            enqueued_at=flat[i + 3],
-            first_on_bus_at=flat[i + 4],
-            completed_at=flat[i + 5],
-            bus_attempts=flat[i + 6],
-            served_by_hit=bool(flat[i + 7]),
-        )
-        for i in range(0, len(flat), 8)
-    ]
-
-
 def _pwb_state(pwb: PendingWritebackBuffer) -> Dict[str, Any]:
     return {
         "entries": [
@@ -434,8 +300,8 @@ def _load_pwb(pwb: PendingWritebackBuffer, state: Mapping[str, Any]) -> None:
 
 def _llc_state(llc: PartitionedLlc) -> Dict[str, Any]:
     return {
-        "stats": _stats_state(llc.stats),
-        "extra": _stats_state(llc.extra),
+        "stats": dataclass_state(llc.stats),
+        "extra": dataclass_state(llc.extra),
         "directory": [
             [block, sorted(owners)]
             for block, owners in sorted(llc.directory._owners.items())
@@ -457,8 +323,8 @@ def _llc_state(llc: PartitionedLlc) -> Dict[str, Any]:
 
 
 def _load_llc(llc: PartitionedLlc, state: Mapping[str, Any]) -> None:
-    _load_stats(llc.stats, state["stats"])
-    _load_stats(llc.extra, state["extra"])
+    load_dataclass_state(llc.stats, state["stats"])
+    load_dataclass_state(llc.extra, state["extra"])
     llc.directory._owners = {
         block: set(owners) for block, owners in state["directory"]
     }
@@ -506,7 +372,7 @@ def _sequencer_state(sequencer: SetSequencer) -> Dict[str, Any]:
             "max_depth": queue.max_depth,
         }
     return {
-        "stats": _stats_state(sequencer.stats),
+        "stats": dataclass_state(sequencer.stats),
         "queued_set": sorted(sequencer._queued_set.items()),
         "unsequenced": sorted(sequencer._unsequenced),
         "qlt": {
@@ -522,7 +388,7 @@ def _sequencer_state(sequencer: SetSequencer) -> Dict[str, Any]:
 
 
 def _load_sequencer(sequencer: SetSequencer, state: Mapping[str, Any]) -> None:
-    _load_stats(sequencer.stats, state["stats"])
+    load_dataclass_state(sequencer.stats, state["stats"])
     sequencer._queued_set = {core: s for core, s in state["queued_set"]}
     sequencer._unsequenced = set(state["unsequenced"])
     qlt = sequencer.qlt
@@ -547,33 +413,6 @@ def _load_sequencer(sequencer: SetSequencer, state: Mapping[str, Any]) -> None:
         for set_index, queue_id in state["qlt"]["mapping"]
     }
     qlt._free_queues = [by_id[queue_id] for queue_id in state["qlt"]["free"]]
-
-
-def _event_state(event: SimEvent) -> List[Any]:
-    return [
-        event.cycle,
-        event.slot,
-        event.kind.value,
-        event.core,
-        event.block,
-        event.set_index,
-        event.way,
-        event.detail,
-    ]
-
-
-def _load_event(state: List[Any]) -> SimEvent:
-    cycle, slot, kind, core, block, set_index, way, detail = state
-    return SimEvent(
-        cycle=cycle,
-        slot=slot,
-        kind=EventKind(kind),
-        core=core,
-        block=block,
-        set_index=set_index,
-        way=way,
-        detail=detail,
-    )
 
 
 def _rng_state(rng) -> Dict[str, Any]:
@@ -635,7 +474,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
         "rng": _rng_state(system.rng),
         "engine": {
             "slot": engine._slot,
-            "completed": _completed_state(engine._completed),
+            "completed": request_states(engine._completed),
             "finished_cores": sorted(engine._finished_cores),
             "slot_usage": [
                 [core, dict(usage)]
@@ -645,7 +484,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
             "ff_penalty": engine._ff_penalty,
         },
         "events": (
-            [_event_state(event) for event in engine.events._events]
+            event_states(engine.events._events)
             if engine.events.enabled
             else None
         ),
@@ -658,7 +497,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
             for core_id, stack in sorted(system.stacks.items())
         ],
         "prbs": [
-            [core_id, None if prb._entry is None else _request_state(prb._entry)]
+            [core_id, None if prb._entry is None else request_states([prb._entry])]
             for core_id, prb in sorted(system.prbs.items())
         ],
         "pwbs": [
@@ -677,7 +516,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
         ],
         "llc": _llc_state(system.llc),
         "dram": {
-            "stats": _stats_state(system.dram.stats),
+            "stats": dataclass_state(system.dram.stats),
             "free_at": system.dram._free_at,
         },
         "sequencers": [
@@ -698,10 +537,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
     return {
         "kind": CHECKPOINT_KIND,
         "version": CHECKPOINT_VERSION,
-        "config": config_fingerprint(sim.config),
-        "traces": trace_fingerprints(
-            {core_id: core.trace for core_id, core in sim.system.cores.items()}
-        ),
+        "identity": run_identity(sim.config, sim.traces, sim.start_cycles),
         "sinks": _sink_states(sim),
         "state": state,
     }
@@ -710,26 +546,33 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
 def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
     """Load a checkpoint payload into a freshly built ``sim`` in place.
 
-    ``sim`` must have been constructed from the same configuration and
-    traces the checkpoint was taken under (verified by fingerprint) and
-    must not have been run yet.
+    ``sim`` must have been constructed from the same configuration,
+    traces and start cycles the checkpoint was taken under (verified by
+    run identity) and must not have been run yet.
     """
     _check_checkpointable(sim)
-    expected_config = config_fingerprint(sim.config)
-    if payload["config"] != expected_config:
-        raise CheckpointError(
-            "checkpoint was taken under a different configuration "
-            f"(fingerprint {payload['config'][:12]}… != {expected_config[:12]}…); "
-            "restore with the exact config — including the engine choice — "
-            "the checkpoint was written with, or delete it to start fresh"
-        )
-    live_traces = trace_fingerprints(
-        {core_id: core.trace for core_id, core in sim.system.cores.items()}
-    )
-    if payload["traces"] != live_traces:
-        raise CheckpointError(
-            "checkpoint was taken under different workload traces; restore "
-            "with the same traces or delete the checkpoint to start fresh"
+    stored = payload["identity"]
+    live = run_identity(sim.config, sim.traces, sim.start_cycles)
+    for part, differs, remedy in (
+        (
+            "config",
+            "a different configuration",
+            "the exact config — including the engine choice — it was "
+            "written with",
+        ),
+        ("traces", "different workload traces", "the same traces"),
+        ("start_cycles", "different start cycles", "the same start_cycles"),
+    ):
+        if stored.get(part) != live[part]:
+            raise CheckpointError(
+                f"checkpoint was taken under {differs}; restore with "
+                f"{remedy}, or delete the checkpoint to start fresh"
+            )
+    if stored != live:
+        raise FormatVersionError(
+            "checkpoint was taken under model schema version "
+            f"{stored.get('model_schema_version')!r}, not "
+            f"{live['model_schema_version']}; delete it to start fresh"
         )
     if len(payload["sinks"]) != len(sim.engine.events._sinks):
         raise CheckpointError(
@@ -745,7 +588,7 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
 
     _load_rng(system.rng, state["rng"])
     engine._slot = state["engine"]["slot"]
-    engine._completed = _load_completed(state["engine"]["completed"])
+    engine._completed = load_requests(state["engine"]["completed"])
     engine._finished_cores = set(state["engine"]["finished_cores"])
     engine._slot_usage = {
         core: dict(usage) for core, usage in state["engine"]["slot_usage"]
@@ -759,14 +602,14 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
             raise CheckpointError(
                 "checkpoint carries no event log but record_events is on"
             )
-        engine.events._events = [_load_event(e) for e in state["events"]]
+        engine.events._events = load_events(state["events"])
     for core_id, stored in state["cores"]:
         _load_core(system.cores[core_id], stored)
     for core_id, stored in state["stacks"]:
         _load_stack(system.stacks[core_id], stored)
     for core_id, stored in state["prbs"]:
         system.prbs[core_id]._entry = (
-            None if stored is None else _load_request(stored)
+            None if stored is None else load_requests(stored)[0]
         )
     for core_id, stored in state["pwbs"]:
         _load_pwb(system.pwbs[core_id], stored)
@@ -775,7 +618,7 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
         arbiter._preferred = TransactionKind(stored["preferred"])
         arbiter.contended_slots = stored["contended_slots"]
     _load_llc(system.llc, state["llc"])
-    _load_stats(system.dram.stats, state["dram"]["stats"])
+    load_dataclass_state(system.dram.stats, state["dram"]["stats"])
     system.dram._free_at = state["dram"]["free_at"]
     stored_sequencers = dict(state["sequencers"])
     if set(stored_sequencers) != set(system.sequencers):
@@ -819,19 +662,11 @@ def save_checkpoint(
     degrades through the circuit breaker, returns ``None`` and the
     simulation continues uncheckpointed but correct.
     """
-    payload = snapshot_simulator(sim)
-    body = _canonical(payload)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    # Splice the already-canonical body in by hand rather than dumping
-    # the payload a second time: "integrity" < "payload" sorts first, so
-    # the bytes match a full canonical dump of the document exactly.
-    document = '{"integrity":"%s","payload":%s}' % (digest, body)
-    target = persist_text(
-        path, document + "\n", site=site, durability=durability
-    )
+    document = seal(snapshot_simulator(sim))
+    target = persist_text(path, document, site=site, durability=durability)
     if registry is not None and target is not None:
         registry.counter("checkpoint.saves").inc()
-        registry.counter("checkpoint.bytes").inc(len(document) + 1)
+        registry.counter("checkpoint.bytes").inc(len(document))
     return target
 
 
@@ -839,48 +674,10 @@ def load_checkpoint(path: Union[str, Path], registry=None) -> Dict[str, Any]:
     """Read, integrity-check and version-check a checkpoint payload."""
     path = Path(path)
     try:
-        text = read_text(path, site="checkpoint")
+        data = read_bytes(path, site="checkpoint")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is not valid JSON (truncated or corrupted "
-            f"write?): {exc}"
-        ) from exc
-    if not isinstance(document, dict) or "payload" not in document:
-        raise CheckpointError(
-            f"{path} is not a repro checkpoint file (no payload section)"
-        )
-    payload = document["payload"]
-    recomputed = hashlib.sha256(_canonical(payload).encode()).hexdigest()
-    if document.get("integrity") != recomputed:
-        raise CheckpointError(
-            f"checkpoint {path} failed its integrity check: the file was "
-            "corrupted after it was written; delete it to start fresh"
-        )
-    if payload.get("kind") != CHECKPOINT_KIND:
-        raise CheckpointError(
-            f"{path} is not a simulation checkpoint "
-            f"(kind={payload.get('kind')!r})"
-        )
-    version = payload.get("version")
-    if not isinstance(version, int):
-        raise CheckpointError(
-            f"checkpoint {path} has a malformed version field {version!r}"
-        )
-    if version > CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has version {version}, written by a newer "
-            f"repro build (this build reads version {CHECKPOINT_VERSION}); "
-            "upgrade this installation or delete the checkpoint to rerun "
-            "from scratch"
-        )
-    if version < 1:
-        raise CheckpointError(
-            f"checkpoint {path} has unsupported version {version}"
-        )
+    payload = unseal(data, path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     if registry is not None:
         registry.counter("checkpoint.restores").inc()
     return payload

@@ -12,8 +12,8 @@ from repro.sim.cache import (
     active_result_cache,
     clear_result_cache,
     install_result_cache,
-    result_cache_key,
 )
+from repro.sim.codec import run_identity, run_key
 from repro.sim.config import SystemConfig
 from repro.sim.events import EventKind, SimEvent, EventLog
 from repro.sim.parallel import (
@@ -32,7 +32,8 @@ __all__ = [
     "active_result_cache",
     "clear_result_cache",
     "install_result_cache",
-    "result_cache_key",
+    "run_identity",
+    "run_key",
     "SystemConfig",
     "EventKind",
     "SimEvent",

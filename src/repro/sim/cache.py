@@ -6,19 +6,22 @@ many (schedule, partition, workload) points, and CI re-runs the same
 scenarios on every push.  This module turns repeated sweeps into
 near-zero-cost lookups:
 
-* A **canonical fingerprint** keys each completed run: SHA-256 over
-  canonical JSON of the full :class:`~repro.sim.config.SystemConfig`,
-  the per-core workload traces (length-framed per record, so no two
-  distinct record sequences can collide by re-chunking), the engine
-  selection (part of the config) and a model/schema version stamp
-  (:data:`MODEL_SCHEMA_VERSION`) bumped on any intentional change to
-  the simulation model, which invalidates every older entry at once.
+* The **run identity** (:func:`repro.sim.codec.run_key`) keys each
+  completed run: SHA-256 over canonical JSON of the full
+  :class:`~repro.sim.config.SystemConfig`, the per-core workload traces
+  (length-framed per record, so no two distinct record sequences can
+  collide by re-chunking), the engine selection (part of the config),
+  non-zero start offsets and a model/schema version stamp
+  (:data:`~repro.sim.codec.MODEL_SCHEMA_VERSION`) bumped on any
+  intentional change to the simulation model, which invalidates every
+  older entry at once.  Checkpoints are named and guarded by the same
+  identity.
 * The **cached value** stores the complete report (per-request records,
   per-core aggregates, LLC/DRAM/sequencer counters, slot usage, the
   event log when the run recorded one, and the per-slot sampler's
-  metric rows), wrapped in the same two-layer integrity document the
-  checkpoint layer writes (payload digest + tmp-fsync-rename), so a
-  kill mid-write can never leave a readable half-entry.
+  metric rows), wrapped in the integrity envelope checkpoints also use
+  (:func:`repro.sim.codec.seal`: payload digest + tmp-fsync-rename), so
+  a kill mid-write can never leave a readable half-entry.
 * **Verification on read**: an unreadable, truncated, corrupted,
   version-mismatched or swapped-on-disk entry is detected (payload
   digest, kind/version stamps, embedded key, event-log fingerprint),
@@ -43,14 +46,15 @@ stored report.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import hashlib
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.errors import (
+    CheckpointError,
+    ConfigurationError,
+    FormatVersionError,
+)
 from repro.common.fileio import (
     Durability,
     count_io,
@@ -59,7 +63,17 @@ from repro.common.fileio import (
     sweep_stale_tmp,
 )
 from repro.common.validation import require
-from repro.sim.events import EventKind, EventLog, SimEvent
+from repro.sim.codec import (
+    MODEL_SCHEMA_VERSION,
+    canonical_digest,
+    dataclass_state,
+    event_states,
+    load_events,
+    run_key,
+    seal,
+    unseal,
+)
+from repro.sim.events import EventLog
 from repro.sim.report import CoreReport, RequestRecord, SimReport
 from repro.workloads.trace import MemoryTrace
 
@@ -72,171 +86,20 @@ RESULT_CACHE_VERSION = 1
 #: the cache directory is rejected instead of mis-parsed.
 RESULT_CACHE_KIND = "repro-sim-result"
 
-#: The model/schema stamp folded into every cache key.  Bump it on any
-#: intentional change to the simulation model's observable behaviour
-#: (event stream, latency accounting, report fields): every existing
-#: entry then misses by construction and is recomputed under the new
-#: model — the invalidation story documented in docs/PERFORMANCE.md.
-MODEL_SCHEMA_VERSION = 1
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# ----------------------------------------------------------------------
-# Canonical fingerprints
-# ----------------------------------------------------------------------
-def config_key_document(config) -> Dict[str, Any]:
-    """The config as canonical JSON-ready data, every field included.
-
-    Unlike :func:`repro.robustness.checkpoint.config_fingerprint` (a
-    repr hash, opaque), this walks the dataclass tree field by field so
-    the key document is stable, inspectable and — crucially — complete:
-    *every* declared field enters the key, including ones left at their
-    default, so two configs differing in any field (``seed``,
-    ``drain_writebacks``, ``engine``, a nested latency) can never
-    silently collide on one key.
-    """
-    return _jsonify(config)
-
-
-def _jsonify(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # fields() skips non-field memo slots (TdmSchedule._positions),
-        # which asdict-style __dict__ walks would drag into the key.
-        return {
-            f.name: _jsonify(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, enum.Enum):
-        # Enum members (ArbitrationPolicy, ...) key by their value.
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonify(val) for key, val in value.items()}
-    if isinstance(value, (int, float, str)):
-        return value
-    raise ConfigurationError(
-        f"cannot build a cache key over {type(value).__name__!r} "
-        f"({value!r}); extend repro.sim.cache._jsonify"
-    )
-
-
-def trace_cache_fingerprint(trace: MemoryTrace) -> str:
-    """SHA-256 over a trace's records, length-framed per record.
-
-    Each record's canonical line is prefixed with its byte length
-    (4-byte big-endian), so the digest depends on the exact record
-    *sequence*, not merely the concatenated bytes — no two distinct
-    chunkings of the same byte stream can collide.  The trace *name* is
-    deliberately excluded: the simulation result does not depend on it,
-    and keying on it would miss renamed-but-identical workloads.
-
-    Traces are immutable, so the digest is memoised on the trace
-    object (same trick as the checkpoint layer's fingerprint).
-    """
-    cached = getattr(trace, "_result_cache_fingerprint", None)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    for record in trace:
-        line = record.to_line().encode()
-        digest.update(len(line).to_bytes(4, "big"))
-        digest.update(line)
-    fingerprint = digest.hexdigest()
-    trace._result_cache_fingerprint = fingerprint
-    return fingerprint
-
-
-def result_cache_key(
-    config,
-    traces: Mapping[int, MemoryTrace],
-    start_cycles: Optional[Mapping[int, int]] = None,
-) -> str:
-    """The canonical cache key of one ``simulate()`` call.
-
-    Covers everything the report is a deterministic function of: the
-    full config (engine selection included), every core's trace, any
-    start-cycle offsets, and the model/schema version stamp.  Mapping
-    iteration order does not matter — the document is serialised with
-    sorted keys — and zero start-cycle offsets are dropped before
-    keying: a missing core defaults to cycle 0 in the simulator, so
-    ``{0: 0}``, ``{}`` and ``None`` all describe the same run.
-    """
-    offsets = (
-        {core: cycle for core, cycle in start_cycles.items() if cycle}
-        if start_cycles
-        else {}
-    )
-    document = {
-        "kind": RESULT_CACHE_KIND,
-        "version": RESULT_CACHE_VERSION,
-        "model_schema_version": MODEL_SCHEMA_VERSION,
-        "config": config_key_document(config),
-        "traces": {
-            str(core): trace_cache_fingerprint(trace)
-            for core, trace in traces.items()
-        },
-        "start_cycles": (
-            {str(core): cycle for core, cycle in offsets.items()}
-            if offsets
-            else None
-        ),
-    }
-    return hashlib.sha256(_canonical(document).encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Report (de)serialisation
-# ----------------------------------------------------------------------
-def _event_state(event: SimEvent) -> List[Any]:
-    return [
-        event.cycle,
-        event.slot,
-        event.kind.value,
-        event.core,
-        event.block,
-        event.set_index,
-        event.way,
-        event.detail,
-    ]
-
-
-def _load_event(state: List[Any]) -> SimEvent:
-    cycle, slot, kind, core, block, set_index, way, detail = state
-    return SimEvent(
-        cycle=cycle,
-        slot=slot,
-        kind=EventKind(kind),
-        core=core,
-        block=block,
-        set_index=set_index,
-        way=way,
-        detail=detail,
-    )
-
 
 def event_log_fingerprint(events: List[List[Any]]) -> str:
     """SHA-256 over the flattened event states of one stored log."""
-    return hashlib.sha256(_canonical(events).encode()).hexdigest()
-
-
-def _dataclass_state(value) -> Dict[str, Any]:
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return canonical_digest(events)
 
 
 def report_state(report: SimReport) -> Dict[str, Any]:
     """The report as plain JSON-ready data, losslessly.
 
     Requests are flattened to a stride-7 list and events to stride-8
-    lists (the checkpoint layer's encoding): hot sweeps produce tens of
-    thousands of both, and per-record dicts would triple the entry
-    size.  Integer-keyed maps become sorted ``[key, value]`` pairs so
-    the canonical JSON is order-independent.
+    lists (the codec's event encoding, shared with checkpoints): hot
+    sweeps produce tens of thousands of both, and per-record dicts would
+    triple the entry size.  Integer-keyed maps become sorted
+    ``[key, value]`` pairs so the canonical JSON is order-independent.
     """
     flat_requests: List[Any] = []
     for record in report.requests:
@@ -253,7 +116,7 @@ def report_state(report: SimReport) -> Dict[str, Any]:
         )
     events: Optional[List[List[Any]]] = None
     if report.events.enabled:
-        events = [_event_state(event) for event in report.events]
+        events = event_states(report.events)
     return {
         "total_slots": report.total_slots,
         "total_cycles": report.total_cycles,
@@ -276,11 +139,11 @@ def report_state(report: SimReport) -> Dict[str, Any]:
             for core, core_report in sorted(report.core_reports.items())
         ],
         "requests": flat_requests,
-        "llc_stats": _dataclass_state(report.llc_stats),
+        "llc_stats": dataclass_state(report.llc_stats),
         "llc_back_invalidations": report.llc_back_invalidations,
         "llc_blocked_slots": report.llc_blocked_slots,
         "sequencer_stats": [
-            [name, _dataclass_state(stats)]
+            [name, dataclass_state(stats)]
             for name, stats in sorted(report.sequencer_stats.items())
         ],
         "pwb_max_occupancy": [
@@ -327,7 +190,7 @@ def load_report(state: Mapping[str, Any]) -> SimReport:
     ]
     events = EventLog(enabled=state["events"] is not None)
     if state["events"] is not None:
-        events._events = [_load_event(item) for item in state["events"]]
+        events._events = load_events(state["events"])
     metrics = None
     if state["metrics_rows"] is not None:
         from repro.obs.metrics import registry_from_rows
@@ -423,7 +286,7 @@ class SimResultCache:
         reported as a miss — the caller recomputes; stale bytes are
         never trusted.
         """
-        key = result_cache_key(config, traces, start_cycles)
+        key = run_key(config, traces, start_cycles)
         memo = self._memo.get(key)
         if memo is not None:
             self._count("hits")
@@ -461,7 +324,7 @@ class SimResultCache:
         notice) and returns ``None`` — the in-process memo still holds
         the report, so the run's results are unaffected.
         """
-        key = result_cache_key(config, traces, start_cycles)
+        key = run_key(config, traces, start_cycles)
         state = report_state(report)
         payload = {
             "kind": RESULT_CACHE_KIND,
@@ -475,22 +338,17 @@ class SimResultCache:
             ),
             "report": state,
         }
-        body = _canonical(payload)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        # Splice the already-canonical body in by hand rather than
-        # dumping it a second time: "integrity" < "payload" sorts
-        # first, so the bytes match a full canonical dump exactly.
-        document = '{"integrity":"%s","payload":%s}' % (digest, body)
+        document = seal(payload)
         target = persist_text(
             self.entry_path(key),
-            document + "\n",
+            document,
             site="result-cache",
             durability=Durability.BEST_EFFORT,
         )
         self._memo[key] = payload
         if target is not None:
             self._count("stores")
-            self._count("stored_bytes", len(document) + 1)
+            self._count("stored_bytes", len(document))
         return target
 
     # -- validation ------------------------------------------------------
@@ -501,12 +359,11 @@ class SimResultCache:
         try:
             payload = _checked_payload(path, data, expected_key)
         except CheckpointError as exc:
-            counter = (
+            self._count(
                 "version_mismatch"
-                if "version" in str(exc)
+                if isinstance(exc, FormatVersionError)
                 else "corruption"
             )
-            self._count(counter)
             path.unlink(missing_ok=True)
             return None
         return payload
@@ -602,48 +459,15 @@ def _checked_payload(
 ) -> Dict[str, Any]:
     """Parse and verify one entry document; raise on any defect.
 
-    Raises :class:`CheckpointError` (the shared integrity-failure
-    vocabulary) naming the defect: bytes that are not UTF-8 at all,
-    truncated/invalid JSON, missing payload, integrity-digest mismatch
-    (a flipped byte anywhere in the payload), wrong kind, malformed or
-    mismatched version, an embedded key that does not match the
-    requested one (two entries swapped on disk), or an event-log
-    fingerprint that does not cover the stored events.
+    :func:`~repro.sim.codec.unseal` checks the envelope (UTF-8, JSON,
+    digest, kind, version); on top of it an entry must carry this
+    build's model-schema stamp (else :class:`FormatVersionError`), embed
+    the key it was read for (two entries swapped on disk), and carry an
+    event-log fingerprint that covers the stored events.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"cache entry {path} is not UTF-8 (corrupted bytes): {exc}"
-        ) from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"cache entry {path} is not valid JSON (truncated or "
-            f"corrupted write?): {exc}"
-        ) from exc
-    if not isinstance(document, dict) or "payload" not in document:
-        raise CheckpointError(f"{path} is not a result-cache entry")
-    payload = document["payload"]
-    recomputed = hashlib.sha256(_canonical(payload).encode()).hexdigest()
-    if document.get("integrity") != recomputed:
-        raise CheckpointError(
-            f"cache entry {path} failed its integrity check"
-        )
-    if not isinstance(payload, dict) or payload.get("kind") != RESULT_CACHE_KIND:
-        raise CheckpointError(
-            f"{path} is not a simulation result entry "
-            f"(kind={payload.get('kind') if isinstance(payload, dict) else None!r})"
-        )
-    version = payload.get("version")
-    if version != RESULT_CACHE_VERSION:
-        raise CheckpointError(
-            f"cache entry {path} has version {version!r}; this build "
-            f"reads version {RESULT_CACHE_VERSION}"
-        )
+    payload = unseal(data, path, RESULT_CACHE_KIND, RESULT_CACHE_VERSION)
     if payload.get("model_schema_version") != MODEL_SCHEMA_VERSION:
-        raise CheckpointError(
+        raise FormatVersionError(
             f"cache entry {path} was written under model schema version "
             f"{payload.get('model_schema_version')!r}, not "
             f"{MODEL_SCHEMA_VERSION}"

@@ -19,6 +19,7 @@ from typing import Dict, Optional, Sequence, Union
 from repro.common.errors import ReproError
 from repro.common.fileio import Durability, persist_text
 from repro.common.types import CoreId, Cycle
+from repro.obs.tracing import event_to_dict
 from repro.sim.report import SimReport
 
 
@@ -179,21 +180,7 @@ def write_events_jsonl(report: SimReport, path: Union[str, Path]) -> None:
         raise ReproError(
             "event log is empty; run the simulation with record_events=True"
         )
-    lines = [
-        json.dumps(
-            {
-                "cycle": event.cycle,
-                "slot": event.slot,
-                "kind": event.kind.value,
-                "core": event.core,
-                "block": event.block,
-                "set": event.set_index,
-                "way": event.way,
-                "detail": event.detail,
-            }
-        )
-        for event in report.events
-    ]
+    lines = [json.dumps(event_to_dict(event)) for event in report.events]
     persist_text(
         Path(path),
         "\n".join(lines) + "\n",

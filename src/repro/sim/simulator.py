@@ -41,6 +41,9 @@ class Simulator:
         if engine is not None and engine != config.engine:
             config = dataclasses.replace(config, engine=engine)
         self.config = config
+        # Kept for the run identity a checkpoint is keyed and guarded by.
+        self.traces = traces
+        self.start_cycles = start_cycles
         self.system = System(config, traces, start_cycles)
         self.engine = SlotEngine(self.system)
         if event_sink is not None:
@@ -83,9 +86,10 @@ class Simulator:
     ) -> "Simulator":
         """Rebuild a simulator and load a checkpoint into it.
 
-        ``config`` and ``traces`` must match the ones the checkpoint
-        was written under (verified by fingerprint); the run then
-        continues bit-identically to one that was never interrupted.
+        ``config``, ``traces`` and ``start_cycles`` must match the ones
+        the checkpoint was written under (verified by run identity); the
+        run then continues bit-identically to one that was never
+        interrupted.
         A run that traced events to disk must pass an ``event_sink``
         reopened from the checkpoint's recorded sink state (see
         :meth:`repro.obs.tracing.JsonlTraceSink.reopen`).
@@ -209,7 +213,7 @@ def _simulate_uncached(
                 config,
                 traces,
                 path=default_checkpoint_path(
-                    policy.directory, run_config, traces
+                    policy.directory, run_config, traces, start_cycles
                 ),
                 every_slots=policy.every_slots,
                 every_secs=policy.every_secs,

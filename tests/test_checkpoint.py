@@ -27,21 +27,18 @@ from repro.obs.metrics import MetricsRegistry
 from repro.robustness.checkpoint import (
     CHECKPOINT_VERSION,
     AutoCheckpointPolicy,
-    combined_fingerprint,
-    config_fingerprint,
+    clear_auto_checkpoints,
     default_checkpoint_path,
+    install_auto_checkpoints,
     load_checkpoint,
     save_checkpoint,
     snapshot_simulator,
-    trace_fingerprint,
 )
 from repro.robustness.runner import MANIFEST_VERSION, RunManifest
+from repro.sim.codec import canonical_json as _canonical, run_key, seal
+from repro.sim.export import report_to_dict
 from repro.sim.simulator import Simulator, simulate
 from sim_helpers import small_config, write_trace_of
-
-
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _workload(seed=7, length=300, blocks=32):
@@ -57,15 +54,16 @@ def _workload(seed=7, length=300, blocks=32):
 # ----------------------------------------------------------------------
 def test_fingerprints_separate_configs_and_traces():
     config = small_config()
+    traces = _workload()
     other = dataclasses.replace(config, seed=99)
-    assert config_fingerprint(config) != config_fingerprint(other)
+    assert run_key(config, traces) != run_key(other, traces)
     # The engine choice is part of the config identity: a checkpoint
     # written under one engine must not restore under the other.
-    assert config_fingerprint(config) != config_fingerprint(
-        dataclasses.replace(config, engine="reference")
+    assert run_key(config, traces) != run_key(
+        dataclasses.replace(config, engine="reference"), traces
     )
-    assert trace_fingerprint(write_trace_of([1, 2, 3])) != trace_fingerprint(
-        write_trace_of([1, 2, 4])
+    assert run_key(config, {0: write_trace_of([1, 2, 3])}) != run_key(
+        config, {0: write_trace_of([1, 2, 4])}
     )
 
 
@@ -74,7 +72,7 @@ def test_default_checkpoint_path_is_stable_and_distinct(tmp_path):
     traces = _workload()
     path = default_checkpoint_path(tmp_path, config, traces)
     assert path.parent == tmp_path
-    assert path.name == f"sim-{combined_fingerprint(config, traces)[:24]}.ckpt"
+    assert path.name == f"sim-{run_key(config, traces)[:24]}.ckpt"
     assert path == default_checkpoint_path(tmp_path, config, traces)
     assert path != default_checkpoint_path(
         tmp_path, dataclasses.replace(config, seed=2), traces
@@ -190,6 +188,46 @@ def test_restore_refuses_mismatched_config_and_traces(tmp_path):
         Simulator.restore(path, config, _workload(seed=99))
 
 
+def test_restore_refuses_different_start_cycles(tmp_path):
+    config = small_config()
+    traces = _workload()
+    path = tmp_path / "offset.ckpt"
+    sim = Simulator(config, traces, start_cycles={1: 5000})
+    sim.engine.run(stop_at_slot=9)
+    sim.checkpoint(path)
+
+    with pytest.raises(CheckpointError, match="different start cycles"):
+        Simulator.restore(path, config, traces, start_cycles=None)
+    restored = Simulator.restore(path, config, traces, start_cycles={1: 5000})
+    reference = Simulator(config, traces, start_cycles={1: 5000}).run()
+    assert restored.run().latencies() == reference.latencies()
+
+
+def test_default_checkpoint_path_separates_start_offsets(tmp_path):
+    config = small_config()
+    traces = _workload()
+    plain = default_checkpoint_path(tmp_path, config, traces)
+    assert default_checkpoint_path(tmp_path, config, traces, {1: 5000}) != plain
+    # Zero offsets describe the same run as no offsets at all.
+    for same in ({0: 0}, {}, None):
+        assert default_checkpoint_path(tmp_path, config, traces, same) == plain
+
+
+def test_restore_ignores_trace_names(tmp_path):
+    config = small_config()
+    traces = _workload()
+    path = tmp_path / "named.ckpt"
+    sim = Simulator(config, traces)
+    sim.engine.run(stop_at_slot=9)
+    sim.checkpoint(path)
+
+    renamed = _workload()
+    for core, trace in renamed.items():
+        trace.name = f"renamed-{core}"
+    restored = Simulator.restore(path, config, renamed)
+    assert restored.run().latencies() == Simulator(config, traces).run().latencies()
+
+
 # ----------------------------------------------------------------------
 # load_checkpoint error paths
 # ----------------------------------------------------------------------
@@ -204,13 +242,10 @@ def _written_checkpoint(tmp_path):
 
 
 def _rewrite_payload(path, mutate):
-    document = json.loads(path.read_text())
-    mutate(document["payload"])
-    import hashlib
-
-    body = _canonical(document["payload"])
-    document["integrity"] = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(_canonical(document) + "\n")
+    """Edit a checkpoint's payload and re-sign it with a valid digest."""
+    payload = json.loads(path.read_text())["payload"]
+    mutate(payload)
+    path.write_text(seal(payload))
 
 
 def test_load_checkpoint_error_paths(tmp_path):
@@ -242,7 +277,7 @@ def test_load_checkpoint_version_gate(tmp_path):
         payload["kind"] = "something-else"
 
     _rewrite_payload(path, set_kind)
-    with pytest.raises(CheckpointError, match="not a simulation checkpoint"):
+    with pytest.raises(CheckpointError, match="not a repro-sim-checkpoint file"):
         load_checkpoint(path)
 
     path = _written_checkpoint(tmp_path)
@@ -271,6 +306,54 @@ def test_load_checkpoint_version_gate(tmp_path):
     _rewrite_payload(path, zero_version)
     with pytest.raises(CheckpointError, match="unsupported version"):
         load_checkpoint(path)
+
+
+def _downgrade_to_version_1(path):
+    """Rewrite a checkpoint in the version-1 layout: a config repr hash
+    and name-keyed trace fingerprints instead of the run identity."""
+
+    def downgrade(payload):
+        del payload["identity"]
+        payload["version"] = 1
+        payload["config"] = "0" * 64
+        payload["traces"] = {"0": "1" * 64, "1": "2" * 64}
+
+    _rewrite_payload(path, downgrade)
+
+
+def test_version_1_checkpoint_is_refused_as_an_older_build(tmp_path):
+    path = _written_checkpoint(tmp_path)
+    _downgrade_to_version_1(path)
+    with pytest.raises(CheckpointError, match="older repro build") as excinfo:
+        load_checkpoint(path)
+    assert "delete it" in str(excinfo.value)
+
+
+def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):
+    config = small_config()
+    traces = _workload()
+    reference = simulate(config, traces)
+    stale = _written_checkpoint(tmp_path)
+    _downgrade_to_version_1(stale)
+    directory = tmp_path / "auto"
+    directory.mkdir()
+    path = default_checkpoint_path(directory, config, traces)
+    stale.rename(path)
+
+    fileio.reset_io_state()
+    install_auto_checkpoints(directory, every_slots=16)
+    try:
+        report = simulate(config, traces)
+        degraded = fileio.io_metrics().counter("io.degraded.auto-checkpoint")
+        assert degraded.value == 1
+    finally:
+        clear_auto_checkpoints()
+        fileio.reset_io_state()
+    assert not path.exists()
+    assert json.dumps(report_to_dict(report)) == json.dumps(
+        report_to_dict(reference)
+    )
+    assert report.latencies() == reference.latencies()
 
 
 def test_checkpoint_metrics_counters(tmp_path):

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 from sim_helpers import shared_partition, small_config
 
 from repro.common.types import AccessType
-from repro.sim.cache import (
-    config_key_document,
-    result_cache_key,
-    trace_cache_fingerprint,
-)
+from repro.sim.codec import config_document, run_key, trace_fingerprint
 from repro.workloads.trace import MemoryTrace, TraceRecord
 
 LINE = 64
@@ -70,7 +66,7 @@ def test_key_invariant_to_mapping_insertion_order(per_core):
         for core in sorted(per_core, reverse=True)
     }
     assert list(forward) != list(backward) or len(per_core) < 2
-    assert result_cache_key(config, forward) == result_cache_key(
+    assert run_key(config, forward) == run_key(
         config, backward
     )
 
@@ -84,7 +80,7 @@ def test_key_invariant_to_start_cycle_mapping_order(per_core, starts):
     config = _config()
     traces = {c: MemoryTrace(r) for c, r in per_core.items()}
     reversed_starts = {c: starts[c] for c in sorted(starts, reverse=True)}
-    assert result_cache_key(config, traces, starts) == result_cache_key(
+    assert run_key(config, traces, starts) == run_key(
         config, traces, reversed_starts
     )
 
@@ -102,7 +98,7 @@ def test_trace_fingerprint_invariant_to_chunking_and_name(records, data):
         ),
         name="chunked-and-renamed",
     )
-    assert trace_cache_fingerprint(whole) == trace_cache_fingerprint(chunked)
+    assert trace_fingerprint(whole) == trace_fingerprint(chunked)
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,10 +114,10 @@ def test_key_invariant_to_explicit_default_field_values(per_core):
         drain_writebacks=config.drain_writebacks,
         llc_policy=config.llc_policy,
     )
-    assert result_cache_key(config, traces) == result_cache_key(
+    assert run_key(config, traces) == run_key(
         restated, traces
     )
-    assert config_key_document(config) == config_key_document(restated)
+    assert config_document(config) == config_document(restated)
 
 
 # ----------------------------------------------------------------------
@@ -141,9 +137,9 @@ def test_distinct_record_sequences_get_distinct_fingerprints(
     concatenated text bytes happen to agree still frame differently.
     """
     same = records_a == records_b
-    equal = trace_cache_fingerprint(
+    equal = trace_fingerprint(
         MemoryTrace(records_a)
-    ) == trace_cache_fingerprint(MemoryTrace(records_b))
+    ) == trace_fingerprint(MemoryTrace(records_b))
     assert equal == same
 
 
@@ -178,7 +174,7 @@ def test_any_mutated_config_field_changes_the_key(per_core, mutation):
     config = _config()
     traces = {c: MemoryTrace(r) for c, r in per_core.items()}
     mutated = dataclasses.replace(config, **{field: mutate(getattr(config, field))})
-    assert result_cache_key(config, traces) != result_cache_key(
+    assert run_key(config, traces) != run_key(
         mutated, traces
     ), f"mutating {field} must change the cache key"
 
@@ -193,7 +189,7 @@ def test_partition_geometry_changes_the_key(per_core, extra_ways):
         partitions=[shared_partition(2, ways=4 + extra_ways)],
         llc_ways=4 + extra_ways,
     )
-    assert result_cache_key(config, traces) != result_cache_key(wider, traces)
+    assert run_key(config, traces) != run_key(wider, traces)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,8 +204,8 @@ def test_start_cycles_distinguish_keys_exactly_when_semantically_distinct(
 ):
     config = _config()
     traces = {c: MemoryTrace(r) for c, r in per_core.items()}
-    plain = result_cache_key(config, traces)
-    offset = result_cache_key(config, traces, starts)
+    plain = run_key(config, traces)
+    offset = run_key(config, traces, starts)
     # All-zero (or empty) offsets mean "no offsets": same semantics,
     # same key.  Any non-zero offset is a different run.
     if any(starts.values()):

@@ -19,15 +19,18 @@ from repro.obs.collect import collect_metrics
 from repro.obs.exporters import metrics_to_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.cache import (
-    MODEL_SCHEMA_VERSION,
     SimResultCache,
     active_result_cache,
     clear_result_cache,
     install_result_cache,
     load_report,
     report_state,
-    result_cache_key,
-    trace_cache_fingerprint,
+)
+from repro.sim.codec import (
+    MODEL_SCHEMA_VERSION,
+    run_key,
+    seal,
+    trace_fingerprint,
 )
 from repro.sim.export import report_to_dict
 from repro.sim.simulator import _simulate_uncached, simulate
@@ -136,7 +139,7 @@ def test_memo_dedups_within_process(tmp_path):
     cache = SimResultCache(tmp_path)
     cache.store(config, traces, None, _simulate_uncached(config, traces))
     # Remove the on-disk entry: the memo alone must serve the hit.
-    key = result_cache_key(config, traces)
+    key = run_key(config, traces)
     cache.entry_path(key).unlink()
     assert cache.lookup(config, traces) is not None
     assert _counter(cache, "hits") == 1
@@ -158,10 +161,10 @@ def test_hits_return_fresh_objects(tmp_path):
 def test_start_cycles_enter_the_key():
     config = small_config(num_cores=2)
     traces = _traces()
-    assert result_cache_key(config, traces) != result_cache_key(
+    assert run_key(config, traces) != run_key(
         config, traces, {0: 100}
     )
-    assert result_cache_key(config, traces, {0: 100}) != result_cache_key(
+    assert run_key(config, traces, {0: 100}) != run_key(
         config, traces, {0: 200}
     )
 
@@ -169,9 +172,9 @@ def test_start_cycles_enter_the_key():
 def test_trace_name_is_not_part_of_the_key():
     renamed = write_trace_of([1, 2, 3])
     renamed.name = "totally-different"
-    assert trace_cache_fingerprint(
+    assert trace_fingerprint(
         write_trace_of([1, 2, 3])
-    ) == trace_cache_fingerprint(renamed)
+    ) == trace_fingerprint(renamed)
 
 
 def test_version_mismatch_discarded_and_recomputed(tmp_path, monkeypatch):
@@ -180,19 +183,14 @@ def test_version_mismatch_discarded_and_recomputed(tmp_path, monkeypatch):
     baseline = _simulate_uncached(config, traces)
     cache = SimResultCache(tmp_path)
     cache.store(config, traces, None, baseline)
-    key = result_cache_key(config, traces)
+    key = run_key(config, traces)
     path = cache.entry_path(key)
 
     # Rewrite the entry as if an older model build had written it: the
     # integrity digest is recomputed so only the stamp check can fire.
-    document = json.loads(path.read_text())
-    document["payload"]["model_schema_version"] = MODEL_SCHEMA_VERSION - 1
-    from repro.sim.cache import _canonical
-    import hashlib
-
-    body = _canonical(document["payload"])
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text('{"integrity":"%s","payload":%s}' % (digest, body) + "\n")
+    payload = json.loads(path.read_text())["payload"]
+    payload["model_schema_version"] = MODEL_SCHEMA_VERSION - 1
+    path.write_text(seal(payload))
 
     cache._memo.clear()
     assert cache.lookup(config, traces) is None
@@ -286,7 +284,7 @@ def test_engine_override_is_part_of_the_key(tmp_path):
 
 
 def test_unjsonable_config_value_is_a_configuration_error():
-    from repro.sim.cache import _jsonify
+    from repro.sim.codec import config_document
 
     with pytest.raises(ConfigurationError):
-        _jsonify(object())
+        config_document(object())

@@ -10,19 +10,14 @@ recomputed with byte-identical output — stale or tampered bytes are
 never trusted.
 """
 
-import hashlib
 import json
 
 from sim_helpers import small_config, write_trace_of
 
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import metrics_to_jsonl
-from repro.sim.cache import (
-    SimResultCache,
-    _canonical,
-    event_log_fingerprint,
-    result_cache_key,
-)
+from repro.sim.cache import SimResultCache, event_log_fingerprint
+from repro.sim.codec import run_key, seal
 from repro.sim.export import report_to_dict
 from repro.sim.simulator import _simulate_uncached
 
@@ -152,13 +147,6 @@ def test_swapped_entries_are_detected(tmp_path):
     _assert_recovers(cache, config, traces_b, baseline_b)
 
 
-def _rewrap(payload) -> str:
-    """Re-sign a (tampered) payload with a *valid* integrity digest."""
-    body = _canonical(payload)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    return '{"integrity":"%s","payload":%s}' % (digest, body) + "\n"
-
-
 def test_resigned_event_tampering_is_caught_by_the_fingerprint(tmp_path):
     """An attacker who re-signs the outer digest still can't edit events.
 
@@ -174,7 +162,7 @@ def test_resigned_event_tampering_is_caught_by_the_fingerprint(tmp_path):
     payload = document["payload"]
     assert payload["report"]["events"], "scenario must record events"
     payload["report"]["events"][0][0] += 1  # nudge one event's cycle
-    path.write_text(_rewrap(payload))
+    path.write_text(seal(payload))
 
     cache._memo.clear()
     assert cache.lookup(config, traces) is None
@@ -191,7 +179,7 @@ def test_resigned_foreign_kind_is_rejected(tmp_path):
     document = json.loads(path.read_text())
     payload = document["payload"]
     payload["kind"] = "repro-checkpoint"
-    path.write_text(_rewrap(payload))
+    path.write_text(seal(payload))
 
     cache._memo.clear()
     assert cache.lookup(config, traces) is None
@@ -229,8 +217,10 @@ def test_corruption_never_counts_as_version_mismatch(tmp_path):
     """The two defect classes are counted apart (distinct remedies)."""
     config = small_config(num_cores=2)
     traces = _traces()
-    cache, _, path = _populated_cache(tmp_path, config, traces)
-    key = result_cache_key(config, traces)
+    # The directory name carries the word "version": classification
+    # must go by error type, not by the text of the message.
+    cache, _, path = _populated_cache(tmp_path / "version-cache", config, traces)
+    key = run_key(config, traces)
     assert path == cache.entry_path(key)
 
     path.write_bytes(b"\xff\xfe not an entry")
