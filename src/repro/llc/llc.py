@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.replacement import OraclePolicy, ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
-from repro.common.errors import GeometryError, SimulationError
+from repro.common.errors import GeometryError, PartitionError, SimulationError
 from repro.common.types import BlockAddress, CoreId, EntryState
 from repro.common.validation import require_positive
 from repro.llc.directory import OwnerDirectory
@@ -42,6 +42,9 @@ class LlcEntry:
     #: When ``PENDING_EVICT``: dirty private owners whose write-back the
     #: entry still waits for.
     pending_writers: Set[CoreId] = field(default_factory=set)
+    #: The (partition × set) region the entry belongs to; ``None`` for
+    #: cells no partition covers.  Fixed at construction.
+    region: Optional["LlcRegion"] = field(default=None, repr=False, compare=False)
 
     @property
     def is_free(self) -> bool:
@@ -54,6 +57,25 @@ class LlcEntry:
     @property
     def is_pending(self) -> bool:
         return self.state is EntryState.PENDING_EVICT
+
+
+@dataclass(eq=False)
+class LlcRegion:
+    """One (partition × physical set) region and its availability counts.
+
+    ``entries`` are the region's ways in ascending order.  ``free`` and
+    ``pending`` count its ``FREE`` and ``PENDING_EVICT`` entries; they
+    are derived bookkeeping, not model state — kept in step at the
+    lifecycle transitions so the engine reads them in O(1), rebuilt from
+    the entries by :meth:`PartitionedLlc._reindex`, and checked against
+    a scan by :meth:`PartitionedLlc.validate`.
+    """
+
+    partition: PartitionSpec
+    set_index: int
+    entries: List[LlcEntry]
+    free: int = 0
+    pending: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,37 +171,58 @@ class PartitionedLlc:
         # block -> entry, for VALID and PENDING_EVICT entries respectively
         self._valid_index: Dict[BlockAddress, LlcEntry] = {}
         self._pending_index: Dict[BlockAddress, LlcEntry] = {}
-        # Partitions are immutable, so each (partition, set) region's
-        # entry list and each partition's way membership are precomputed
-        # — these sit on the engine's hottest path.
-        self._region_cache: Dict[Tuple[str, int], List[LlcEntry]] = {}
-        self._way_sets: Dict[str, frozenset] = {}
+        # Partitions are immutable, so each core's partition and each
+        # (partition, set) region are precomputed — these sit on the
+        # engine's hottest path.  A partition's regions are listed in
+        # fold order: block b lands in regions[b % len(regions)].
+        self._partitions: Dict[CoreId, PartitionSpec] = {}
+        self._regions: Dict[str, Tuple[LlcRegion, ...]] = {}
         for spec in partition_map.partitions:
-            self._way_sets[spec.name] = frozenset(spec.ways())
+            for core in spec.cores:
+                self._partitions[core] = spec
+            regions = []
             for set_index in spec.sets:
-                self._region_cache[(spec.name, set_index)] = [
-                    self._entries[set_index][way] for way in spec.ways()
-                ]
+                region = LlcRegion(
+                    partition=spec,
+                    set_index=set_index,
+                    entries=[self._entries[set_index][way] for way in spec.ways()],
+                )
+                for entry in region.entries:
+                    entry.region = region
+                regions.append(region)
+            self._regions[spec.name] = tuple(regions)
+        self._reindex()
 
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
     def partition_of(self, core: CoreId) -> PartitionSpec:
         """The partition ``core`` allocates into."""
-        return self.partition_map.partition_of(core)
+        partition = self._partitions.get(core)
+        if partition is None:
+            raise PartitionError(f"core {core} has no LLC partition")
+        return partition
+
+    def region(self, core: CoreId, block: BlockAddress) -> LlcRegion:
+        """The (partition × set) region ``block`` folds onto for ``core``.
+
+        The engine resolves this once per bus request and hands it to
+        every LLC query the request makes.
+        """
+        regions = self._regions[self.partition_of(core).name]
+        return regions[block % len(regions)]
+
+    def regions(self) -> List[LlcRegion]:
+        """Every region of every partition."""
+        return [region for group in self._regions.values() for region in group]
 
     def fold(self, core: CoreId, block: BlockAddress) -> int:
         """Physical set ``block`` maps to for ``core``'s partition."""
-        return self.partition_of(core).fold_set(block)
+        return self.region(core, block).set_index
 
     def entry(self, set_index: int, way: int) -> LlcEntry:
         """Direct access to one entry (tests and invariants)."""
         return self._entries[set_index][way]
-
-    def _partition_entries(
-        self, partition: PartitionSpec, set_index: int
-    ) -> List[LlcEntry]:
-        return self._region_cache[(partition.name, set_index)]
 
     def oracle_policy(self, set_index: int) -> OraclePolicy:
         """The oracle policy of a set (adversarial steering hook)."""
@@ -193,77 +236,44 @@ class PartitionedLlc:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def lookup(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
-        """Probe for a hit within ``core``'s partition; counts stats.
+    def lookup(self, region: LlcRegion, block: BlockAddress) -> Optional[LlcEntry]:
+        """Probe ``region`` for a hit on ``block``; counts stats.
 
         Only ``VALID`` entries hit: a ``PENDING_EVICT`` line is logically
         gone (its eviction is merely waiting for the bus).
         """
         self.stats.accesses += 1
-        entry = self._probe(core, block)
-        if entry is not None:
+        entry = self._valid_index.get(block)
+        if entry is not None and entry.region is region:
             self.stats.hits += 1
             self._policies[entry.set_index].on_access(entry.way)
             return entry
         self.stats.misses += 1
         return None
 
-    def probe(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
+    def probe(self, region: LlcRegion, block: BlockAddress) -> Optional[LlcEntry]:
         """Like :meth:`lookup` but with no statistics or policy effects."""
-        return self._probe(core, block)
-
-    def _probe(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
         entry = self._valid_index.get(block)
-        if entry is None or entry.set_index != set_index:
-            return None
-        if entry.way not in self._way_sets[partition.name]:
-            return None
-        return entry
+        if entry is not None and entry.region is region:
+            return entry
+        return None
 
-    def free_entry(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
-        """A ``FREE`` entry usable for ``block`` in ``core``'s partition."""
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        for entry in self._partition_entries(partition, set_index):
-            if entry.is_free:
+    def free_entry(self, region: LlcRegion) -> Optional[LlcEntry]:
+        """The lowest-way ``FREE`` entry of ``region``, if any."""
+        if not region.free:
+            return None
+        for entry in region.entries:
+            if entry.state is EntryState.FREE:
                 return entry
         return None
 
-    def has_pending_evict(self, core: CoreId, block: BlockAddress) -> bool:
-        """Whether an eviction is already in flight in the target set.
-
-        The engine triggers at most one eviction at a time per
-        (partition × set) region: while one is pending, a free entry is
-        already on its way, so further evictions would only destroy
-        additional cache state without helping any requester.
-        """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        return any(
-            entry.is_pending
-            for entry in self._partition_entries(partition, set_index)
-        )
-
-    def region_availability(
-        self, core: CoreId, block: BlockAddress
-    ) -> Tuple[int, int]:
-        """``(free, pending)`` entry counts of ``block``'s region.
+    def region_availability(self, region: LlcRegion) -> Tuple[int, int]:
+        """``(free, pending)`` entry counts of ``region``.
 
         The engine compares their sum against the number of waiting
         requesters to decide whether another eviction is warranted.
         """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        free = 0
-        pending = 0
-        for entry in self._partition_entries(partition, set_index):
-            if entry.is_free:
-                free += 1
-            elif entry.is_pending:
-                pending += 1
-        return free, pending
+        return region.free, region.pending
 
     def pending_entry(self, block: BlockAddress) -> Optional[LlcEntry]:
         """The ``PENDING_EVICT`` entry holding ``block``, if any."""
@@ -286,28 +296,19 @@ class PartitionedLlc:
         """
         return block in self._pending_index
 
-    def valid_entries_in_region(
-        self, core: CoreId, block: BlockAddress
-    ) -> List[LlcEntry]:
-        """``VALID`` entries of the (partition × set) region of ``block``."""
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        return [
-            entry
-            for entry in self._partition_entries(partition, set_index)
-            if entry.is_valid
-        ]
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def allocate(self, core: CoreId, block: BlockAddress) -> LlcEntry:
-        """Install ``block`` into a free entry of ``core``'s partition.
+    def allocate(
+        self, region: LlcRegion, core: CoreId, block: BlockAddress
+    ) -> LlcEntry:
+        """Install ``block`` into the lowest-way free entry of ``region``.
 
-        The caller must have verified a free entry exists (and, under
-        SS, that ``core`` is at the head of the set's sequencer queue).
-        The new line is clean at the LLC (just fetched from DRAM) and
-        ``core`` becomes its private owner.
+        ``region`` is ``core``'s region for ``block``.  The caller must
+        have verified a free entry exists (and, under SS, that ``core``
+        is at the head of the set's sequencer queue).  The new line is
+        clean at the LLC (just fetched from DRAM) and ``core`` becomes
+        its private owner.
         """
         existing = self._valid_index.get(block) or self._pending_index.get(block)
         if existing is not None:
@@ -316,12 +317,13 @@ class PartitionedLlc:
                 f"way {existing.way} ({existing.state.value}); workloads must "
                 "keep partition address ranges disjoint"
             )
-        entry = self.free_entry(core, block)
+        entry = self.free_entry(region)
         if entry is None:
             raise SimulationError(
                 f"allocate for core {core} block {block:#x}: no free entry "
-                f"in partition {self.partition_of(core).name!r}"
+                f"in partition {region.partition.name!r} set {region.set_index}"
             )
+        region.free -= 1
         entry.state = EntryState.VALID
         entry.block = block
         entry.dirty = False
@@ -354,21 +356,18 @@ class PartitionedLlc:
     # ------------------------------------------------------------------
     # Eviction lifecycle
     # ------------------------------------------------------------------
-    def choose_victim(
-        self, core: CoreId, block: BlockAddress
-    ) -> Optional[VictimInfo]:
-        """Pick a victim for ``core``'s miss on ``block``; no mutation.
+    def choose_victim(self, region: LlcRegion) -> Optional[VictimInfo]:
+        """Pick a victim for a miss in ``region``; no mutation.
 
         Candidates are the ``VALID`` entries of the region; ``None``
         when the region has no valid entry to evict (everything is
         already free or pending).
         """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
+        set_index = region.set_index
         candidates = [
             entry.way
-            for entry in self._partition_entries(partition, set_index)
-            if entry.is_valid
+            for entry in region.entries
+            if entry.state is EntryState.VALID
         ]
         if not candidates:
             return None
@@ -401,7 +400,7 @@ class PartitionedLlc:
         the LLC↔DRAM interface does not use the TDM bus.
         """
         entry = self._entries[victim.set_index][victim.way]
-        if not entry.is_valid or entry.block != victim.block:
+        if entry.state is not EntryState.VALID or entry.block != victim.block:
             raise SimulationError(
                 f"begin_eviction on stale victim: entry holds "
                 f"{entry.block!r} ({entry.state.value}), victim was {victim.block:#x}"
@@ -415,6 +414,7 @@ class PartitionedLlc:
         if writers:
             entry.state = EntryState.PENDING_EVICT
             entry.pending_writers = writers
+            entry.region.pending += 1
             self._pending_index[victim.block] = entry
             self.extra.back_invalidations += len(writers)
             return False
@@ -442,6 +442,7 @@ class PartitionedLlc:
             if pending.pending_writers:
                 return WritebackOutcome.PENDING
             del self._pending_index[block]
+            pending.region.pending -= 1
             self.extra.dram_writebacks += 1
             self.stats.dirty_evictions += 1
             self._free_entry(pending)
@@ -458,12 +459,43 @@ class PartitionedLlc:
         self.extra.dram_writebacks += 1
         return WritebackOutcome.DRAM_DIRECT
 
+    def forget_line(self, block: BlockAddress) -> LlcEntry:
+        """Free ``block``'s ``VALID`` entry without back-invalidation.
+
+        Not a model transition: it leaves any private copies stale,
+        breaking inclusivity.  Fault injection uses it to model a
+        spurious eviction while keeping the LLC's own bookkeeping
+        consistent.
+        """
+        entry = self._valid_index.pop(block)
+        self.directory.drop_block(block)
+        self._free_entry(entry)
+        return entry
+
     def _free_entry(self, entry: LlcEntry) -> None:
         entry.state = EntryState.FREE
         entry.block = None
         entry.dirty = False
         entry.pending_writers.clear()
+        entry.region.free += 1
         self.extra.entries_freed += 1
+
+    def _reindex(self) -> None:
+        """Rebuild the block indexes and region counts from the entries.
+
+        Construction starts from it, and checkpoint restore calls it
+        after rewriting the entries in place.
+        """
+        self._valid_index = {}
+        self._pending_index = {}
+        for row in self._entries:
+            for entry in row:
+                if entry.state is EntryState.VALID:
+                    self._valid_index[entry.block] = entry
+                elif entry.state is EntryState.PENDING_EVICT:
+                    self._pending_index[entry.block] = entry
+        for region in self.regions():
+            region.free, region.pending = _scan_counts(region)
 
     # ------------------------------------------------------------------
     # Introspection and invariants
@@ -484,8 +516,9 @@ class PartitionedLlc:
         """Check internal invariants; raises :class:`SimulationError`.
 
         Verified properties: index consistency, exclusive state per
-        entry, and that ``PENDING_EVICT`` entries await at least one
-        writer.
+        entry, that ``PENDING_EVICT`` entries await at least one writer,
+        and that every region's ``(free, pending)`` counts match a scan
+        of its entries.
 
         ``sets`` restricts the entry scan to the given set rows (the
         per-slot checked-mode monitor passes the partition-covered sets
@@ -493,7 +526,7 @@ class PartitionedLlc:
         the whole geometry every slot).  The restricted form swaps the
         full-scan entry counts for reverse checks over both indexes, so
         its coverage matches the full scan whenever every resident line
-        lives in ``sets``.
+        lives in ``sets``.  Both forms check every region's counts.
         """
         if sets is not None:
             for set_index in sets:
@@ -509,6 +542,7 @@ class PartitionedLlc:
                     raise SimulationError(
                         f"pending index out of sync for block {block:#x}"
                     )
+            self._validate_region_counts()
             return
         valid_seen = 0
         pending_seen = 0
@@ -542,6 +576,18 @@ class PartitionedLlc:
             raise SimulationError("valid index size mismatch")
         if pending_seen != len(self._pending_index):
             raise SimulationError("pending index size mismatch")
+        self._validate_region_counts()
+
+    def _validate_region_counts(self) -> None:
+        for region in self.regions():
+            counts = _scan_counts(region)
+            if counts != (region.free, region.pending):
+                raise SimulationError(
+                    f"region counts out of sync for partition "
+                    f"{region.partition.name!r} set {region.set_index}: "
+                    f"(free, pending) kept as {(region.free, region.pending)}, "
+                    f"scan finds {counts}"
+                )
 
     def _validate_entry(self, entry: LlcEntry) -> None:
         if entry.is_valid:
@@ -566,3 +612,14 @@ class PartitionedLlc:
         else:
             if entry.block is not None or entry.pending_writers:
                 raise SimulationError("FREE entry with residual state")
+
+
+def _scan_counts(region: LlcRegion) -> Tuple[int, int]:
+    """``(free, pending)`` of ``region`` counted from its entries."""
+    free = pending = 0
+    for entry in region.entries:
+        if entry.state is EntryState.FREE:
+            free += 1
+        elif entry.state is EntryState.PENDING_EVICT:
+            pending += 1
+    return free, pending

@@ -24,10 +24,13 @@ Design notes
   inventory below *is* the checkpoint schema, and
   ``CHECKPOINT_VERSION`` must be bumped whenever any component gains or
   loses mutable state.
-* **Restore mutates in place.**  The LLC's hot-path ``_region_cache``
-  holds references to the very :class:`~repro.llc.llc.LlcEntry`
-  objects in ``_entries``; load therefore mutates the existing entry
-  objects (and rebuilds the block indexes) rather than replacing them.
+* **Restore mutates in place.**  The LLC's hot-path regions
+  (:class:`~repro.llc.llc.LlcRegion`) hold references to the very
+  :class:`~repro.llc.llc.LlcEntry` objects in ``_entries``; load
+  therefore mutates the existing entry objects rather than replacing
+  them, then rebuilds the block indexes and each region's ``free`` and
+  ``pending`` counters from them.  The counters are derived state, so
+  they are never written to the file.
   The same reasoning applies to the System-level RNG: every stochastic
   policy aliases ``system.rng``, so one ``setstate`` restores them all.
 * **Crash consistency.**  The file is written with
@@ -335,21 +338,16 @@ def _load_llc(llc: PartitionedLlc, state: Mapping[str, Any]) -> None:
         raise CheckpointError(
             "LLC geometry of the checkpoint does not match the built cache"
         )
-    # Mutate the existing LlcEntry objects: the region cache (and any
-    # outstanding reference) aliases them, so replacing them would
+    # Mutate the existing LlcEntry objects: the regions (and any
+    # outstanding reference) alias them, so replacing them would
     # silently detach the hot path from the restored state.
-    llc._valid_index = {}
-    llc._pending_index = {}
     for live_row, stored_row in zip(llc._entries, rows):
         for entry, stored in zip(live_row, stored_row):
             entry.state = EntryState(stored["state"])
             entry.block = stored["block"]
             entry.dirty = stored["dirty"]
             entry.pending_writers = set(stored["pending_writers"])
-            if entry.is_valid:
-                llc._valid_index[entry.block] = entry
-            elif entry.is_pending:
-                llc._pending_index[entry.block] = entry
+    llc._reindex()
     if len(state["policies"]) != len(llc._policies):
         raise CheckpointError(
             "LLC policy count of the checkpoint does not match the built cache"

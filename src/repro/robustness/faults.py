@@ -238,12 +238,7 @@ class FaultInjector:
         owners = sorted(llc.directory.owners_of(block))
         # Evict without back-invalidating the private copies: the LLC
         # forgets the line while cores still cache it.
-        del llc._valid_index[block]
-        llc.directory.drop_block(block)
-        entry.state = type(entry.state).FREE
-        entry.block = None
-        entry.dirty = False
-        entry.pending_writers.clear()
+        llc.forget_line(block)
         return (
             f"block {block:#x} spuriously evicted from set "
             f"{entry.set_index} way {entry.way}; stale owners {owners}"
@@ -255,9 +250,9 @@ class FaultInjector:
         entry = self._pick_valid_entry(engine, spec, need_owners=False)
         block = entry.block
         assert block is not None
-        # Flip only the state word: block, dirty bit and the valid index
-        # keep pointing at the entry — exactly what a corrupted state
-        # encoding looks like.
+        # Flip only the state word: block, dirty bit, the valid index and
+        # the region counters keep describing a VALID line — exactly
+        # what a corrupted state encoding looks like.
         entry.state = type(entry.state).FREE
         return (
             f"entry at set {entry.set_index} way {entry.way} state "

@@ -57,7 +57,7 @@ from repro.bus.buffers import (
 from repro.common.errors import SimulationError
 from repro.common.types import CoreId, Cycle, SlotIndex, TransactionKind
 from repro.cpu.core import CoreState
-from repro.llc.llc import VictimInfo, WritebackOutcome
+from repro.llc.llc import LlcRegion, VictimInfo, WritebackOutcome
 from repro.sim.events import EventKind, EventLog, SimEvent
 from repro.sim.report import SimReport, build_report
 from repro.sim.system import System
@@ -224,8 +224,10 @@ class SlotEngine:
             # Advance through slot_start inclusive: a miss occurring
             # exactly at the boundary is in the PRB "at the beginning of
             # the core's slot" (Section 3) and may use this slot.
-            for core_id in self.system.cores:
-                self._advance_core(core_id, slot_start + 1)
+            # Blocked cores are skipped: advancing one is a no-op.
+            for core_id, core in self.system.cores.items():
+                if core.state is not CoreState.BLOCKED:
+                    self._advance_core(core_id, slot_start + 1)
             owner = self.schedule.owner_of_slot(self._slot)
             self._do_slot(owner, slot_start)
             if self._post_slot_hooks:
@@ -431,8 +433,9 @@ class SlotEngine:
         # transaction may back-invalidate a line an over-advanced core
         # would have hit on.
         advance_until = schedule.slot_start(target - 1) + 1
-        for core_id in system.cores:
-            self._advance_core(core_id, advance_until)
+        for core_id, core in system.cores.items():
+            if core.state is not CoreState.BLOCKED:
+                self._advance_core(core_id, advance_until)
         # Slots start_slot..target-1 are all idle; account them per
         # schedule position analytically instead of one by one.
         period = schedule.period_slots
@@ -560,9 +563,10 @@ class SlotEngine:
             )
         )
         sequencer = self.system.sequencer_for(core)
-        set_index = llc.fold(core, request.block)
+        region = llc.region(core, request.block)
+        set_index = region.set_index
 
-        hit = llc.lookup(core, request.block)
+        hit = llc.lookup(region, request.block)
         if hit is not None:
             request.served_by_hit = True
             llc.add_owner(core, request.block)
@@ -607,7 +611,7 @@ class SlotEngine:
         # Miss path.  Try to claim a free entry; failing that, make sure
         # an eviction is in flight, which may free an entry within this
         # very slot (clean victim) and still satisfy us.
-        if self._try_allocate(core, request, sequencer, set_index, slot_start):
+        if self._try_allocate(core, request, sequencer, region, slot_start):
             return
 
         if sequencer is not None:
@@ -624,9 +628,9 @@ class SlotEngine:
                 )
             )
 
-        freed_now = self._ensure_eviction(core, request, set_index, slot_start)
+        freed_now = self._ensure_eviction(core, region, slot_start)
         if freed_now and self._try_allocate(
-            core, request, sequencer, set_index, slot_start
+            core, request, sequencer, region, slot_start
         ):
             return
 
@@ -650,14 +654,14 @@ class SlotEngine:
         core: CoreId,
         request: PendingRequest,
         sequencer,
-        set_index: int,
+        region: LlcRegion,
         slot_start: Cycle,
     ) -> bool:
         """Claim a free entry if one exists and the sequencer allows it."""
         llc = self.system.llc
-        free = llc.free_entry(core, request.block)
-        if free is None:
+        if llc.free_entry(region) is None:
             return False
+        set_index = region.set_index
         if sequencer is not None and not sequencer.may_claim(core, set_index):
             self._events_on and self.events.append(
                 SimEvent(
@@ -671,7 +675,7 @@ class SlotEngine:
                 )
             )
             return False
-        entry = llc.allocate(core, request.block)
+        entry = llc.allocate(region, core, request.block)
         self.system.dram.fetch(request.block, slot_start)
         if sequencer is not None:
             sequencer.complete(core, set_index)
@@ -691,31 +695,28 @@ class SlotEngine:
         )
         return True
 
-    def _region_waiters(self, core: CoreId, set_index: int) -> int:
-        """Cores of ``core``'s partition with a broadcast miss on this set.
+    def _region_waiters(self, core: CoreId, region: LlcRegion) -> int:
+        """Cores of ``region``'s partition with a broadcast miss on it.
 
         ``core`` itself always counts (it is on the bus right now); the
         others count once their request has been seen on the bus, which
         is all the LLC can observe.
         """
-        partition = self.system.llc.partition_of(core)
+        partition = region.partition
+        prbs = self.system.prbs
         count = 0
         for sharer in partition.cores:
-            entry = self.system.prbs[sharer].entry
+            entry = prbs[sharer].entry
             if entry is None:
                 continue
             if sharer != core and entry.first_on_bus_at is None:
                 continue
-            if self.system.llc.fold(sharer, entry.block) == set_index:
+            if partition.fold_set(entry.block) == region.set_index:
                 count += 1
         return count
 
     def _ensure_eviction(
-        self,
-        core: CoreId,
-        request: PendingRequest,
-        set_index: int,
-        slot_start: Cycle,
+        self, core: CoreId, region: LlcRegion, slot_start: Cycle
     ) -> bool:
         """Keep one eviction in flight per waiting requester.
 
@@ -732,10 +733,10 @@ class SlotEngine:
         complete within this slot (Lemma 4.4's completion rule).
         """
         llc = self.system.llc
-        free, pending = llc.region_availability(core, request.block)
-        if free + pending >= self._region_waiters(core, set_index):
+        free, pending = llc.region_availability(region)
+        if free + pending >= self._region_waiters(core, region):
             return False
-        victim = llc.choose_victim(core, request.block)
+        victim = llc.choose_victim(region)
         if victim is None:
             # Region is all free/pending; nothing valid to evict.  The
             # free case was handled by _try_allocate (sequencer said no).

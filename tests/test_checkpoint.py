@@ -121,6 +121,44 @@ def test_round_trip_covers_every_policy_state(tmp_path, llc_policy):
     assert resumed.slot_usage == reference.slot_usage
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_restore_mid_eviction_rebuilds_region_counts(tmp_path, engine):
+    # Dense writes into SS(4,16,4) keep dirty victims PENDING_EVICT; the
+    # checkpoint lands while one awaits its write-back, so the resumed
+    # run depends on the rebuilt (free, pending) region counts.
+    from repro.experiments.configs import build_system_for_notation
+    from repro.workloads import synthetic
+
+    config = dataclasses.replace(
+        build_system_for_notation("SS(4,16,4)", num_cores=4), engine=engine
+    )
+    traces = synthetic.generate_disjoint_workload(
+        synthetic.SyntheticWorkloadConfig(
+            num_requests=150, address_range_size=8192, write_fraction=1.0, seed=3
+        ),
+        range(4),
+    )
+    sim = Simulator(config, traces)
+    while not sim.system.llc.pending_evictions():
+        assert not sim.engine.run_complete(), "no eviction was ever in flight"
+        sim.engine.advance(stop_at_slot=sim.engine._slot + 1)
+    path = tmp_path / "pending.ckpt"
+    sim.checkpoint(path)
+
+    restored = Simulator.restore(path, config, traces)
+    llc = restored.system.llc
+    llc.validate()
+    assert llc.pending_evictions()
+    assert [(r.free, r.pending) for r in llc.regions()] == [
+        (r.free, r.pending) for r in sim.system.llc.regions()
+    ]
+    resumed = restored.run()
+    reference = Simulator(config, traces).run()
+    assert _canonical(report_to_dict(resumed)) == _canonical(
+        report_to_dict(reference)
+    )
+
+
 def test_checkpoint_file_is_deleted_on_completion(tmp_path):
     config = small_config()
     traces = _workload()

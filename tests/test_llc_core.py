@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import GeometryError, SimulationError
+from repro.common.errors import GeometryError, PartitionError, SimulationError
 from repro.common.types import EntryState
 from repro.llc.directory import OwnerDirectory
 from repro.llc.llc import PartitionedLlc, WritebackOutcome
@@ -15,6 +15,11 @@ def make_llc(num_sets=2, num_ways=2, cores=(0, 1), policy="lru"):
     )
     pmap = PartitionMap([partition], num_sets, num_ways)
     return PartitionedLlc(num_sets, num_ways, pmap, policy=policy)
+
+
+def allocate(llc, core, block):
+    """Allocate ``block`` into ``core``'s region for it."""
+    return llc.allocate(llc.region(core, block), core, block)
 
 
 class TestOwnerDirectory:
@@ -56,45 +61,45 @@ class TestOwnerDirectory:
 class TestLlcLookupAndAllocate:
     def test_miss_then_allocate_then_hit(self):
         llc = make_llc()
-        assert llc.lookup(0, 10) is None
-        entry = llc.allocate(0, 10)
+        assert llc.lookup(llc.region(0, 10), 10) is None
+        entry = allocate(llc, 0, 10)
         assert entry.state is EntryState.VALID
-        hit = llc.lookup(0, 10)
+        hit = llc.lookup(llc.region(0, 10), 10)
         assert hit is entry
         assert llc.stats.hits == 1 and llc.stats.misses == 1
 
     def test_allocate_sets_owner(self):
         llc = make_llc()
-        llc.allocate(0, 10)
+        allocate(llc, 0, 10)
         assert llc.directory.is_owner(0, 10)
 
     def test_fold_places_block(self):
         llc = make_llc(num_sets=2)
-        entry = llc.allocate(0, 5)  # 5 % 2 == 1
+        entry = allocate(llc, 0, 5)  # 5 % 2 == 1
         assert entry.set_index == 1
 
     def test_allocate_without_free_entry_rejected(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(0, 0)
+        allocate(llc, 0, 0)
         with pytest.raises(SimulationError):
-            llc.allocate(0, 1)
+            allocate(llc, 0, 1)
 
     def test_double_allocate_rejected(self):
         llc = make_llc()
-        llc.allocate(0, 10)
+        allocate(llc, 0, 10)
         with pytest.raises(SimulationError, match="already resident"):
-            llc.allocate(1, 10)
+            allocate(llc, 1, 10)
 
     def test_free_entry_reports_availability(self):
         llc = make_llc(num_sets=1, num_ways=2)
-        assert llc.free_entry(0, 0) is not None
-        llc.allocate(0, 0)
-        llc.allocate(0, 1)
-        assert llc.free_entry(0, 2) is None
+        assert llc.free_entry(llc.region(0, 0)) is not None
+        allocate(llc, 0, 0)
+        allocate(llc, 0, 1)
+        assert llc.free_entry(llc.region(0, 2)) is None
 
     def test_probe_has_no_stat_effect(self):
         llc = make_llc()
-        llc.probe(0, 10)
+        llc.probe(llc.region(0, 10), 10)
         assert llc.stats.accesses == 0
 
     def test_add_owner_requires_valid_block(self):
@@ -106,23 +111,23 @@ class TestLlcLookupAndAllocate:
 class TestEvictionLifecycle:
     def fill_set(self, llc, blocks=(0, 2)):
         for block in blocks:
-            llc.allocate(0, block)
+            allocate(llc, 0, block)
 
     def test_choose_victim_none_when_empty(self):
         llc = make_llc()
-        assert llc.choose_victim(0, 0) is None
+        assert llc.choose_victim(llc.region(0, 0)) is None
 
     def test_choose_victim_reports_owners(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        victim = llc.choose_victim(0, 4)
+        allocate(llc, 1, 0)
+        victim = llc.choose_victim(llc.region(0, 4))
         assert victim.block == 0
         assert victim.owners == frozenset({1})
 
     def test_eviction_with_dirty_owner_goes_pending(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        victim = llc.choose_victim(0, 4)
+        allocate(llc, 1, 0)
+        victim = llc.choose_victim(llc.region(0, 4))
         freed = llc.begin_eviction(victim, dirty_owners=[1])
         assert not freed
         entry = llc.entry(0, 0)
@@ -132,8 +137,8 @@ class TestEvictionLifecycle:
 
     def test_eviction_without_dirty_owner_frees_now(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        victim = llc.choose_victim(0, 4)
+        allocate(llc, 1, 0)
+        victim = llc.choose_victim(llc.region(0, 4))
         freed = llc.begin_eviction(victim, dirty_owners=[])
         assert freed
         assert llc.entry(0, 0).state is EntryState.FREE
@@ -141,30 +146,30 @@ class TestEvictionLifecycle:
 
     def test_pending_entry_does_not_hit(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        llc.begin_eviction(llc.choose_victim(0, 4), dirty_owners=[1])
-        assert llc.lookup(1, 0) is None
+        allocate(llc, 1, 0)
+        llc.begin_eviction(llc.choose_victim(llc.region(0, 4)), dirty_owners=[1])
+        assert llc.lookup(llc.region(1, 0), 0) is None
 
     def test_writeback_frees_pending_entry(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        llc.begin_eviction(llc.choose_victim(0, 4), dirty_owners=[1])
+        allocate(llc, 1, 0)
+        llc.begin_eviction(llc.choose_victim(llc.region(0, 4)), dirty_owners=[1])
         outcome = llc.complete_writeback(1, 0)
         assert outcome is WritebackOutcome.FREED
         assert llc.entry(0, 0).state is EntryState.FREE
 
     def test_multi_owner_pending_until_last_writer(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(0, 0)
+        allocate(llc, 0, 0)
         llc.add_owner(1, 0)
-        victim = llc.choose_victim(0, 4)
+        victim = llc.choose_victim(llc.region(0, 4))
         llc.begin_eviction(victim, dirty_owners=[0, 1])
         assert llc.complete_writeback(0, 0) is WritebackOutcome.PENDING
         assert llc.complete_writeback(1, 0) is WritebackOutcome.FREED
 
     def test_capacity_writeback_updates_valid_entry(self):
         llc = make_llc()
-        llc.allocate(0, 10)
+        allocate(llc, 0, 10)
         outcome = llc.complete_writeback(0, 10)
         assert outcome is WritebackOutcome.UPDATED
         assert llc.entry(llc.fold(0, 10), 0).dirty
@@ -175,24 +180,24 @@ class TestEvictionLifecycle:
 
     def test_stale_victim_rejected(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        llc.allocate(1, 0)
-        victim = llc.choose_victim(0, 4)
+        allocate(llc, 1, 0)
+        victim = llc.choose_victim(llc.region(0, 4))
         llc.begin_eviction(victim, dirty_owners=[])
         with pytest.raises(SimulationError, match="stale victim"):
             llc.begin_eviction(victim, dirty_owners=[])
 
     def test_region_availability(self):
         llc = make_llc(num_sets=1, num_ways=2)
-        assert llc.region_availability(0, 0) == (2, 0)
-        llc.allocate(0, 0)
-        llc.allocate(1, 1)
-        assert llc.region_availability(0, 0) == (0, 0)
-        llc.begin_eviction(llc.choose_victim(0, 2), dirty_owners=[0])
-        assert llc.region_availability(0, 0) == (0, 1)
+        assert llc.region_availability(llc.region(0, 0)) == (2, 0)
+        allocate(llc, 0, 0)
+        allocate(llc, 1, 1)
+        assert llc.region_availability(llc.region(0, 0)) == (0, 0)
+        llc.begin_eviction(llc.choose_victim(llc.region(0, 2)), dirty_owners=[0])
+        assert llc.region_availability(llc.region(0, 0)) == (0, 1)
 
     def test_note_private_drop_clears_ownership(self):
         llc = make_llc()
-        llc.allocate(0, 10)
+        allocate(llc, 0, 10)
         llc.note_private_drop(0, 10)
         assert not llc.directory.is_owner(0, 10)
 
@@ -208,41 +213,69 @@ class TestWayPartitionIsolation:
 
     def test_allocation_restricted_to_partition_ways(self):
         llc = self.make_two_partition_llc()
-        entry = llc.allocate(0, 10)
+        entry = allocate(llc, 0, 10)
         assert entry.way == 0
-        entry_b = llc.allocate(1, 11)
+        entry_b = allocate(llc, 1, 11)
         assert entry_b.way == 1
 
     def test_lookup_does_not_cross_partition(self):
         llc = self.make_two_partition_llc()
-        llc.allocate(0, 10)
-        assert llc.lookup(1, 10) is None
+        allocate(llc, 0, 10)
+        assert llc.lookup(llc.region(1, 10), 10) is None
 
     def test_victims_chosen_within_partition(self):
         llc = self.make_two_partition_llc()
-        llc.allocate(0, 10)
-        llc.allocate(1, 11)
-        victim = llc.choose_victim(0, 12)
+        allocate(llc, 0, 10)
+        allocate(llc, 1, 11)
+        victim = llc.choose_victim(llc.region(0, 12))
         assert victim.way == 0 and victim.block == 10
 
 
 class TestInvariantsAndValidation:
     def test_validate_clean_llc(self):
         llc = make_llc()
-        llc.allocate(0, 0)
+        allocate(llc, 0, 0)
         llc.validate()
+
+    @pytest.mark.parametrize("sets", [None, [0]])
+    def test_validate_detects_region_count_drift(self, sets):
+        llc = make_llc(num_sets=1, num_ways=2)
+        allocate(llc, 0, 0)
+        llc.validate(sets=sets)
+        llc.region(0, 0).pending += 1
+        with pytest.raises(SimulationError, match="region counts"):
+            llc.validate(sets=sets)
+
+    def test_forget_line_frees_without_back_invalidation(self):
+        llc = make_llc(num_sets=1, num_ways=2)
+        allocate(llc, 0, 0)
+        entry = llc.forget_line(0)
+        assert entry.state is EntryState.FREE
+        assert llc.valid_entry(0) is None
+        assert not llc.directory.has_owner(0)
+        assert llc.region_availability(llc.region(0, 0)) == (2, 0)
+        llc.validate()
+
+    def test_region_is_resolved_per_core_partition(self):
+        llc = make_llc(num_sets=2)
+        assert llc.region(0, 5) is llc.region(1, 3)
+        assert llc.region(0, 5).set_index == llc.fold(0, 5) == 1
+        with pytest.raises(PartitionError):
+            llc.region(7, 0)
+        with pytest.raises(PartitionError):
+            llc.partition_of(7)
 
     def test_validate_detects_corruption(self):
         llc = make_llc()
-        llc.allocate(0, 0)
+        allocate(llc, 0, 0)
         llc.entry(0, 0).block = 99  # corrupt behind the index's back
         with pytest.raises(SimulationError):
             llc.validate()
 
     def test_occupancy_counts(self):
         llc = make_llc(num_sets=2, num_ways=2)
-        llc.allocate(0, 0)
-        llc.allocate(0, 1)
+        allocate(llc, 0, 0)
+        allocate(llc, 0, 1)
         assert llc.occupancy() == 2
         assert llc.pending_evictions() == 0
 
@@ -255,9 +288,9 @@ class TestInvariantsAndValidation:
     def test_oracle_policy_accessor(self):
         llc = make_llc(policy="oracle")
         llc.oracle_policy(0).set_chooser(lambda candidates, _s: candidates[-1])
-        llc.allocate(0, 0)
-        llc.allocate(0, 2)
-        victim = llc.choose_victim(0, 4)
+        allocate(llc, 0, 0)
+        allocate(llc, 0, 2)
+        victim = llc.choose_victim(llc.region(0, 4))
         assert victim.way == 1
 
     def test_oracle_accessor_rejected_for_other_policies(self):

@@ -134,16 +134,22 @@ class TestEachInvariantFires:
         violation = run_with(lambda sim: LlcConsistencyInvariant(), corrupt)
         assert violation.invariant == "llc-consistency"
 
+    @pytest.mark.parametrize("sets", [None, [0, 1]])
+    def test_llc_consistency_detects_region_count_drift(self, sets):
+        def corrupt(engine):
+            engine.system.llc.regions()[0].free += 1
+
+        violation = run_with(lambda sim: LlcConsistencyInvariant(sets=sets), corrupt)
+        assert violation.invariant == "llc-consistency"
+        assert violation.slot == 4
+        assert "region counts" in str(violation)
+
     def test_inclusivity_detects_silently_dropped_llc_line(self):
         def corrupt(engine):
             llc = engine.system.llc
-            for block, entry in list(llc._valid_index.items()):
+            for block in llc.resident_blocks():
                 if llc.directory.owners_of(block):
-                    del llc._valid_index[block]
-                    llc.directory.drop_block(block)
-                    entry.state = type(entry.state).FREE
-                    entry.block = None
-                    entry.pending_writers.clear()
+                    llc.forget_line(block)
                     return
             raise AssertionError("no owned VALID line to drop")
 
