@@ -13,10 +13,10 @@ module wraps any sequence of named tasks with:
   straight to quarantine);
 * **failure quarantine**: a failed task is recorded as a structured
   manifest entry and the campaign continues;
-* **checkpoint/resume** through a JSON :class:`RunManifest` written
-  atomically after every task, so a killed campaign picks up where it
-  left off (``repro-llc all --resume``) and completed tasks are never
-  re-run.
+* **checkpoint/resume** through a :class:`RunManifest` that journals
+  every task's outcome durably as it completes, so a killed campaign
+  picks up where it left off (``repro-llc all --resume``) and completed
+  tasks are never re-run.
 
 Two ready-made campaigns: :func:`run_all_robust` (the full artifact
 reproduction of :mod:`repro.experiments.runner`) and
@@ -27,7 +27,6 @@ reproduction of :mod:`repro.experiments.runner`) and
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 import time
@@ -53,8 +52,14 @@ from repro.common.errors import (
 )
 from repro.common.fileio import (
     Durability,
+    check_io,
     cleanup_stale_tmp,
+    count_io,
+    fsync_directory,
+    guarded_fsync,
+    guarded_write,
     persist_text,
+    read_bytes,
     read_text,
 )
 from repro.common.validation import require
@@ -109,57 +114,129 @@ class RetryPolicy:
 # ----------------------------------------------------------------------
 # Run manifest (checkpoint/resume)
 # ----------------------------------------------------------------------
+def _read_snapshot(path: Path) -> Dict[str, Dict[str, Any]]:
+    """The task entries of a manifest snapshot, version-checked."""
+    try:
+        data = json.loads(read_text(path, site="manifest"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CampaignError(
+            f"run manifest {path} is unreadable: {exc}"
+        ) from exc
+    if not isinstance(data, dict) or "tasks" not in data:
+        raise CampaignError(
+            f"run manifest {path} is malformed (no tasks object)"
+        )
+    version = data.get("version")
+    if isinstance(version, int) and version > MANIFEST_VERSION:
+        raise CampaignError(
+            f"run manifest {path} has version {version}, "
+            f"written by a newer repro build (this build reads "
+            f"version {MANIFEST_VERSION}); upgrade this installation "
+            "to resume that campaign, or delete the manifest to "
+            "start a fresh one"
+        )
+    if version != MANIFEST_VERSION:
+        raise CampaignError(
+            f"run manifest {path} has version {version!r}; "
+            f"this runner writes version {MANIFEST_VERSION} "
+            "(delete the manifest to start a fresh campaign)"
+        )
+    return dict(data["tasks"])
+
+
+def _journal_record(line: bytes) -> Tuple[str, Dict[str, Any]]:
+    record = json.loads(line)
+    if not (
+        isinstance(record, list)
+        and len(record) == 2
+        and isinstance(record[0], str)
+        and isinstance(record[1], dict)
+    ):
+        raise ValueError("not a [name, entry] record")
+    return record[0], record[1]
+
+
+def _read_journal(journal: Path) -> Dict[str, Dict[str, Any]]:
+    """Replay a manifest journal: the last record of each name wins."""
+    try:
+        data = read_bytes(journal, site="manifest")
+    except OSError as exc:
+        raise CampaignError(
+            f"run manifest journal {journal} is unreadable: {exc}"
+        ) from exc
+    # Every complete record ends in a newline, so the last piece is
+    # empty unless the final append was torn; a torn tail is skipped.
+    lines = data.split(b"\n")
+    torn_tail = lines.pop() != b""
+    entries: Dict[str, Dict[str, Any]] = {}
+    for number, line in enumerate(lines, start=1):
+        try:
+            name, entry = _journal_record(line)
+        except ValueError as exc:
+            if number == len(lines) and not torn_tail:
+                break  # an unparseable final line is a torn append too
+            raise CampaignError(
+                f"run manifest journal {journal} line {number} is corrupt: {exc}"
+            ) from exc
+        entries[name] = entry
+    return entries
+
+
 class RunManifest:
-    """The on-disk checkpoint of a campaign: one JSON entry per task.
+    """The checkpoint of a campaign: one JSON entry per task.
 
     Entries record status (``"done"`` or ``"quarantined"``), attempt
     count, elapsed seconds, the error (for quarantined tasks) and a
     JSON-serialisable payload summarising the result (for ``run_all``
-    artifacts: their reproduction checks).  The file is rewritten
-    atomically (temp file + rename) after every task, so a kill at any
-    point leaves a loadable manifest.
+    artifacts: their reproduction checks).
+
+    On disk a manifest is a *snapshot* plus an append-only *journal*:
+
+    * :meth:`record` appends one compact JSON line ``[name, entry]`` to
+      ``<path>.journal`` and fsyncs it, so each task is durable before
+      the next one starts, at a cost proportional to that entry alone.
+      If the append fails it falls back to :meth:`save`.
+    * :meth:`save` compacts: it atomically rewrites the snapshot (temp
+      file + rename, ``indent=2``, sorted names, so a completed manifest
+      has the same bytes it always had), then unlinks the journal.
+    * :meth:`load` reads the snapshot, then replays the journal with the
+      last record of a name winning.  An unterminated or unparseable
+      final line is a torn append whose task never got its record: it
+      is ignored, so that task simply runs again.  A bad line anywhere
+      else raises :class:`~repro.common.errors.CampaignError`.
+
+    A kill at any point therefore leaves a loadable manifest.  With
+    ``path=None`` the manifest lives in memory only: :meth:`record` and
+    :meth:`save` persist nothing.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
+    def __init__(self, path: Optional[Union[str, Path]]) -> None:
+        self.path = Path(path) if path is not None else None
         self.tasks: Dict[str, Dict[str, Any]] = {}
+
+    @property
+    def journal(self) -> Optional[Path]:
+        """The append-only journal beside the snapshot, if persisted."""
+        if self.path is None:
+            return None
+        return self.path.with_name(self.path.name + ".journal")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
-        """Load an existing manifest; empty when the file is missing."""
+        """Load snapshot plus journal; empty when neither exists.
+
+        Read-only apart from clearing a stale ``.tmp``: a torn journal
+        tail is skipped here and dropped by the next :meth:`save`.
+        """
         manifest = cls(path)
         # A crash between writing the temp file and the atomic rename
         # can orphan a *.tmp next to the manifest; it holds no state the
         # manifest itself lacks, so clear it out.
         cleanup_stale_tmp(manifest.path)
-        if not manifest.path.exists():
-            return manifest
-        try:
-            data = json.loads(read_text(manifest.path, site="manifest"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CampaignError(
-                f"run manifest {manifest.path} is unreadable: {exc}"
-            ) from exc
-        if not isinstance(data, dict) or "tasks" not in data:
-            raise CampaignError(
-                f"run manifest {manifest.path} is malformed (no tasks object)"
-            )
-        version = data.get("version")
-        if isinstance(version, int) and version > MANIFEST_VERSION:
-            raise CampaignError(
-                f"run manifest {manifest.path} has version {version}, "
-                f"written by a newer repro build (this build reads "
-                f"version {MANIFEST_VERSION}); upgrade this installation "
-                "to resume that campaign, or delete the manifest to "
-                "start a fresh one"
-            )
-        if version != MANIFEST_VERSION:
-            raise CampaignError(
-                f"run manifest {manifest.path} has version {version!r}; "
-                f"this runner writes version {MANIFEST_VERSION} "
-                "(delete the manifest to start a fresh campaign)"
-            )
-        manifest.tasks = dict(data["tasks"])
+        if manifest.path.exists():
+            manifest.tasks = _read_snapshot(manifest.path)
+        if manifest.journal.exists():
+            manifest.tasks.update(_read_journal(manifest.journal))
         return manifest
 
     def is_done(self, name: str) -> bool:
@@ -172,17 +249,42 @@ class RunManifest:
         return self.tasks.get(name)
 
     def record(self, name: str, entry: Dict[str, Any]) -> None:
-        """Record (and checkpoint) one task's outcome."""
+        """Record one task's outcome; durable on disk when this returns."""
         self.tasks[name] = entry
-        self.save()
+        if self.path is None:
+            return
+        line = json.dumps([name, entry], separators=(",", ":")) + "\n"
+        try:
+            self._append(line)
+        except OSError:
+            # A failed or torn append: compact instead, under the
+            # snapshot's ESSENTIAL retry.  Compaction also drops
+            # whatever partial line the failure left behind.
+            count_io("io.fault.manifest")
+            self.save()
+
+    def _append(self, line: str) -> None:
+        journal = self.journal
+        created = not journal.exists()
+        check_io("open", journal, "manifest")
+        with open(journal, "a") as handle:
+            guarded_write(handle, line, journal, "manifest")
+            handle.flush()
+            guarded_fsync(handle, journal, "manifest")
+        if created:
+            fsync_directory(journal.parent, site="manifest")
 
     def save(self) -> None:
-        """Atomically rewrite the manifest file.
+        """Compact: atomically rewrite the snapshot, then drop the journal.
 
         Task entries are written in sorted-name order so the file layout
         does not depend on completion order — a parallel campaign and a
-        serial one produce the same manifest structure.
+        serial one produce the same manifest structure.  A crash after
+        the rename but before the unlink leaves a journal whose records
+        the snapshot already holds; replaying it is idempotent.
         """
+        if self.path is None:
+            return
         payload = json.dumps(
             {
                 "version": MANIFEST_VERSION,
@@ -197,6 +299,11 @@ class RunManifest:
             site="manifest",
             durability=Durability.ESSENTIAL,
         )
+        try:
+            self.journal.unlink()
+        except FileNotFoundError:
+            return
+        fsync_directory(self.path.parent, site="manifest")
 
     def results(self) -> Dict[str, Dict[str, Any]]:
         """Status and payload per task — the comparable campaign outcome.
@@ -338,7 +445,7 @@ class CampaignRunner:
         (:class:`repro.sim.parallel.TaskPool`): the timeout is enforced
         by the *parent* (a hung worker is killed, not merely signalled),
         retry/quarantine semantics are unchanged, manifest entries are
-        still checkpointed atomically as each task completes, and
+        still journalled durably as each task completes, and
         outcomes are reported in canonical task order so the campaign
         result matches a serial run.  Falls back to serial where the
         ``fork`` start method is unavailable.
@@ -454,9 +561,11 @@ class CampaignRunner:
 
         With ``resume=True`` (the default) tasks already marked done in
         the manifest are skipped, so re-invoking an interrupted campaign
-        completes only the remaining work.  A ``KeyboardInterrupt``
-        checkpoints the manifest before propagating — the canonical
-        "killed mid-campaign" path.
+        completes only the remaining work.  Each outcome is journalled
+        as it completes; the manifest is compacted when the run starts
+        over a leftover journal, when it finishes, and when a
+        ``KeyboardInterrupt`` propagates — the canonical "killed
+        mid-campaign" path.
         """
         names = [name for name, _ in tasks]
         require(
@@ -466,17 +575,24 @@ class CampaignRunner:
         )
         if self.manifest_path is not None and resume:
             manifest = RunManifest.load(self.manifest_path)
-        elif self.manifest_path is not None:
-            manifest = RunManifest(self.manifest_path)
         else:
-            manifest = RunManifest(Path(os.devnull))
-            manifest.save = lambda: None  # type: ignore[method-assign]
+            manifest = RunManifest(self.manifest_path)
+        if self.manifest_path is not None and (
+            manifest.journal.exists()
+            or (not resume and self.manifest_path.exists())
+        ):
+            # Compact before the first append: this drops a torn journal
+            # tail, and keeps a fresh campaign from journalling on top of
+            # an older campaign's snapshot.
+            manifest.save()
         result = CampaignResult(manifest=manifest)
         if self.jobs > 1:
             from repro.sim.parallel import parallel_available
 
             if parallel_available():
-                return self._run_parallel(tasks, resume, manifest, result, progress)
+                self._run_parallel(tasks, resume, manifest, result, progress)
+                manifest.save()
+                return result
         for name, thunk in tasks:
             if resume and manifest.is_done(name):
                 outcome = TaskOutcome(
@@ -491,6 +607,7 @@ class CampaignRunner:
             if progress is not None:
                 tag = "PASS" if outcome.status == "done" else "QUARANTINED"
                 progress(f"{name}: {tag}")
+        manifest.save()
         return result
 
     def _run_parallel(
@@ -500,7 +617,7 @@ class CampaignRunner:
         manifest: RunManifest,
         result: CampaignResult,
         progress: Optional[Callable[[str], None]],
-    ) -> CampaignResult:
+    ) -> None:
         """Dispatch runnable tasks to the fork-backed pool.
 
         Resume semantics match the serial path (done tasks are skipped);
@@ -549,7 +666,7 @@ class CampaignRunner:
             pool.run(runnable, on_result=on_result)
         except KeyboardInterrupt:
             # Killed mid-campaign: everything completed so far is
-            # already checkpointed; persist and let the interrupt
+            # already journalled; compact and let the interrupt
             # unwind — the next run resumes from here.
             manifest.save()
             raise
@@ -557,7 +674,6 @@ class CampaignRunner:
             skipped[name] if name in skipped else outcomes[name]
             for name, _ in tasks
         )
-        return result
 
     def _record_pool_result(
         self, pool_result: "Any", manifest: RunManifest

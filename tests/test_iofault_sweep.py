@@ -16,7 +16,6 @@ metrics export, manifest), and prove that
   the campaign with byte-identical final artifacts.
 """
 
-import json
 import random
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from sim_helpers import small_config, write_trace_of
 
 from repro.common import fileio
 from repro.common.errors import ObservabilityError, PersistenceError
-from repro.common.fileio import persist_text
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
 from repro.robustness.checkpoint import (
@@ -40,6 +38,7 @@ from repro.robustness.iofault import (
     io_faults,
     record_io_operations,
 )
+from repro.robustness.runner import RunManifest
 from repro.sim.cache import clear_result_cache, install_result_cache
 from repro.sim.export import write_report_json
 from repro.sim.simulator import simulate
@@ -68,7 +67,9 @@ def run_campaign(root: Path, config, traces):
     Two simulations (a cold computed run and a disk cache hit) under the
     result cache and auto-checkpoint policies, then the three essential
     artifacts a real campaign ends with: the report JSON, the metrics
-    export and a manifest.  Returns the first report's latencies.
+    export and a campaign manifest (two journalled records, then the
+    compaction that ends every campaign).  Returns the first report's
+    latencies.
     """
     cache = install_result_cache(root / "cache")
     install_auto_checkpoints(root / "ckpts", every_slots=32)
@@ -81,18 +82,14 @@ def run_campaign(root: Path, config, traces):
         write_metrics(
             collect_metrics(first, config.slot_width), root / "metrics.jsonl"
         )
-        persist_text(
-            root / "manifest.json",
-            json.dumps(
-                {
-                    "observed_wcl": first.observed_wcl(),
-                    "latencies": first.latencies(),
-                },
-                sort_keys=True,
-            )
-            + "\n",
-            site="manifest",
+        manifest = RunManifest(root / "manifest.json")
+        manifest.record(
+            "observed-wcl", {"status": "done", "payload": first.observed_wcl()}
         )
+        manifest.record(
+            "latencies", {"status": "done", "payload": first.latencies()}
+        )
+        manifest.save()
     finally:
         clear_result_cache()
         clear_auto_checkpoints()
@@ -170,6 +167,12 @@ def test_campaign_exercises_every_store_and_is_bounded(reference):
     } <= sites
     ops = {op.op for op in reference["operations"]}
     assert {"open", "write", "fsync", "replace", "fsync-dir", "read"} <= ops
+    # The manifest journal's appends are swept too, not just the snapshot.
+    journal_ops = [
+        op.op for op in reference["operations"] if op.path.suffix == ".journal"
+    ]
+    assert journal_ops.count("open") == journal_ops.count("write") == 2
+    assert journal_ops.count("fsync") == 2
     assert 10 <= len(reference["operations"]) <= 300
 
 

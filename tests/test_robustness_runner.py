@@ -1,7 +1,9 @@
 """The crash-tolerant campaign runner: retry, timeout, quarantine, resume."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,13 +163,13 @@ class TestManifestAndResume:
         seen = []
 
         def spy():
-            seen.append(json.loads(path.read_text()) if path.exists() else None)
+            seen.append(RunManifest.load(path).tasks)
             return "ok"
 
         runner = CampaignRunner(manifest_path=path)
         runner.run([("first", lambda: 1), ("second", spy)])
         # By the time 'second' starts, 'first' is already checkpointed.
-        assert seen[0]["tasks"]["first"]["status"] == "done"
+        assert seen[0]["first"]["status"] == "done"
 
     def test_resume_skips_done_tasks(self, tmp_path):
         path = tmp_path / "m.json"
@@ -310,6 +312,198 @@ class TestManifestDurability:
         manifest = RunManifest.load(path)
         assert not stale.exists()
         assert manifest.is_done("a")
+
+
+def _normalised(path):
+    """Manifest bytes with the run-dependent timings zeroed."""
+    return re.sub(
+        rb'"elapsed_seconds": [0-9.e+-]+', b'"elapsed_seconds": 0', path.read_bytes()
+    )
+
+
+def _entry(value):
+    return {"status": "done", "attempts": 1, "payload": {"value": value}}
+
+
+class TestManifestJournal:
+    """Snapshot + append-only journal: crash consistency of the manifest."""
+
+    TASKS = [(name, lambda name=name: {"value": name}) for name in "abcd"]
+
+    def test_record_appends_one_line_and_save_compacts(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        manifest.record("b", _entry(2))
+        manifest.record("a", _entry(1))
+        assert not path.exists()
+        lines = manifest.journal.read_text().splitlines()
+        assert [json.loads(line)[0] for line in lines] == ["b", "a"]
+        manifest.save()
+        assert not manifest.journal.exists()
+        assert list(json.loads(path.read_text())["tasks"]) == ["a", "b"]
+        assert RunManifest.load(path).tasks == manifest.tasks
+
+    def test_last_record_of_a_name_wins(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        manifest.record("a", {"status": "quarantined", "payload": None})
+        manifest.record("a", _entry(1))
+        assert RunManifest.load(path).is_done("a")
+
+    @pytest.mark.parametrize(
+        "tail", [b'["c",{"status":"do', b"not json\n"], ids=["torn", "garbled"]
+    )
+    def test_bad_final_line_is_ignored_and_its_task_reruns(self, tmp_path, tail):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        manifest.record("a", _entry("a"))
+        manifest.record("b", _entry("b"))
+        with open(manifest.journal, "ab") as handle:
+            handle.write(tail)
+        loaded = RunManifest.load(path)
+        assert sorted(loaded.tasks) == ["a", "b"]
+        # load() is read-only: the torn tail is still there.
+        assert manifest.journal.read_bytes().endswith(tail)
+
+        runs = []
+        tasks = [
+            (name, lambda name=name: runs.append(name) or {"value": name})
+            for name in "abc"
+        ]
+        result = CampaignRunner(manifest_path=path).run(tasks)
+        assert runs == ["c"]
+        assert [o.status for o in result.outcomes] == ["skipped", "skipped", "done"]
+        assert not manifest.journal.exists()
+        assert sorted(RunManifest.load(path).tasks) == ["a", "b", "c"]
+
+    def test_corrupt_interior_line_is_a_campaign_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        for name in "abc":
+            manifest.record(name, _entry(name))
+        lines = manifest.journal.read_bytes().split(b"\n")
+        lines[1] = b'{"b": "not a record"}'
+        manifest.journal.write_bytes(b"\n".join(lines))
+        with pytest.raises(CampaignError, match="line 2 is corrupt"):
+            RunManifest.load(path)
+
+    def test_crash_between_snapshot_and_journal_unlink_replays_idempotently(
+        self, tmp_path, monkeypatch
+    ):
+        class Crash(BaseException):
+            pass
+
+        def crash(self, missing_ok=False):
+            raise Crash
+
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        manifest.record("a", {"status": "quarantined", "payload": None})
+        manifest.record("b", _entry("b"))
+        manifest.record("a", _entry("a"))
+        monkeypatch.setattr(Path, "unlink", crash)
+        with pytest.raises(Crash):
+            manifest.save()
+        monkeypatch.undo()
+        snapshot = path.read_bytes()
+        assert manifest.journal.exists()
+        assert RunManifest.load(path).tasks == manifest.tasks
+
+        runs = []
+        tasks = [
+            (name, lambda name=name: runs.append(name) or {"value": name})
+            for name in "ab"
+        ]
+        result = CampaignRunner(manifest_path=path).run(tasks)
+        assert runs == []
+        assert [o.status for o in result.outcomes] == ["skipped", "skipped"]
+        assert not manifest.journal.exists()
+        assert path.read_bytes() == snapshot
+
+    def test_short_write_on_append_falls_back_to_compaction(self, tmp_path):
+        from repro.common.fileio import io_metrics
+        from repro.robustness.iofault import (
+            IoFaultKind,
+            IoFaultPlan,
+            IoFaultSpec,
+            io_faults,
+        )
+
+        ref = tmp_path / "ref.json"
+        CampaignRunner(manifest_path=ref).run(self.TASKS)
+
+        path = tmp_path / "m.json"
+        seen = []
+
+        def spy():
+            seen.append((path.exists(), path.with_name("m.json.journal").exists()))
+            return {"value": "c"}
+
+        tasks = list(self.TASKS)
+        tasks[2] = ("c", spy)
+        faults = io_metrics().counter("io.fault.manifest")
+        before = faults.value
+        # The second manifest write is task b's journal append.
+        spec = IoFaultSpec(
+            kind=IoFaultKind.SHORT_WRITE, nth=2, count=1, site="manifest"
+        )
+        with io_faults(IoFaultPlan([spec])) as plan:
+            CampaignRunner(manifest_path=path).run(tasks)
+        assert plan.fired_count == 1
+        assert io_metrics().counter("io.fault.manifest").value == before + 1
+        # By the time c ran, b's torn append had been compacted away.
+        assert seen == [(True, False)]
+        assert not path.with_name("m.json.journal").exists()
+        assert _normalised(path) == _normalised(ref)
+
+    def test_serial_and_parallel_compact_to_equal_results(self, tmp_path):
+        serial = tmp_path / "serial.json"
+        parallel = tmp_path / "parallel.json"
+        CampaignRunner(manifest_path=serial).run(self.TASKS)
+        CampaignRunner(manifest_path=parallel, jobs=2).run(self.TASKS)
+        assert not (tmp_path / "parallel.json.journal").exists()
+        assert (
+            RunManifest.load(parallel).results()
+            == RunManifest.load(serial).results()
+        )
+        assert _normalised(parallel) == _normalised(serial)
+
+    def test_completed_manifest_keeps_the_snapshot_format(self, tmp_path):
+        path = tmp_path / "m.json"
+        CampaignRunner(manifest_path=path).run(list(reversed(self.TASKS)))
+        text = path.read_text()
+        data = json.loads(text)
+        assert json.dumps(data, indent=2) + "\n" == text
+        assert data["version"] == 1
+        assert list(data["tasks"]) == ["a", "b", "c", "d"]
+
+    def test_fresh_run_does_not_journal_over_an_older_campaign(self, tmp_path):
+        path = tmp_path / "m.json"
+        CampaignRunner(manifest_path=path).run(self.TASKS[:2])
+        seen = []
+
+        def spy():
+            seen.append(sorted(RunManifest.load(path).tasks))
+            return "ok"
+
+        CampaignRunner(manifest_path=path).run(
+            [("c", lambda: 1), ("d", spy)], resume=False
+        )
+        assert seen == [["c"]]
+        assert sorted(RunManifest.load(path).tasks) == ["c", "d"]
+
+    def test_campaign_without_manifest_touches_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.robustness.iofault import record_io_operations
+
+        monkeypatch.chdir(tmp_path)
+        with record_io_operations() as recorder:
+            result = CampaignRunner().run(self.TASKS)
+        assert result.manifest.path is None
+        assert sorted(result.manifest.tasks) == ["a", "b", "c", "d"]
+        assert recorder.operations == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTimeoutUnenforceable:
