@@ -12,10 +12,11 @@ import gc
 import random
 import time
 
+from repro.common.context import run_context
 from repro.common.types import AccessType
 from repro.experiments.fig7 import run_fig7
 from repro.llc.partition import PartitionSpec
-from repro.sim.cache import clear_result_cache, install_result_cache
+from repro.sim.cache import SimResultCache
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import simulate
 from repro.workloads.trace import MemoryTrace, TraceRecord
@@ -68,14 +69,11 @@ def test_cold_run_overhead(benchmark, tmp_path_factory):
     def run_cold_cached():
         # A fresh directory per round: every round is a true cold run
         # (miss, simulate, fingerprint, serialise, fsync, rename).
-        directory = tmp_path_factory.mktemp("cold-cache")
-        install_result_cache(directory)
-        try:
+        cache = SimResultCache(tmp_path_factory.mktemp("cold-cache"))
+        with run_context(result_cache=cache):
             started = time.perf_counter()
             report = simulate(config, traces)
             elapsed = time.perf_counter() - started
-        finally:
-            clear_result_cache()
         return report, elapsed
 
     # Interleaved best-of-three per arm (the checkpoint bench's
@@ -114,8 +112,8 @@ def test_cold_run_overhead(benchmark, tmp_path_factory):
 
 def test_warm_fig7_sweep_speedup(benchmark, tmp_path):
     """A warm Figure 7 sweep must replay >= 10x faster than it ran."""
-    cache = install_result_cache(tmp_path)
-    try:
+    cache = SimResultCache(tmp_path)
+    with run_context(result_cache=cache):
         started = time.perf_counter()
         cold = run_fig7(num_requests=400)
         cold_seconds = time.perf_counter() - started
@@ -132,8 +130,6 @@ def test_warm_fig7_sweep_speedup(benchmark, tmp_path):
             [benchmark.pedantic(warm_run, iterations=1, rounds=1), warm_run()],
             key=lambda pair: pair[1],
         )
-    finally:
-        clear_result_cache()
 
     speedup = cold_seconds / warm_seconds
     emit(

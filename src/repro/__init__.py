@@ -72,6 +72,7 @@ from repro.analysis.wcl import (
 )
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import TdmSchedule, distance, one_slot_tdm
+from repro.common.context import RunContext, current_run_context, run_context
 from repro.common.errors import (
     AnalysisError,
     CampaignError,
@@ -127,9 +128,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import JsonlTraceSink, trace_digest
 from repro.robustness.checkpoint import (
     AutoCheckpointPolicy,
-    clear_auto_checkpoints,
     default_checkpoint_path,
-    install_auto_checkpoints,
     load_checkpoint,
     run_resumable,
     save_checkpoint,
@@ -170,12 +169,7 @@ from repro.robustness.shrink import (
     shrink_case,
     write_artifact,
 )
-from repro.sim.cache import (
-    SimResultCache,
-    active_result_cache,
-    clear_result_cache,
-    install_result_cache,
-)
+from repro.sim.cache import SimResultCache
 from repro.sim.codec import run_identity, run_key
 from repro.sim.config import (
     PAPER_LINE_SIZE,
@@ -324,9 +318,6 @@ __all__ = [
     "RequestRecord",
     "SimReport",
     "SimResultCache",
-    "active_result_cache",
-    "clear_result_cache",
-    "install_result_cache",
     "run_identity",
     "run_key",
     "Simulator",
@@ -353,6 +344,9 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "RetryPolicy",
+    "RunContext",
+    "current_run_context",
+    "run_context",
     "RobustSweepResult",
     "RunManifest",
     "TaskOutcome",
@@ -360,9 +354,7 @@ __all__ = [
     "run_all_robust",
     "sweep_seeds_robust",
     "AutoCheckpointPolicy",
-    "clear_auto_checkpoints",
     "default_checkpoint_path",
-    "install_auto_checkpoints",
     "load_checkpoint",
     "run_resumable",
     "save_checkpoint",

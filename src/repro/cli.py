@@ -43,7 +43,6 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import List, Optional
 
@@ -76,76 +75,6 @@ def _export_metrics(registry, path: str) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _auto_checkpoints(args: argparse.Namespace):
-    """Install the process-wide checkpoint policy for one command.
-
-    Engaged by ``--checkpoint-dir``: every simulation the command runs
-    (including in fork-pool workers, which inherit the policy) writes
-    periodic crash-consistent checkpoints there and resumes from them
-    after a kill, with byte-identical output.
-    """
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
-        yield
-        return
-    from repro.robustness.checkpoint import (
-        DEFAULT_POLL_SLOTS,
-        clear_auto_checkpoints,
-        install_auto_checkpoints,
-    )
-
-    every = args.checkpoint_every
-    secs = args.checkpoint_every_secs
-    if every is None and secs is None:
-        every = DEFAULT_POLL_SLOTS
-    install_auto_checkpoints(directory, every_slots=every, every_secs=secs)
-    try:
-        yield
-    finally:
-        clear_auto_checkpoints()
-
-
-@contextlib.contextmanager
-def _result_cache(args: argparse.Namespace):
-    """Install the process-wide result cache for one command.
-
-    Engaged by ``--cache DIR`` (and vetoed by ``--no-cache``): every
-    plain simulation the command runs — including in fork-pool workers,
-    which inherit the installed cache — is first looked up by canonical
-    fingerprint in DIR and, on a miss, stored there.  Cached and fresh
-    runs produce byte-identical output.  A one-line counter summary
-    goes to stderr when the command finishes (serial counters only:
-    worker-process hits stay in the workers; the shared directory is
-    the cross-process contract).
-    """
-    directory = getattr(args, "cache", None)
-    if not directory or getattr(args, "no_cache", False):
-        yield
-        return
-    from repro.sim.cache import clear_result_cache, install_result_cache
-
-    cache = install_result_cache(directory)
-    try:
-        yield
-    finally:
-        clear_result_cache()
-        counters = {
-            name: 0
-            for name in ("hits", "misses", "stores", "evictions", "corruption")
-        }
-        for (name, _labels), metric in cache.registry:
-            short = name.removeprefix("sim_cache.")
-            if short in counters:
-                counters[short] = metric.value
-        print(
-            "cache: "
-            + ", ".join(f"{value} {name}" for name, value in counters.items())
-            + f" ({directory})",
-            file=sys.stderr,
-        )
-
-
 def _io_fault_spec(text: str):
     """argparse type for ``--io-fault`` (usage errors exit 2 cleanly)."""
     from repro.common.errors import ConfigurationError
@@ -157,15 +86,57 @@ def _io_fault_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _install_io_faults(args: argparse.Namespace):
-    """Install the ``--io-fault`` plan for one invocation, if requested."""
-    specs = getattr(args, "io_fault", None)
-    if not specs:
-        return None
-    from repro.robustness.iofault import IoFaultPlan, install_io_faults
+def _run_context_changes(args: argparse.Namespace) -> dict:
+    """The run context one invocation installs around its command.
 
-    return install_io_faults(
-        IoFaultPlan(specs, seed=getattr(args, "io_fault_seed", 0))
+    Fresh I/O seam state (closed breakers, zeroed ``io.*`` counters),
+    the ``--io-fault`` plan (if any) as the I/O fault hook, the
+    ``--cache DIR`` result cache (vetoed by ``--no-cache``) and the
+    ``--checkpoint-dir`` auto-checkpoint policy.  Fork-pool workers
+    inherit the context, so ``--jobs`` runs see the same cache, policy
+    and plan.
+    """
+    from repro.common.context import IoState
+
+    changes = {"io": IoState(), "io_hook": None}
+    specs = getattr(args, "io_fault", None)
+    if specs:
+        from repro.robustness.iofault import IoFaultPlan
+
+        changes["io_hook"] = IoFaultPlan(specs, seed=args.io_fault_seed)
+    directory = getattr(args, "cache", None)
+    if directory and not getattr(args, "no_cache", False):
+        from repro.sim.cache import SimResultCache
+
+        changes["result_cache"] = SimResultCache(directory)
+    directory = getattr(args, "checkpoint_dir", None)
+    if directory:
+        from repro.robustness.checkpoint import AutoCheckpointPolicy
+
+        changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
+            directory, args.checkpoint_every, args.checkpoint_every_secs
+        )
+    return changes
+
+
+def _print_cache_summary(cache, directory: str) -> None:
+    """One stderr line of the invocation's result-cache counters.
+
+    Serial counters only: worker-process hits stay in the workers; the
+    shared directory is the cross-process contract.
+    """
+    counters = {
+        name: 0 for name in ("hits", "misses", "stores", "evictions", "corruption")
+    }
+    for (name, _labels), metric in cache.registry:
+        short = name.removeprefix("sim_cache.")
+        if short in counters:
+            counters[short] = metric.value
+    print(
+        "cache: "
+        + ", ".join(f"{value} {name}" for name, value in counters.items())
+        + f" ({directory})",
+        file=sys.stderr,
     )
 
 
@@ -189,16 +160,15 @@ def _checkpoint_interval_without_path(args: argparse.Namespace) -> bool:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    with _auto_checkpoints(args), _result_cache(args):
-        result = run_fig7(
-            num_requests=args.requests,
-            seed=args.seed,
-            adversarial=args.adversarial,
-            checked=args.checked,
-            jobs=args.jobs,
-            with_metrics=bool(args.metrics),
-            engine=args.engine,
-        )
+    result = run_fig7(
+        num_requests=args.requests,
+        seed=args.seed,
+        adversarial=args.adversarial,
+        checked=args.checked,
+        jobs=args.jobs,
+        with_metrics=bool(args.metrics),
+        engine=args.engine,
+    )
     print(result.render())
     if args.metrics:
         status = _export_metrics(result.metrics, args.metrics)
@@ -218,15 +188,14 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    with _auto_checkpoints(args), _result_cache(args):
-        result = run_fig8(
-            args.subfigure,
-            num_requests=args.requests,
-            seed=args.seed,
-            jobs=args.jobs,
-            with_metrics=bool(args.metrics),
-            engine=args.engine,
-        )
+    result = run_fig8(
+        args.subfigure,
+        num_requests=args.requests,
+        seed=args.seed,
+        jobs=args.jobs,
+        with_metrics=bool(args.metrics),
+        engine=args.engine,
+    )
     print(result.render())
     print(
         f"\naverage SS speedup vs P:   {result.average_speedup_vs_p():.2f}x"
@@ -284,11 +253,6 @@ def _cmd_unbounded(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with _result_cache(args):
-        return _cmd_simulate_inner(args)
-
-
-def _cmd_simulate_inner(args: argparse.Namespace) -> int:
     from repro.experiments.configs import build_system_for_notation
     from repro.sim.export import (
         core_latency_stats,
@@ -570,18 +534,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.compare import compare_notations
 
-    with _auto_checkpoints(args), _result_cache(args):
-        result = compare_notations(
-            args.notations,
-            suite=args.suite,
-            num_cores=args.cores,
-            num_requests=args.requests,
-            address_range=args.range,
-            seed=args.seed,
-            jobs=args.jobs,
-            with_metrics=bool(args.metrics),
-            engine=args.engine,
-        )
+    result = compare_notations(
+        args.notations,
+        suite=args.suite,
+        num_cores=args.cores,
+        num_requests=args.requests,
+        address_range=args.range,
+        seed=args.seed,
+        jobs=args.jobs,
+        with_metrics=bool(args.metrics),
+        engine=args.engine,
+    )
     print(result.render())
     print(
         f"\nfastest: {result.fastest().notation}; "
@@ -599,24 +562,20 @@ def _cmd_all(args: argparse.Namespace) -> int:
         run_all_robust,
     )
 
-    with _result_cache(args):
-        result = run_all_robust(
-            out_dir=args.out,
-            num_requests=args.requests,
-            timeout=args.timeout,
-            retry=RetryPolicy(max_attempts=args.retries),
-            resume=args.resume,
-            jobs=args.jobs,
-            progress=print,
-            with_metrics=bool(args.metrics),
-            engine=args.engine,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
-            hung_after=args.hung_after,
-            max_restarts=args.worker_restarts,
-            rss_limit_bytes=_rss_limit_bytes(args),
-        )
+    result = run_all_robust(
+        out_dir=args.out,
+        num_requests=args.requests,
+        timeout=args.timeout,
+        retry=RetryPolicy(max_attempts=args.retries),
+        resume=args.resume,
+        jobs=args.jobs,
+        progress=print,
+        with_metrics=bool(args.metrics),
+        engine=args.engine,
+        hung_after=args.hung_after,
+        max_restarts=args.worker_restarts,
+        rss_limit_bytes=_rss_limit_bytes(args),
+    )
     print("\n" + result.summary())
     print(f"\nartifacts written to {args.out}/")
     if args.metrics:
@@ -768,17 +727,9 @@ def build_parser() -> argparse.ArgumentParser:
             "config's engine, normally 'fast')",
         )
 
-    def add_checkpoint_file_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--checkpoint",
-            metavar="PATH",
-            default=None,
-            help="run resumably: periodically write a crash-consistent "
-            "checkpoint of the full simulator state to PATH, and resume "
-            "from it if the file already exists; a killed run resumed "
-            "this way produces byte-identical reports, metrics and "
-            "traces (the file is removed on normal completion)",
-        )
+    def add_checkpoint_interval_args(
+        sub_parser: argparse.ArgumentParser,
+    ) -> None:
         sub_parser.add_argument(
             "--checkpoint-every",
             type=int,
@@ -795,6 +746,19 @@ def build_parser() -> argparse.ArgumentParser:
             "combined with --checkpoint-every)",
         )
 
+    def add_checkpoint_file_args(sub_parser: argparse.ArgumentParser) -> None:
+        sub_parser.add_argument(
+            "--checkpoint",
+            metavar="PATH",
+            default=None,
+            help="run resumably: periodically write a crash-consistent "
+            "checkpoint of the full simulator state to PATH, and resume "
+            "from it if the file already exists; a killed run resumed "
+            "this way produces byte-identical reports, metrics and "
+            "traces (the file is removed on normal completion)",
+        )
+        add_checkpoint_interval_args(sub_parser)
+
     def add_checkpoint_dir_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--checkpoint-dir",
@@ -805,20 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
             "workers); a killed run resumed with the same flags produces "
             "byte-identical artifacts",
         )
-        sub_parser.add_argument(
-            "--checkpoint-every",
-            type=int,
-            metavar="SLOTS",
-            default=None,
-            help="checkpoint interval in TDM slots (default: 16384)",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every-secs",
-            type=float,
-            metavar="SECS",
-            default=None,
-            help="checkpoint interval in wall-clock seconds",
-        )
+        add_checkpoint_interval_args(sub_parser)
 
     def add_supervision_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
@@ -1199,23 +1150,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    Each invocation starts with fresh I/O seam state (closed circuit
-    breakers, zeroed ``io.*`` counters), installs any ``--io-fault``
-    plan around the whole command — so requested exports and summaries
-    are inside the fault window too — and maps a
+    Each invocation runs its command in one run context built from the
+    parsed flags (:func:`_run_context_changes`) — so requested exports
+    and summaries are inside the ``--io-fault`` window too — and maps a
     :class:`~repro.common.errors.PersistenceError` (an ESSENTIAL
     artifact that could not be written after bounded retries) to a
     clean one-line error and exit code 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.common.context import run_context
     from repro.common.errors import ObservabilityError, PersistenceError
-    from repro.common.fileio import reset_io_state
 
-    reset_io_state()
-    plan = _install_io_faults(args)
+    changes = _run_context_changes(args)
     try:
-        return args.func(args)
+        with run_context(**changes):
+            try:
+                return args.func(args)
+            finally:
+                if "result_cache" in changes:
+                    _print_cache_summary(changes["result_cache"], args.cache)
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1225,10 +1179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        plan = changes["io_hook"]
         if plan is not None:
-            from repro.robustness.iofault import clear_io_faults
-
-            clear_io_faults()
             print(
                 f"io-fault: {plan.fired_count} fault(s) injected over "
                 f"{plan.operations} seam operation(s)",

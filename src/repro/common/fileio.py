@@ -14,10 +14,11 @@ Beyond crash consistency this module is the package's single **I/O
 seam**: each primitive operation (open / write / fsync / replace /
 fsync-dir / read) is labelled with the *site* that issued it
 ("manifest", "result-cache", "checkpoint", "metrics-export", ...) and
-checked against an installable fault hook before touching the kernel.
-:mod:`repro.robustness.iofault` installs seeded, deterministic fault
-plans through that hook; production runs pay one ``None`` check per
-operation.
+checked against the run context's fault hook
+(:class:`~repro.common.context.RunContext` ``io_hook``) before touching
+the kernel.  :mod:`repro.robustness.iofault` provides seeded,
+deterministic fault plans for that hook; production runs pay one
+``None`` check per operation.
 
 Failures are governed by a two-class **durability policy**
 (:class:`Durability`, applied by :func:`persist_text`):
@@ -52,8 +53,9 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
+from repro.common.context import current_run_context
 from repro.common.errors import PersistenceError
 
 #: Operation labels the seam distinguishes.  Fault specs may filter on
@@ -95,69 +97,19 @@ class IoFaultAction:
     corrupt: Optional[Callable[[bytes], bytes]] = None
 
 
-# The installable fault hook: consulted before every seam operation.
-# Returns None (proceed normally) or an IoFaultAction.
+# The fault hook a run context may carry: consulted before every seam
+# operation.  Returns None (proceed normally) or an IoFaultAction.
 IoFaultHook = Callable[[IoOperation], Optional[IoFaultAction]]
-
-_FAULT_HOOK: Optional[IoFaultHook] = None
-
-
-def install_io_fault_hook(hook: IoFaultHook) -> None:
-    """Install ``hook`` as the process-wide I/O fault hook.
-
-    Replaces any previously installed hook.  Fork-based workers inherit
-    the installed hook, so a fault plan installed before a parallel
-    campaign governs the workers too.
-    """
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
-
-
-def clear_io_fault_hook() -> None:
-    """Remove the installed I/O fault hook (no-op when none is set)."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = None
-
-
-def io_fault_hook() -> Optional[IoFaultHook]:
-    """The currently installed fault hook, or None."""
-    return _FAULT_HOOK
-
-
-# --------------------------------------------------------------------------
-# io.* metrics
-# --------------------------------------------------------------------------
-
-_IO_REGISTRY = None  # lazily created repro.obs.metrics.MetricsRegistry
 
 
 def io_metrics():
-    """The process-wide registry holding ``io.*`` counters (lazy)."""
-    global _IO_REGISTRY
-    if _IO_REGISTRY is None:
-        from repro.obs.metrics import MetricsRegistry
-
-        _IO_REGISTRY = MetricsRegistry()
-    return _IO_REGISTRY
+    """The current run context's registry of ``io.*`` counters."""
+    return current_run_context().io.metrics
 
 
 def count_io(name: str) -> None:
     """Increment the ``io.*`` counter ``name`` by one."""
     io_metrics().counter(name).inc()
-
-
-def reset_io_state() -> None:
-    """Reset the seam's process-wide state (hook, metrics, breakers).
-
-    Test fixtures call this between cases so a breaker tripped by one
-    injected fault schedule cannot silently disable a store in the
-    next; the CLI calls it at entry so every invocation starts with
-    closed breakers and zeroed ``io.*`` counters.
-    """
-    global _IO_REGISTRY
-    clear_io_fault_hook()
-    _IO_REGISTRY = None
-    _BREAKERS.clear()
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +124,7 @@ def check_io(op: str, path: Union[str, Path], site: str) -> Optional[IoFaultActi
     (short write, read corruption); a plain injected error is raised
     here so most call sites stay one-liners.
     """
-    hook = _FAULT_HOOK
+    hook = current_run_context().io_hook
     if hook is None:
         return None
     action = hook(IoOperation(op=op, path=Path(path), site=site))
@@ -334,31 +286,7 @@ class Durability(enum.Enum):
     BEST_EFFORT = "best-effort"
 
 
-@dataclass(frozen=True)
-class EssentialRetryPolicy:
-    """Bounded retry schedule for ESSENTIAL writes."""
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        return self.backoff_base * (self.backoff_factor ** (attempt - 1))
-
-
-_RETRY_POLICY = EssentialRetryPolicy()
 _sleep = time.sleep  # monkeypatchable in tests
-
-
-def set_essential_retry(policy: EssentialRetryPolicy) -> None:
-    """Replace the process-wide ESSENTIAL retry policy (tests, tuning)."""
-    global _RETRY_POLICY
-    _RETRY_POLICY = policy
-
-
-def essential_retry_policy() -> EssentialRetryPolicy:
-    return _RETRY_POLICY
 
 
 class CircuitBreaker:
@@ -382,14 +310,12 @@ class CircuitBreaker:
         self.consecutive_failures = 0
 
 
-_BREAKERS: Dict[str, CircuitBreaker] = {}
-
-
 def circuit_breaker(site: str) -> CircuitBreaker:
-    """The (lazily created) breaker guarding ``site``."""
-    breaker = _BREAKERS.get(site)
+    """The (lazily created) breaker guarding ``site`` in this run."""
+    breakers = current_run_context().io.breakers
+    breaker = breakers.get(site)
     if breaker is None:
-        breaker = _BREAKERS[site] = CircuitBreaker(site)
+        breaker = breakers[site] = CircuitBreaker(site)
     return breaker
 
 
@@ -403,9 +329,8 @@ def persist_text(
 ) -> Optional[Path]:
     """Write ``text`` to ``path`` under the durability policy.
 
-    ESSENTIAL: retries :class:`EssentialRetryPolicy.max_attempts` times
-    with exponential backoff (``io.retry.<site>`` counted per retry),
-    then raises :class:`~repro.common.errors.PersistenceError` with the
+    ESSENTIAL: retries on the run context's ``essential_retry`` policy
+    (``io.retry.<site>`` counted per retry), then raises :class:`~repro.common.errors.PersistenceError` with the
     path, site and underlying errno.  Returns the path on success.
 
     BEST_EFFORT: one attempt through the site's circuit breaker.
@@ -418,7 +343,7 @@ def persist_text(
     """
     path = Path(path)
     if durability is Durability.ESSENTIAL:
-        policy = _RETRY_POLICY
+        policy = current_run_context().essential_retry
         last: Optional[OSError] = None
         for attempt in range(1, policy.max_attempts + 1):
             try:

@@ -44,9 +44,6 @@ from repro.robustness.iofault import (
     IoFaultPlan,
     IoFaultSpec,
     IoOperationRecorder,
-    clear_io_faults,
-    install_io_faults,
-    io_faults,
     parse_io_fault_specs,
     record_io_operations,
 )
@@ -110,9 +107,6 @@ __all__ = [
     "IoFaultPlan",
     "IoFaultSpec",
     "IoOperationRecorder",
-    "clear_io_faults",
-    "install_io_faults",
-    "io_faults",
     "parse_io_fault_specs",
     "record_io_operations",
     "InclusivityInvariant",

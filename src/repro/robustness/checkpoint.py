@@ -697,14 +697,21 @@ def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class AutoCheckpointPolicy:
-    """Process-wide periodic checkpointing installed by the CLI/runner.
+    """Periodic checkpointing for every simulation of a run context.
 
+    Installed with ``run_context(checkpoints=policy)``
+    (:mod:`repro.common.context`): every :func:`repro.sim.simulator.simulate`
+    call without explicit checkpoint arguments then runs resumably.
     ``directory`` receives one checkpoint file per (config, traces)
     identity (:func:`default_checkpoint_path`), so concurrent campaign
-    tasks — and fork-pool workers, which inherit the installed policy —
-    never collide.  ``every_slots`` checkpoints at slot-count intervals;
+    tasks — and fork-pool workers, which inherit the context — never
+    collide.  ``every_slots`` checkpoints at slot-count intervals;
     ``every_secs`` at wall-clock intervals (polled every
-    ``DEFAULT_POLL_SLOTS`` slots).  At least one must be set.
+    ``DEFAULT_POLL_SLOTS`` slots).  At least one must be set;
+    :meth:`for_directory` supplies the default.  ``fuzz`` is the
+    deliberate exception: its cases carry fault hooks and oracle
+    recordings (both refused by :func:`save_checkpoint`) and resume at
+    case granularity through the fuzz manifest instead.
     """
 
     directory: Path
@@ -725,44 +732,18 @@ class AutoCheckpointPolicy:
                 f"every_secs must be positive, got {self.every_secs}"
             )
 
-
-_AUTO_POLICY: Optional[AutoCheckpointPolicy] = None
-
-
-def install_auto_checkpoints(
-    directory: Union[str, Path],
-    every_slots: Optional[int] = None,
-    every_secs: Optional[float] = None,
-) -> AutoCheckpointPolicy:
-    """Install the process-wide auto-checkpoint policy.
-
-    Every subsequent :func:`repro.sim.simulator.simulate` call without
-    explicit checkpoint arguments runs resumably against ``directory``.
-    Fork-pool workers inherit the installed policy, which is how the
-    campaign runner threads checkpointing through ``fig7``/``fig8``/
-    ``compare``/``all`` without each experiment knowing.  ``fuzz`` is
-    the deliberate exception: its cases carry fault hooks and oracle
-    recordings (both refused by :func:`save_checkpoint`) and resume at
-    case granularity through the fuzz manifest instead.
-    """
-    global _AUTO_POLICY
-    _AUTO_POLICY = AutoCheckpointPolicy(
-        directory=Path(directory),
-        every_slots=every_slots,
-        every_secs=every_secs,
-    )
-    return _AUTO_POLICY
-
-
-def clear_auto_checkpoints() -> None:
-    """Remove the process-wide auto-checkpoint policy."""
-    global _AUTO_POLICY
-    _AUTO_POLICY = None
-
-
-def auto_checkpoint_policy() -> Optional[AutoCheckpointPolicy]:
-    """The installed policy, if any."""
-    return _AUTO_POLICY
+    @classmethod
+    def for_directory(
+        cls,
+        directory: Union[str, Path],
+        every_slots: Optional[int] = None,
+        every_secs: Optional[float] = None,
+    ) -> "AutoCheckpointPolicy":
+        """The policy for ``directory``; every ``DEFAULT_POLL_SLOTS``
+        slots when neither interval is given."""
+        if every_slots is None and every_secs is None:
+            every_slots = DEFAULT_POLL_SLOTS
+        return cls(Path(directory), every_slots, every_secs)
 
 
 def run_resumable(

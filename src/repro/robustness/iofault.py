@@ -14,7 +14,8 @@ Faults are injected through the single instrumented I/O seam in
 :mod:`repro.common.fileio`: every primitive operation (open / write /
 fsync / replace / fsync-dir / read) carries a *site* label naming the
 store that issued it ("manifest", "result-cache", "checkpoint",
-"metrics-export", ...), and an installed :class:`IoFaultPlan` decides
+"metrics-export", ...), and an :class:`IoFaultPlan` installed as the
+run context's hook (``run_context(io_hook=plan)``) decides
 per operation whether to let it through, fail it, truncate it or
 corrupt it.  Plans are deterministic: a :class:`IoFaultSpec` fires at
 the N-th operation matching its filters (optionally for a bounded
@@ -43,15 +44,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.common.context import run_context
 from repro.common.errors import ConfigurationError
-from repro.common.fileio import (
-    IO_OPS,
-    IoFaultAction,
-    IoOperation,
-    clear_io_fault_hook,
-    count_io,
-    install_io_fault_hook,
-)
+from repro.common.fileio import IO_OPS, IoFaultAction, IoOperation, count_io
 from repro.common.validation import require
 
 
@@ -259,7 +254,7 @@ class FiredFault:
 
 
 class IoFaultPlan:
-    """A deterministic schedule of I/O faults (the installable hook).
+    """A deterministic schedule of I/O faults (a run context ``io_hook``).
 
     The plan sees every seam operation, counts per-spec matches and
     fires each spec at its configured match window.  ``seed`` drives
@@ -332,27 +327,6 @@ def parse_io_fault_specs(texts: Sequence[str]) -> List[IoFaultSpec]:
     return [IoFaultSpec.parse(text) for text in texts]
 
 
-def install_io_faults(plan: IoFaultPlan) -> IoFaultPlan:
-    """Install ``plan`` as the process-wide I/O fault hook."""
-    install_io_fault_hook(plan)
-    return plan
-
-
-def clear_io_faults() -> None:
-    """Remove any installed I/O fault plan."""
-    clear_io_fault_hook()
-
-
-@contextlib.contextmanager
-def io_faults(plan: IoFaultPlan) -> Iterator[IoFaultPlan]:
-    """Context manager: install ``plan``, always clear on exit."""
-    install_io_faults(plan)
-    try:
-        yield plan
-    finally:
-        clear_io_faults()
-
-
 @dataclass
 class IoOperationRecorder:
     """A pass-through hook that records the operation stream.
@@ -375,10 +349,11 @@ class IoOperationRecorder:
 
 @contextlib.contextmanager
 def record_io_operations() -> Iterator[IoOperationRecorder]:
-    """Context manager: record every seam operation, clear on exit."""
+    """Context manager: record every seam operation of the block.
+
+    The recorder is the block's ``io_hook``; a nested scope with a hook
+    of its own (a fault plan) pauses the recording until it exits.
+    """
     recorder = IoOperationRecorder()
-    install_io_fault_hook(recorder)
-    try:
+    with run_context(io_hook=recorder):
         yield recorder
-    finally:
-        clear_io_fault_hook()

@@ -44,6 +44,7 @@ from typing import (
     Union,
 )
 
+from repro.common.context import RetryPolicy, run_context
 from repro.common.errors import (
     CampaignError,
     ConfigurationError,
@@ -73,42 +74,6 @@ Task = Tuple[str, Callable[[], Any]]
 
 #: Manifest schema version (bumped on incompatible layout changes).
 MANIFEST_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Retry policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient failures."""
-
-    #: Total attempts per task (1 = no retry).
-    max_attempts: int = 3
-    #: Seconds slept before the first retry.
-    backoff_base: float = 0.25
-    #: Multiplier applied per further retry.
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        require(
-            self.max_attempts >= 1,
-            f"max_attempts must be >= 1, got {self.max_attempts}",
-            ConfigurationError,
-        )
-        require(
-            self.backoff_base >= 0,
-            f"backoff_base must be >= 0, got {self.backoff_base}",
-            ConfigurationError,
-        )
-        require(
-            self.backoff_factor >= 1,
-            f"backoff_factor must be >= 1, got {self.backoff_factor}",
-            ConfigurationError,
-        )
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to back off after failed attempt number ``attempt``."""
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
 
 
 # ----------------------------------------------------------------------
@@ -651,8 +616,7 @@ class CampaignRunner:
         pool = TaskPool(
             jobs=self.jobs,
             timeout=self.timeout,
-            retry_attempts=self.retry.max_attempts,
-            retry_delay=self.retry.delay,
+            retry=self.retry,
             is_transient=lambda exc: (
                 isinstance(exc, self.transient_types)
                 and not isinstance(exc, ReproError)
@@ -896,31 +860,23 @@ def run_all_robust(
     resume still contribute: the merged metrics of a killed-and-resumed
     campaign are byte-identical to an uninterrupted run's.
 
-    ``cache_dir`` installs the process-wide simulation result cache
-    (:func:`repro.sim.cache.install_result_cache`) for the duration of
-    the campaign: every plain ``simulate()`` call inside every artifact
-    — in this process and in fork-pool workers, which inherit the
-    installed cache — is first looked up by canonical fingerprint and,
-    on a miss, stored.  Identical simulations within the campaign
-    deduplicate through the cache's in-process memo (and, across
-    workers, through the shared directory); cached campaigns produce
-    byte-identical artifacts, summaries and metrics exports.
-
+    ``cache_dir`` opens a :class:`~repro.sim.cache.SimResultCache` and
     ``checkpoint_dir`` (with ``checkpoint_every`` slots and/or
-    ``checkpoint_every_secs``) installs the process-wide auto-checkpoint
-    policy for the duration of the campaign: every simulation inside
-    every artifact — in this process and in fork-pool workers, which
-    inherit the policy — periodically writes a crash-consistent
-    checkpoint to ``checkpoint_dir`` and resumes from it after a kill,
-    with byte-identical artifacts.  ``hung_after`` / ``max_restarts`` /
+    ``checkpoint_every_secs``) an
+    :class:`~repro.robustness.checkpoint.AutoCheckpointPolicy`; the
+    campaign runs in one ``run_context(...)`` scope carrying them (see
+    :mod:`repro.common.context`), and the caller's context is restored
+    afterwards.  Without them the campaign runs in the caller's context.
+    Every plain ``simulate()`` call inside every artifact — in this
+    process and in fork-pool workers, which inherit the context — is
+    first looked up in the cache and, on a miss, stored; with a policy it
+    periodically checkpoints and resumes after a kill.  Cached and
+    resumed campaigns produce byte-identical artifacts, summaries and
+    metrics exports.  ``hung_after`` / ``max_restarts`` /
     ``rss_limit_bytes`` / ``registry`` supervise the worker pool (see
     :class:`CampaignRunner`).
     """
     from repro.experiments.runner import artifact_steps
-    from repro.robustness.checkpoint import (
-        clear_auto_checkpoints,
-        install_auto_checkpoints,
-    )
 
     target = Path(out_dir) if out_dir is not None else None
     if target is not None:
@@ -961,29 +917,19 @@ def run_all_robust(
         rss_limit_bytes=rss_limit_bytes,
         registry=registry,
     )
+    changes: Dict[str, Any] = {}
     if cache_dir is not None:
-        from repro.sim.cache import install_result_cache
+        from repro.sim.cache import SimResultCache
 
-        install_result_cache(cache_dir, registry=registry)
+        changes["result_cache"] = SimResultCache(cache_dir, registry=registry)
     if checkpoint_dir is not None:
-        if checkpoint_every is None and checkpoint_every_secs is None:
-            from repro.robustness.checkpoint import DEFAULT_POLL_SLOTS
+        from repro.robustness.checkpoint import AutoCheckpointPolicy
 
-            checkpoint_every = DEFAULT_POLL_SLOTS
-        install_auto_checkpoints(
-            checkpoint_dir,
-            every_slots=checkpoint_every,
-            every_secs=checkpoint_every_secs,
+        changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
+            checkpoint_dir, checkpoint_every, checkpoint_every_secs
         )
-    try:
+    with run_context(**changes):
         result = runner.run(tasks, resume=resume, progress=progress)
-    finally:
-        if checkpoint_dir is not None:
-            clear_auto_checkpoints()
-        if cache_dir is not None:
-            from repro.sim.cache import clear_result_cache
-
-            clear_result_cache()
 
     if target is not None and result.manifest is not None:
         # Canonical order with per-task dedup: the manifest's in-memory

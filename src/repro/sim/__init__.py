@@ -7,12 +7,7 @@ advances in TDM bus slots; private-cache execution is folded between
 slot boundaries.
 """
 
-from repro.sim.cache import (
-    SimResultCache,
-    active_result_cache,
-    clear_result_cache,
-    install_result_cache,
-)
+from repro.sim.cache import SimResultCache
 from repro.sim.codec import run_identity, run_key
 from repro.sim.config import SystemConfig
 from repro.sim.events import EventKind, SimEvent, EventLog
@@ -29,9 +24,6 @@ from repro.sim.sweeps import SweepResult, compare_configs, sweep_seeds
 
 __all__ = [
     "SimResultCache",
-    "active_result_cache",
-    "clear_result_cache",
-    "install_result_cache",
     "run_identity",
     "run_key",
     "SystemConfig",

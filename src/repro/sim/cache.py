@@ -35,8 +35,9 @@ fresh simulation, serial and under ``--jobs N`` (fork workers inherit
 the installed cache and deduplicate through the shared directory; the
 atomic rename makes concurrent same-key stores benign).
 
-Install the cache process-wide with :func:`install_result_cache`
-(the CLI's ``--cache DIR`` lands there);
+Install a cache for a scope with
+``run_context(result_cache=SimResultCache(directory))``
+(:mod:`repro.common.context`; the CLI's ``--cache DIR`` lands there);
 :func:`repro.sim.simulator.simulate` consults it on every plain call.
 Runs with a streaming ``event_sink`` bypass the cache entirely — their
 side effects happen *during* the run and cannot be replayed from a
@@ -497,37 +498,3 @@ def _checked_payload(
         )
     return payload
 
-
-# ----------------------------------------------------------------------
-# Process-wide policy (mirrors the auto-checkpoint policy)
-# ----------------------------------------------------------------------
-_ACTIVE_CACHE: Optional[SimResultCache] = None
-
-
-def install_result_cache(
-    directory: Union[str, Path], registry=None
-) -> SimResultCache:
-    """Install the process-wide result cache.
-
-    Every subsequent :func:`repro.sim.simulator.simulate` call without
-    a streaming ``event_sink`` first looks its canonical key up in
-    ``directory`` and, on a miss, stores its finished report there.
-    Fork-pool workers inherit the installed cache, which is how
-    ``--cache DIR`` threads through ``fig7``/``fig8``/``compare``/
-    ``all`` campaigns without each experiment knowing (worker-process
-    counters stay in the workers; the shared directory is the contract).
-    """
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = SimResultCache(directory, registry=registry)
-    return _ACTIVE_CACHE
-
-
-def clear_result_cache() -> None:
-    """Remove the process-wide result cache."""
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = None
-
-
-def active_result_cache() -> Optional[SimResultCache]:
-    """The installed cache, if any."""
-    return _ACTIVE_CACHE

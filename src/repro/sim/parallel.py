@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.context import RetryPolicy
 from repro.common.errors import (
     ConfigurationError,
     ResourceExceededError,
@@ -230,11 +231,12 @@ class TaskPool:
         ``"timeout"`` with a :class:`TaskTimeoutError`.  ``None``
         disables it.  A worker that is slow but still heartbeating runs
         until this hard budget; only silent workers are reclaimed early.
-    retry_attempts / retry_delay / is_transient:
+    retry / is_transient:
         Bounded retry for worker failures ``is_transient`` accepts:
-        the task re-enters the queue after ``retry_delay(attempt)``
-        seconds, at most ``retry_attempts`` total attempts.  Timeouts
-        are never retried (a hung task will hang again).
+        the task re-enters the queue after ``retry.delay(attempt)``
+        seconds, at most ``retry.max_attempts`` total attempts (default:
+        no retry).  Timeouts are never retried (a hung task will hang
+        again).
     hung_after:
         Liveness watchdog: a worker that sends no heartbeat for this
         many seconds is declared hung and torn down (SIGTERM, then
@@ -267,8 +269,7 @@ class TaskPool:
         self,
         jobs: int,
         timeout: Optional[float] = None,
-        retry_attempts: int = 1,
-        retry_delay: Callable[[int], float] = lambda attempt: 0.0,
+        retry: RetryPolicy = RetryPolicy(max_attempts=1),
         is_transient: Optional[TransientPredicate] = None,
         hung_after: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
@@ -284,11 +285,6 @@ class TaskPool:
                 f"timeout must be positive, got {timeout}",
                 ConfigurationError,
             )
-        require(
-            retry_attempts >= 1,
-            f"retry_attempts must be >= 1, got {retry_attempts}",
-            ConfigurationError,
-        )
         if hung_after is not None:
             require(
                 hung_after > 0,
@@ -325,8 +321,7 @@ class TaskPool:
             )
         self.jobs = jobs
         self.timeout = timeout
-        self.retry_attempts = retry_attempts
-        self.retry_delay = retry_delay
+        self.retry = retry
         self.is_transient = is_transient or (lambda exc: False)
         self.hung_after = hung_after
         self.heartbeat_interval = heartbeat_interval or (
@@ -510,9 +505,9 @@ class TaskPool:
                 )
             elif (
                 self.is_transient(payload)
-                and task.attempts < self.retry_attempts
+                and task.attempts < self.retry.max_attempts
             ):
-                task.ready_at = now + self.retry_delay(task.attempts)
+                task.ready_at = now + self.retry.delay(task.attempts)
                 pending.append(task)
                 continue
             else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Mapping, Optional
 
+from repro.common.context import current_run_context
 from repro.common.types import CoreId, Cycle
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SlotEngine
@@ -130,14 +131,14 @@ def simulate(
     simulation periodically writes a crash-consistent checkpoint and, if
     the file already exists, resumes from it instead of starting over —
     with a byte-identical final report.  When no explicit checkpoint
-    arguments are given, a process-wide auto-checkpoint policy installed
-    via :func:`repro.robustness.checkpoint.install_auto_checkpoints`
-    (e.g. by the CLI's ``--checkpoint-dir``) applies; fork-pool workers
+    arguments are given, the run context's auto-checkpoint policy
+    (``run_context(checkpoints=...)``, see :mod:`repro.common.context`;
+    e.g. the CLI's ``--checkpoint-dir``) applies; fork-pool workers
     inherit it, which is how campaign tasks checkpoint transparently.
 
-    When a process-wide result cache is installed
-    (:func:`repro.sim.cache.install_result_cache`, the CLI's
-    ``--cache DIR``), the call first looks up its canonical fingerprint
+    When the run context carries a result cache
+    (``run_context(result_cache=...)``, the CLI's ``--cache DIR``),
+    the call first looks up its canonical fingerprint
     — full config, traces, engine, model version — and a hit returns
     the stored report without simulating, byte-identical to a fresh
     run (reports, metrics exports, figures; see
@@ -146,9 +147,7 @@ def simulate(
     cache: the sink's side effects happen during the run and cannot be
     replayed from a stored result.
     """
-    from repro.sim.cache import active_result_cache
-
-    cache = active_result_cache()
+    cache = current_run_context().result_cache
     if cache is not None and event_sink is None:
         cached_config = config
         if engine is not None and engine != config.engine:
@@ -192,9 +191,7 @@ def _simulate_uncached(
 ) -> SimReport:
     """The build-run-report path of :func:`simulate`, cache-free."""
     if checkpoint_path is None and checkpoint_every_slots is None:
-        from repro.robustness.checkpoint import auto_checkpoint_policy
-
-        policy = auto_checkpoint_policy()
+        policy = current_run_context().checkpoints
         if policy is not None:
             from repro.robustness.checkpoint import (
                 default_checkpoint_path,
@@ -230,7 +227,7 @@ def _simulate_uncached(
 
         raise ConfigurationError(
             "a checkpoint interval was given without checkpoint_path; "
-            "pass checkpoint_path or install an auto-checkpoint policy"
+            "pass checkpoint_path or run under an auto-checkpoint policy"
         )
     if checkpoint_path is not None:
         from repro.robustness.checkpoint import run_resumable

@@ -6,9 +6,9 @@ module runs the same configuration across many workload seeds and
 aggregates — the standard methodology step between "we simulated once"
 and a reportable number.
 
-Every run goes through :func:`repro.sim.simulator.simulate`, so an
-installed result cache (:func:`repro.sim.cache.install_result_cache`,
-the CLI's ``--cache DIR``) applies per seed: re-running a sweep with
+Every run goes through :func:`repro.sim.simulator.simulate`, so the
+run context's result cache (``run_context(result_cache=...)``, the
+CLI's ``--cache DIR``) applies per seed: re-running a sweep with
 unchanged configs and seeds replays the stored reports byte-identically
 instead of simulating.
 """

@@ -2,8 +2,26 @@
 
 import pytest
 
-from sim_helpers import small_config
+from sim_helpers import fast_io_context, small_config
+from repro.common.context import current_run_context
 from repro.sim.config import SystemConfig
+
+
+@pytest.fixture(autouse=True)
+def _run_context_is_restored():
+    """Fail any test that ends on a different run context than it began."""
+    before = current_run_context()
+    yield
+    assert current_run_context() is before, (
+        "the test leaked run-context state; scope it with run_context(...)"
+    )
+
+
+@pytest.fixture
+def fast_io():
+    """Fresh ``io.*`` counters and breakers, no ESSENTIAL retry backoff."""
+    with fast_io_context() as context:
+        yield context
 
 
 @pytest.fixture

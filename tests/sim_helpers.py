@@ -6,6 +6,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import TdmSchedule
+from repro.common.context import IoState, RetryPolicy, run_context
 from repro.common.types import AccessType, CoreId
 from repro.llc.partition import PartitionSpec
 from repro.sim.config import SystemConfig
@@ -103,3 +104,15 @@ def write_trace_of(blocks: Sequence[int]) -> MemoryTrace:
 def read_trace_of(blocks: Sequence[int]) -> MemoryTrace:
     """All-read trace over block addresses."""
     return trace_of_blocks(blocks, AccessType.READ)
+
+
+def fast_io_context(**changes):
+    """A run-context scope with fresh ``io.*`` state and no retry backoff.
+
+    Closed breakers and zeroed counters, so a breaker tripped by one
+    injected fault schedule cannot silently disable a store in the
+    next; ``changes`` add further fields (a fault plan, a cache, ...).
+    """
+    return run_context(
+        io=IoState(), essential_retry=RetryPolicy(backoff_base=0.0), **changes
+    )

@@ -21,15 +21,14 @@ from repro.common.errors import (
     PersistenceError,
 )
 from repro.common import fileio
+from repro.common.context import IoState, RetryPolicy, run_context
 from repro.common.fileio import atomic_write_text, cleanup_stale_tmp, tmp_sibling
 from repro.obs.exporters import metrics_to_jsonl, write_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.robustness.checkpoint import (
     CHECKPOINT_VERSION,
     AutoCheckpointPolicy,
-    clear_auto_checkpoints,
     default_checkpoint_path,
-    install_auto_checkpoints,
     load_checkpoint,
     save_checkpoint,
     snapshot_simulator,
@@ -378,15 +377,13 @@ def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):
     path = default_checkpoint_path(directory, config, traces)
     stale.rename(path)
 
-    fileio.reset_io_state()
-    install_auto_checkpoints(directory, every_slots=16)
-    try:
+    with run_context(
+        io=IoState(),
+        checkpoints=AutoCheckpointPolicy(directory, every_slots=16),
+    ):
         report = simulate(config, traces)
         degraded = fileio.io_metrics().counter("io.degraded.auto-checkpoint")
         assert degraded.value == 1
-    finally:
-        clear_auto_checkpoints()
-        fileio.reset_io_state()
     assert not path.exists()
     assert json.dumps(report_to_dict(report)) == json.dumps(
         report_to_dict(reference)
@@ -441,16 +438,11 @@ def _interrupted_save(tmp_path, monkeypatch, boom, expect=None):
 def test_torn_write_keeps_previous_checkpoint_valid(tmp_path, monkeypatch):
     # An ESSENTIAL save retries, then fails loudly as PersistenceError
     # (never a bare OSError: the retry budget is already spent).
-    fileio.set_essential_retry(
-        fileio.EssentialRetryPolicy(backoff_base=0.0)
-    )
-    try:
+    with run_context(essential_retry=RetryPolicy(backoff_base=0.0)):
         config, traces, path, before = _interrupted_save(
             tmp_path, monkeypatch, OSError("disk full"),
             expect=PersistenceError,
         )
-    finally:
-        fileio.set_essential_retry(fileio.EssentialRetryPolicy())
     # The target was never touched and the failed write cleaned up its
     # own temp sibling — an ENOSPC mid-save leaks no partial data.
     assert path.read_bytes() == before
@@ -509,6 +501,16 @@ def test_auto_policy_validation(tmp_path):
         AutoCheckpointPolicy(directory=tmp_path, every_slots=0)
     with pytest.raises(CheckpointError, match="must be positive"):
         AutoCheckpointPolicy(directory=tmp_path, every_secs=-1.0)
+
+
+def test_auto_policy_for_directory_defaults_the_interval(tmp_path):
+    from repro.robustness.checkpoint import DEFAULT_POLL_SLOTS
+
+    assert AutoCheckpointPolicy.for_directory(str(tmp_path)) == (
+        AutoCheckpointPolicy(tmp_path, every_slots=DEFAULT_POLL_SLOTS)
+    )
+    timed = AutoCheckpointPolicy.for_directory(tmp_path, every_secs=2.0)
+    assert (timed.every_slots, timed.every_secs) == (None, 2.0)
 
 
 def test_simulate_rejects_interval_without_path():

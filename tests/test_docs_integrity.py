@@ -7,6 +7,7 @@ checked on each run.
 """
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -153,7 +154,7 @@ class TestRobustnessIoFaultDoc:
             "I/O fault tolerance & degradation policy",
             "ESSENTIAL",
             "BEST-EFFORT",
-            "EssentialRetryPolicy",
+            "RetryPolicy",
             "circuit breaker",
             "PersistenceError",
             "io.degraded",
@@ -195,3 +196,63 @@ class TestRobustnessIoFaultDoc:
     def test_named_test_files_exist(self):
         for path in re.findall(r"`(tests/[\w./-]+)`", self.text):
             assert (REPO_ROOT / path).exists(), f"missing test file {path}"
+
+
+def api_table_rows():
+    """``(names, modules)`` of every docs/API.md table row that names
+    its module(s) in backticks; the header and separator rows carry
+    none."""
+    text = (REPO_ROOT / "docs" / "API.md").read_text()
+    rows = []
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)]
+        if len(cells) < 4 or not cells[0] == "":
+            continue
+        modules = re.findall(r"`(repro[\w.]*)`", cells[2])
+        if modules:
+            rows.append((re.findall(r"`([^`]+)`", cells[1]), modules))
+    return rows
+
+
+def documented_names(entry: str):
+    """The identifiers one backticked name cell spells out.
+
+    ``simulate(config, ...)`` names ``simulate``; ``wcl_nss_cycles/_slots``
+    abbreviates ``wcl_nss_cycles`` and ``wcl_nss_slots``;
+    ``SimReport.slot_usage`` names an attribute path.
+    """
+    first, *suffixes = entry.split("(")[0].split("/")
+    stem = first.rsplit("_", 1)[0]
+    return [first] + [stem + suffix for suffix in suffixes]
+
+
+def resolves(module_name: str, dotted: str) -> bool:
+    target = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        if hasattr(target, part):
+            target = getattr(target, part)
+        elif part in getattr(target, "__dataclass_fields__", {}):
+            return True
+        else:
+            return False
+    return True
+
+
+class TestApiTables:
+    """Every name docs/API.md lists imports from its row's module."""
+
+    ROWS = api_table_rows()
+
+    def test_rows_are_found(self):
+        assert len(self.ROWS) >= 80
+
+    @pytest.mark.parametrize(
+        "names, modules", ROWS, ids=[names[0] for names, _ in ROWS]
+    )
+    def test_names_resolve_in_their_module(self, names, modules):
+        for entry in names:
+            for name in documented_names(entry):
+                assert any(resolves(module, name) for module in modules), (
+                    f"docs/API.md lists {name!r} under {modules}, "
+                    "but it does not import from there"
+                )

@@ -16,6 +16,7 @@ from sim_helpers import small_config, write_trace_of
 
 from repro.cli import main
 from repro.common import fileio
+from repro.common.context import IoState, RetryPolicy, RunContext, run_context
 from repro.common.errors import (
     ConfigurationError,
     ObservabilityError,
@@ -23,7 +24,6 @@ from repro.common.errors import (
 )
 from repro.common.fileio import (
     Durability,
-    EssentialRetryPolicy,
     atomic_write_text,
     persist_text,
     read_bytes,
@@ -35,21 +35,12 @@ from repro.robustness.iofault import (
     IoFaultKind,
     IoFaultPlan,
     IoFaultSpec,
-    io_faults,
     record_io_operations,
 )
-from repro.sim.cache import clear_result_cache, install_result_cache
+from repro.sim.cache import SimResultCache
 from repro.sim.simulator import simulate
 
-
-@pytest.fixture(autouse=True)
-def _fresh_io_state():
-    """Closed breakers, zero counters, no hook, no retry backoff."""
-    fileio.reset_io_state()
-    fileio.set_essential_retry(EssentialRetryPolicy(backoff_base=0.0))
-    yield
-    fileio.set_essential_retry(EssentialRetryPolicy())
-    fileio.reset_io_state()
+pytestmark = pytest.mark.usefixtures("fast_io")
 
 
 def _workload(length=60, blocks=16, seed=3):
@@ -131,7 +122,7 @@ class TestFaultKinds:
     def test_enospc_mid_write_leaves_no_orphan_tmp(self, tmp_path):
         """Satellite: a failed atomic write cleans up its .tmp sibling."""
         target = tmp_path / "a.json"
-        with io_faults(plan("enospc@1")):
+        with run_context(io_hook=plan("enospc@1")):
             with pytest.raises(InjectedIoError) as excinfo:
                 atomic_write_text(target, "x" * 4096, site="manifest")
         assert excinfo.value.errno == errno.ENOSPC
@@ -141,7 +132,7 @@ class TestFaultKinds:
 
     def test_short_write_leaves_no_torn_file(self, tmp_path):
         target = tmp_path / "b.json"
-        with io_faults(plan("short-write@1")):
+        with run_context(io_hook=plan("short-write@1")):
             with pytest.raises(InjectedIoError):
                 atomic_write_text(target, "Z" * 4096, site="manifest")
         # Half the bytes reached the temp file, but neither a torn
@@ -152,7 +143,7 @@ class TestFaultKinds:
     def test_rename_failure_keeps_previous_generation(self, tmp_path):
         target = tmp_path / "c.json"
         atomic_write_text(target, "old generation", site="manifest")
-        with io_faults(plan("rename@1")):
+        with run_context(io_hook=plan("rename@1")):
             with pytest.raises(InjectedIoError) as excinfo:
                 atomic_write_text(target, "new generation", site="manifest")
         assert excinfo.value.errno == errno.EIO
@@ -160,13 +151,15 @@ class TestFaultKinds:
         assert not tmp_sibling(target).exists()
 
     def test_fsync_failure_targets_the_fsync_op(self, tmp_path):
-        with io_faults(plan("fsync@1")) as active:
+        active = plan("fsync@1")
+        with run_context(io_hook=active):
             with pytest.raises(InjectedIoError):
                 atomic_write_text(tmp_path / "d.json", "x", site="manifest")
         assert [f.operation.op for f in active.fired] == ["fsync"]
 
     def test_eacces_targets_open(self, tmp_path):
-        with io_faults(plan("eacces@1")) as active:
+        active = plan("eacces@1")
+        with run_context(io_hook=active):
             with pytest.raises(InjectedIoError) as excinfo:
                 atomic_write_text(tmp_path / "e.json", "x", site="manifest")
         assert excinfo.value.errno == errno.EACCES
@@ -175,7 +168,8 @@ class TestFaultKinds:
     def test_nth_and_count_windows(self, tmp_path):
         # eio@2x2 over ops (open write fsync replace fsync-dir):
         # fires at ops 2 and 3 of the *matching* stream only.
-        with io_faults(plan("eio@2x2,op=write")) as active:
+        active = plan("eio@2x2,op=write")
+        with run_context(io_hook=active):
             atomic_write_text(tmp_path / "f1.json", "x", site="s")
             with pytest.raises(InjectedIoError):
                 atomic_write_text(tmp_path / "f2.json", "x", site="s")
@@ -186,11 +180,11 @@ class TestFaultKinds:
         assert (tmp_path / "f4.json").exists()
 
     def test_site_and_path_filters(self, tmp_path):
-        with io_faults(plan("enospc@1x*,site=result-cache")):
+        with run_context(io_hook=plan("enospc@1x*,site=result-cache")):
             atomic_write_text(tmp_path / "g.json", "x", site="manifest")
             with pytest.raises(InjectedIoError):
                 atomic_write_text(tmp_path / "h.json", "x", site="result-cache")
-        with io_faults(plan("enospc@1x*,path=res-*.json")):
+        with run_context(io_hook=plan("enospc@1x*,path=res-*.json")):
             atomic_write_text(tmp_path / "other.json", "x", site="s")
             with pytest.raises(InjectedIoError):
                 atomic_write_text(tmp_path / "res-abc.json", "x", site="s")
@@ -200,7 +194,7 @@ class TestFaultKinds:
         atomic_write_text(target, "GOOD DATA BYTES", site="s")
         corrupted = []
         for _ in range(2):
-            with io_faults(plan("corrupt-read@1", seed=42)):
+            with run_context(io_hook=plan("corrupt-read@1", seed=42)):
                 corrupted.append(read_bytes(target, site="s"))
         assert corrupted[0] == corrupted[1]
         assert corrupted[0] != b"GOOD DATA BYTES"
@@ -222,7 +216,7 @@ class TestFaultKinds:
 class TestEssentialPolicy:
     def test_transient_fault_is_absorbed_by_retry(self, tmp_path):
         target = tmp_path / "a.json"
-        with io_faults(plan("eintr@1")):
+        with run_context(io_hook=plan("eintr@1")):
             out = persist_text(target, "data", site="manifest")
         assert out == target and target.read_text() == "data"
         assert _counter("io.retry.manifest") == 1
@@ -232,7 +226,7 @@ class TestEssentialPolicy:
         self, tmp_path
     ):
         target = tmp_path / "b.json"
-        with io_faults(plan("enospc@1x*")):
+        with run_context(io_hook=plan("enospc@1x*")):
             with pytest.raises(PersistenceError) as excinfo:
                 persist_text(target, "data", site="manifest")
         message = str(excinfo.value)
@@ -245,17 +239,21 @@ class TestEssentialPolicy:
         assert not tmp_sibling(target).exists()
 
     def test_retry_policy_backoff_schedule(self):
-        policy = EssentialRetryPolicy(
+        policy = RetryPolicy(
             max_attempts=4, backoff_base=0.05, backoff_factor=2.0
         )
         assert [policy.delay(n) for n in (1, 2, 3)] == [0.05, 0.1, 0.2]
+        # The default ESSENTIAL schedule: 3 attempts from 50 ms, doubling.
+        assert RunContext().essential_retry == RetryPolicy(
+            max_attempts=3, backoff_base=0.05, backoff_factor=2.0
+        )
 
 
 class TestBestEffortPolicy:
     def test_breaker_trips_after_k_failures_with_one_notice(
         self, tmp_path, capsys
     ):
-        with io_faults(plan("enospc@1x*,site=result-cache")):
+        with run_context(io_hook=plan("enospc@1x*,site=result-cache")):
             results = [
                 persist_text(
                     tmp_path / f"{i}.json",
@@ -275,7 +273,7 @@ class TestBestEffortPolicy:
         assert fileio.circuit_breaker("result-cache").open
 
     def test_success_resets_the_consecutive_count(self, tmp_path):
-        with io_faults(plan("enospc@1x2,site=result-cache")):
+        with run_context(io_hook=plan("enospc@1x2,site=result-cache")):
             for i in range(4):
                 persist_text(
                     tmp_path / f"{i}.json",
@@ -288,7 +286,7 @@ class TestBestEffortPolicy:
         assert (tmp_path / "2.json").exists()
 
     def test_breakers_are_per_site(self, tmp_path):
-        with io_faults(plan("enospc@1x*,site=result-cache")):
+        with run_context(io_hook=plan("enospc@1x*,site=result-cache")):
             for i in range(fileio.DEGRADE_AFTER):
                 persist_text(
                     tmp_path / f"{i}.json",
@@ -312,21 +310,19 @@ class TestBestEffortPolicy:
 # ----------------------------------------------------------------------
 class TestSwallowedCounters:
     def test_fsync_directory_failure_is_counted_not_silent(self, tmp_path):
-        with io_faults(plan("eio@1,op=fsync-dir")):
+        with run_context(io_hook=plan("eio@1,op=fsync-dir")):
             fileio.fsync_directory(tmp_path, site="manifest")
         assert _counter("io.swallowed.fsync-dir") == 1
 
     def test_cache_lookup_read_failure_is_counted_as_miss(self, tmp_path):
         config = small_config()
         traces = _workload()
-        cache = install_result_cache(tmp_path / "cache")
-        try:
+        cache = SimResultCache(tmp_path / "cache")
+        with run_context(result_cache=cache):
             reference = simulate(config, traces)
             cache._memo.clear()  # force the next lookup to hit the disk
-            with io_faults(plan("eio@1x*,site=result-cache,op=read")):
+            with run_context(io_hook=plan("eio@1x*,site=result-cache,op=read")):
                 again = simulate(config, traces)
-        finally:
-            clear_result_cache()
         # The unreadable entry degraded to a recompute, counted, with
         # byte-identical results.
         assert _counter("io.swallowed.result-cache.read") >= 1
@@ -339,7 +335,7 @@ class TestSwallowedCounters:
         traces = _workload()
         cache = SimResultCache(tmp_path / "cache")
         cache.store(config, traces, None, simulate(config, traces))
-        with io_faults(plan("eio@1x*,site=result-cache,op=read")):
+        with run_context(io_hook=plan("eio@1x*,site=result-cache,op=read")):
             ok, removed = cache.verify()
         assert ok == [] and removed == []
         assert _counter("io.swallowed.result-cache.read") == 1
@@ -349,14 +345,12 @@ class TestSwallowedCounters:
     ):
         config = small_config()
         traces = _workload()
-        cache = install_result_cache(tmp_path / "cache")
-        try:
+        cache = SimResultCache(tmp_path / "cache")
+        with run_context(result_cache=cache):
             reference = simulate(config, traces)
             cache._memo.clear()
-            with io_faults(plan("corrupt-read@1,site=result-cache")):
+            with run_context(io_hook=plan("corrupt-read@1,site=result-cache")):
                 again = simulate(config, traces)
-        finally:
-            clear_result_cache()
         # Corrupted bytes are never trusted: the entry was dropped and
         # the run recomputed the same report.
         assert again.latencies() == reference.latencies()
@@ -373,12 +367,11 @@ class TestDegradedRuns:
         config = small_config()
         traces = _workload()
         reference = simulate(config, traces)
-        cache = install_result_cache(tmp_path / "cache")
-        try:
-            with io_faults(plan("enospc@1x*,site=result-cache")):
-                degraded = simulate(config, traces)
-        finally:
-            clear_result_cache()
+        cache = SimResultCache(tmp_path / "cache")
+        with run_context(
+            result_cache=cache, io_hook=plan("enospc@1x*,site=result-cache")
+        ):
+            degraded = simulate(config, traces)
         assert degraded.latencies() == reference.latencies()
         assert _counter("io.degraded.result-cache") >= 1
         assert cache.registry.counter("sim_cache.stores").value == 0
@@ -387,20 +380,16 @@ class TestDegradedRuns:
     def test_auto_checkpoint_failure_degrades_run_stays_correct(
         self, tmp_path
     ):
-        from repro.robustness.checkpoint import (
-            clear_auto_checkpoints,
-            install_auto_checkpoints,
-        )
+        from repro.robustness.checkpoint import AutoCheckpointPolicy
 
         config = small_config()
         traces = _workload(length=120)
         reference = simulate(config, traces)
-        install_auto_checkpoints(tmp_path / "ckpts", every_slots=16)
-        try:
-            with io_faults(plan("enospc@1x*,site=auto-checkpoint")):
-                degraded = simulate(config, traces)
-        finally:
-            clear_auto_checkpoints()
+        policy = AutoCheckpointPolicy(tmp_path / "ckpts", every_slots=16)
+        with run_context(
+            checkpoints=policy, io_hook=plan("enospc@1x*,site=auto-checkpoint")
+        ):
+            degraded = simulate(config, traces)
         assert degraded.latencies() == reference.latencies()
         assert _counter("io.degraded.auto-checkpoint") >= 1
         assert list((tmp_path / "ckpts").glob("*.tmp")) == []
@@ -435,7 +424,7 @@ class TestTraceSinkFailure:
         trace_path = tmp_path / "events.jsonl"
         sink = JsonlTraceSink(trace_path)
         config = small_config()
-        with io_faults(plan("enospc@1,site=trace-sink,op=write")):
+        with run_context(io_hook=plan("enospc@1,site=trace-sink,op=write")):
             with pytest.raises(ObservabilityError) as excinfo:
                 simulate(config, _workload(), event_sink=sink)
         sink.close()
@@ -443,7 +432,7 @@ class TestTraceSinkFailure:
 
     def test_open_failure_is_loud_and_names_the_path(self, tmp_path):
         trace_path = tmp_path / "denied.jsonl"
-        with io_faults(plan("eacces@1,site=trace-sink")):
+        with run_context(io_hook=plan("eacces@1,site=trace-sink")):
             with pytest.raises(ObservabilityError) as excinfo:
                 JsonlTraceSink(trace_path)
         assert str(trace_path) in str(excinfo.value)
@@ -455,7 +444,7 @@ class TestTraceSinkFailure:
         # JSON (the sink appends whole lines, never torn ones).
         trace_path = tmp_path / "prefix.jsonl"
         sink = JsonlTraceSink(trace_path)
-        with io_faults(plan("eio@5,site=trace-sink,op=write")):
+        with run_context(io_hook=plan("eio@5,site=trace-sink,op=write")):
             with pytest.raises(ObservabilityError):
                 simulate(small_config(), _workload(), event_sink=sink)
         sink.close()
@@ -539,8 +528,11 @@ class TestCliIoFault:
         assert str(trace) in captured.err
 
     def test_best_effort_cache_fault_exits_0_and_degrades(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
+        # main() runs on fresh io.* state; keep a handle on it.
+        state = IoState()
+        monkeypatch.setattr("repro.common.context.IoState", lambda: state)
         code = main(
             [
                 "simulate",
@@ -553,7 +545,7 @@ class TestCliIoFault:
         captured = capsys.readouterr()
         assert code == 0
         assert "disabled after" not in captured.err  # one miss, no trip
-        assert _counter("io.degraded.result-cache") == 1
+        assert state.metrics.counter("io.degraded.result-cache").value == 1
 
     def test_malformed_spec_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -21,36 +21,26 @@ from pathlib import Path
 
 import pytest
 
-from sim_helpers import small_config, write_trace_of
+from sim_helpers import fast_io_context, small_config, write_trace_of
 
 from repro.common import fileio
+from repro.common.context import run_context
 from repro.common.errors import ObservabilityError, PersistenceError
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
-from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
-    install_auto_checkpoints,
-)
+from repro.robustness.checkpoint import AutoCheckpointPolicy
 from repro.robustness.iofault import (
     IoFaultKind,
     IoFaultPlan,
     IoFaultSpec,
-    io_faults,
     record_io_operations,
 )
 from repro.robustness.runner import RunManifest
-from repro.sim.cache import clear_result_cache, install_result_cache
+from repro.sim.cache import SimResultCache
 from repro.sim.export import write_report_json
 from repro.sim.simulator import simulate
 
-
-@pytest.fixture(autouse=True)
-def _fresh_io_state():
-    fileio.reset_io_state()
-    fileio.set_essential_retry(fileio.EssentialRetryPolicy(backoff_base=0.0))
-    yield
-    fileio.set_essential_retry(fileio.EssentialRetryPolicy())
-    fileio.reset_io_state()
+pytestmark = pytest.mark.usefixtures("fast_io")
 
 
 def _workload():
@@ -71,9 +61,9 @@ def run_campaign(root: Path, config, traces):
     compaction that ends every campaign).  Returns the first report's
     latencies.
     """
-    cache = install_result_cache(root / "cache")
-    install_auto_checkpoints(root / "ckpts", every_slots=32)
-    try:
+    cache = SimResultCache(root / "cache")
+    policy = AutoCheckpointPolicy(root / "ckpts", every_slots=32)
+    with run_context(result_cache=cache, checkpoints=policy):
         first = simulate(config, traces)
         cache._memo.clear()  # the second call must hit the disk entry
         again = simulate(config, traces)
@@ -90,9 +80,6 @@ def run_campaign(root: Path, config, traces):
             "latencies", {"status": "done", "payload": first.latencies()}
         )
         manifest.save()
-    finally:
-        clear_result_cache()
-        clear_auto_checkpoints()
     return first.latencies()
 
 
@@ -126,21 +113,16 @@ def assert_surviving_artifacts_clean(root: Path, reference_files, context: str):
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """The clean campaign: its artifacts, latencies and seam op stream."""
-    fileio.reset_io_state()
-    fileio.set_essential_retry(fileio.EssentialRetryPolicy(backoff_base=0.0))
     config = small_config()
     traces = _workload()
     root = tmp_path_factory.mktemp("reference")
-    try:
+    with fast_io_context():
         latencies = run_campaign(root, config, traces)
         files = snapshot(root)
         recorded_root = tmp_path_factory.mktemp("recorded")
         with record_io_operations() as recorder:
             assert run_campaign(recorded_root, config, traces) == latencies
         operations = list(recorder.operations)
-    finally:
-        fileio.set_essential_retry(fileio.EssentialRetryPolicy())
-        fileio.reset_io_state()
     assert snapshot(recorded_root) == files, (
         "the campaign is not deterministic across directories; the sweep's "
         "byte comparisons would be meaningless"
@@ -182,10 +164,10 @@ def test_single_fault_at_every_operation_is_absorbed(tmp_path, reference):
     retrying, best-effort stores degrade and recompute."""
     total = len(reference["operations"])
     for k in range(1, total + 1):
-        fileio.reset_io_state()
         root = tmp_path / f"k{k}"
         spec = IoFaultSpec(kind=IoFaultKind.EIO, nth=k, count=1)
-        with io_faults(IoFaultPlan([spec])) as plan:
+        plan = IoFaultPlan([spec])
+        with fast_io_context(io_hook=plan):
             latencies = run_campaign(
                 root, reference["config"], reference["traces"]
             )
@@ -213,10 +195,9 @@ def test_short_write_at_every_write_op_leaves_no_torn_artifact(
     writes = sum(1 for op in reference["operations"] if op.op == "write")
     assert writes >= 5
     for j in range(1, writes + 1):
-        fileio.reset_io_state()
         root = tmp_path / f"w{j}"
         spec = IoFaultSpec(kind=IoFaultKind.SHORT_WRITE, nth=j, count=1)
-        with io_faults(IoFaultPlan([spec])):
+        with fast_io_context(io_hook=IoFaultPlan([spec])):
             latencies = run_campaign(
                 root, reference["config"], reference["traces"]
             )
@@ -238,7 +219,7 @@ def test_persistent_essential_fault_fails_loudly(
     tmp_path, reference, site, error
 ):
     spec = IoFaultSpec(kind=IoFaultKind.EIO, nth=1, count=None, site=site)
-    with io_faults(IoFaultPlan([spec])):
+    with run_context(io_hook=IoFaultPlan([spec])):
         with pytest.raises(error):
             run_campaign(tmp_path, reference["config"], reference["traces"])
     context = f"persistent fault at essential site {site!r}"
@@ -258,7 +239,7 @@ def test_persistent_best_effort_fault_degrades_and_completes(
     tmp_path, reference, site
 ):
     spec = IoFaultSpec(kind=IoFaultKind.ENOSPC, nth=1, count=None, site=site)
-    with io_faults(IoFaultPlan([spec])):
+    with run_context(io_hook=IoFaultPlan([spec])):
         latencies = run_campaign(
             tmp_path, reference["config"], reference["traces"]
         )
@@ -282,16 +263,15 @@ def test_resume_after_fault_clears_completes_the_campaign(
     spec = IoFaultSpec(
         kind=IoFaultKind.EIO, nth=1, count=None, site="report-export"
     )
-    with io_faults(IoFaultPlan([spec])):
+    with run_context(io_hook=IoFaultPlan([spec])):
         with pytest.raises(PersistenceError):
             run_campaign(tmp_path, reference["config"], reference["traces"])
     surviving = set(snapshot(tmp_path))
-    fileio.reset_io_state()
-    fileio.set_essential_retry(fileio.EssentialRetryPolicy(backoff_base=0.0))
 
-    latencies = run_campaign(
-        tmp_path, reference["config"], reference["traces"]
-    )
+    with fast_io_context():
+        latencies = run_campaign(
+            tmp_path, reference["config"], reference["traces"]
+        )
     assert latencies == reference["latencies"]
     assert snapshot(tmp_path) == reference["files"]
     # The resume actually reused the failed run's surviving cache entry

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.common.context import RetryPolicy
 from repro.common.errors import ConfigurationError, TaskTimeoutError
 from repro.sim.parallel import (
     TaskPool,
@@ -37,7 +38,7 @@ def test_pool_rejects_bad_parameters():
     with pytest.raises(ConfigurationError):
         TaskPool(jobs=2, timeout=0)
     with pytest.raises(ConfigurationError):
-        TaskPool(jobs=2, retry_attempts=0)
+        TaskPool(jobs=2, retry=RetryPolicy(max_attempts=0))
 
 
 def test_pool_rejects_duplicate_task_names():
@@ -163,7 +164,7 @@ def test_timeouts_are_never_retried():
     results = TaskPool(
         jobs=1,
         timeout=0.2,
-        retry_attempts=3,
+        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         is_transient=lambda exc: True,
     ).run([("hang", hang)])
     assert results[0].status == "timeout"
@@ -186,7 +187,7 @@ def test_transient_failure_is_retried_until_success(tmp_path):
 
     results = TaskPool(
         jobs=1,
-        retry_attempts=3,
+        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("flaky", flaky)])
     assert results[0].ok
@@ -204,7 +205,7 @@ def test_non_transient_failure_is_not_retried(tmp_path):
 
     results = TaskPool(
         jobs=1,
-        retry_attempts=3,
+        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("fails", fails)])
     assert results[0].status == "error"
@@ -222,7 +223,7 @@ def test_retry_attempts_bound_is_respected(tmp_path):
 
     results = TaskPool(
         jobs=1,
-        retry_attempts=2,
+        retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("t", always_transient)])
     assert results[0].status == "error"

@@ -20,10 +20,10 @@ from repro.common.errors import (
     TaskTimeoutError,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.common.context import run_context
 from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
+    AutoCheckpointPolicy,
     default_checkpoint_path,
-    install_auto_checkpoints,
 )
 from repro.robustness.runner import CampaignRunner
 from repro.sim import parallel
@@ -257,8 +257,8 @@ def test_restarted_task_resumes_from_last_checkpoint(tmp_path):
     ckpt_path = default_checkpoint_path(ckpt_dir, config, traces)
     flag = tmp_path / "first-attempt"
 
-    install_auto_checkpoints(ckpt_dir, every_slots=16)
-    try:
+    policy = AutoCheckpointPolicy(ckpt_dir, every_slots=16)
+    with run_context(checkpoints=policy):
         pool = TaskPool(jobs=1, hung_after=0.6, max_restarts=1)
         results = pool.run(
             [
@@ -268,8 +268,6 @@ def test_restarted_task_resumes_from_last_checkpoint(tmp_path):
                 )
             ]
         )
-    finally:
-        clear_auto_checkpoints()
 
     assert results[0].ok
     assert results[0].restarts == 1

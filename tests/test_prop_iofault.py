@@ -16,23 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sim_helpers import small_config, write_trace_of
+from sim_helpers import fast_io_context, small_config, write_trace_of
 
-from repro.common import fileio
+from repro.common.context import run_context
 from repro.common.errors import ObservabilityError, PersistenceError
 from repro.common.fileio import persist_text
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
-from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
-    install_auto_checkpoints,
-)
-from repro.robustness.iofault import IoFaultKind, IoFaultPlan, IoFaultSpec, io_faults
-from repro.sim.cache import (
-    SimResultCache,
-    clear_result_cache,
-    install_result_cache,
-)
+from repro.robustness.checkpoint import AutoCheckpointPolicy
+from repro.robustness.iofault import IoFaultKind, IoFaultPlan, IoFaultSpec
+from repro.sim.cache import SimResultCache
 from repro.sim.export import write_report_json
 from repro.sim.simulator import simulate
 
@@ -46,9 +39,9 @@ def _workload():
 
 
 def _campaign(root, config, traces):
-    cache = install_result_cache(root / "cache")
-    install_auto_checkpoints(root / "ckpts", every_slots=32)
-    try:
+    cache = SimResultCache(root / "cache")
+    policy = AutoCheckpointPolicy(root / "ckpts", every_slots=32)
+    with run_context(result_cache=cache, checkpoints=policy):
         report = simulate(config, traces)
         cache._memo.clear()
         again = simulate(config, traces)
@@ -63,9 +56,6 @@ def _campaign(root, config, traces):
             + "\n",
             site="manifest",
         )
-    finally:
-        clear_result_cache()
-        clear_auto_checkpoints()
     return report.latencies()
 
 
@@ -83,10 +73,10 @@ _REFERENCES = {}
 def _reference(tmp_path_factory, engine):
     """Clean-run artifacts and latencies, computed once per engine."""
     if engine not in _REFERENCES:
-        fileio.reset_io_state()
         config = dataclasses.replace(small_config(), engine=engine)
         root = tmp_path_factory.mktemp(f"ref-{engine}")
-        latencies = _campaign(root, config, _workload())
+        with fast_io_context():
+            latencies = _campaign(root, config, _workload())
         _REFERENCES[engine] = {
             "config": config,
             "latencies": latencies,
@@ -125,18 +115,12 @@ def test_prop_any_fault_schedule_leaves_only_clean_artifacts(
     reference = _reference(tmp_path_factory, engine)
     traces = _workload()
     root = tmp_path_factory.mktemp("case")
-    fileio.reset_io_state()
-    fileio.set_essential_retry(fileio.EssentialRetryPolicy(backoff_base=0.0))
-    try:
-        completed = None
-        with io_faults(IoFaultPlan(specs, seed=seed)):
-            try:
-                completed = _campaign(root, reference["config"], traces)
-            except (PersistenceError, ObservabilityError):
-                pass  # loud typed failure: the allowed essential outcome
-    finally:
-        fileio.set_essential_retry(fileio.EssentialRetryPolicy())
-        fileio.reset_io_state()
+    completed = None
+    with fast_io_context(io_hook=IoFaultPlan(specs, seed=seed)):
+        try:
+            completed = _campaign(root, reference["config"], traces)
+        except (PersistenceError, ObservabilityError):
+            pass  # loud typed failure: the allowed essential outcome
 
     # Degraded-but-completed runs produced the clean run's results.
     if completed is not None:

@@ -421,13 +421,9 @@ class TestManifestJournal:
         assert path.read_bytes() == snapshot
 
     def test_short_write_on_append_falls_back_to_compaction(self, tmp_path):
+        from repro.common.context import run_context
         from repro.common.fileio import io_metrics
-        from repro.robustness.iofault import (
-            IoFaultKind,
-            IoFaultPlan,
-            IoFaultSpec,
-            io_faults,
-        )
+        from repro.robustness.iofault import IoFaultKind, IoFaultPlan, IoFaultSpec
 
         ref = tmp_path / "ref.json"
         CampaignRunner(manifest_path=ref).run(self.TASKS)
@@ -447,7 +443,8 @@ class TestManifestJournal:
         spec = IoFaultSpec(
             kind=IoFaultKind.SHORT_WRITE, nth=2, count=1, site="manifest"
         )
-        with io_faults(IoFaultPlan([spec])) as plan:
+        plan = IoFaultPlan([spec])
+        with run_context(io_hook=plan):
             CampaignRunner(manifest_path=path).run(tasks)
         assert plan.fired_count == 1
         assert io_metrics().counter("io.fault.manifest").value == before + 1

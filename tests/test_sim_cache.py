@@ -14,15 +14,13 @@ import pytest
 
 from sim_helpers import small_config, write_trace_of
 
+from repro.common.context import current_run_context, run_context
 from repro.common.errors import ConfigurationError
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import metrics_to_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.cache import (
     SimResultCache,
-    active_result_cache,
-    clear_result_cache,
-    install_result_cache,
     load_report,
     report_state,
 )
@@ -34,13 +32,6 @@ from repro.sim.codec import (
 )
 from repro.sim.export import report_to_dict
 from repro.sim.simulator import _simulate_uncached, simulate
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_policy():
-    clear_result_cache()
-    yield
-    clear_result_cache()
 
 
 def _traces(num_cores=2):
@@ -107,10 +98,11 @@ def test_installed_cache_threads_through_simulate(tmp_path):
     config = small_config(num_cores=2)
     traces = _traces()
     baseline = _simulate_uncached(config, traces)
-    cache = install_result_cache(tmp_path)
-    assert active_result_cache() is cache
-    first = simulate(config, traces)
-    second = simulate(config, traces)
+    cache = SimResultCache(tmp_path)
+    with run_context(result_cache=cache):
+        assert current_run_context().result_cache is cache
+        first = simulate(config, traces)
+        second = simulate(config, traces)
     for report in (first, second):
         assert _canonical_surfaces(report, config) == _canonical_surfaces(
             baseline, config
@@ -118,16 +110,16 @@ def test_installed_cache_threads_through_simulate(tmp_path):
     assert _counter(cache, "misses") == 1
     assert _counter(cache, "stores") == 1
     assert _counter(cache, "hits") == 1
-    clear_result_cache()
-    assert active_result_cache() is None
+    assert current_run_context().result_cache is None
 
 
 def test_event_sink_runs_bypass_the_cache(tmp_path):
     config = small_config(num_cores=2)
     traces = _traces()
-    cache = install_result_cache(tmp_path)
+    cache = SimResultCache(tmp_path)
     seen = []
-    simulate(config, traces, event_sink=seen.append)
+    with run_context(result_cache=cache):
+        simulate(config, traces, event_sink=seen.append)
     assert seen, "the sink must have streamed events"
     assert cache.stats().entries == 0
     assert _counter(cache, "misses") == 0
@@ -198,8 +190,8 @@ def test_version_mismatch_discarded_and_recomputed(tmp_path, monkeypatch):
     assert not path.exists(), "a stale entry must be deleted"
 
     # The recompute-and-restore loop ends byte-identical.
-    install_result_cache(tmp_path, registry=cache.registry)
-    recomputed = simulate(config, traces)
+    with run_context(result_cache=SimResultCache(tmp_path, cache.registry)):
+        recomputed = simulate(config, traces)
     assert _canonical_surfaces(recomputed, config) == _canonical_surfaces(
         baseline, config
     )
@@ -274,9 +266,10 @@ def test_stale_tmp_swept_on_startup(tmp_path):
 def test_engine_override_is_part_of_the_key(tmp_path):
     config = small_config(num_cores=2)
     traces = _traces()
-    cache = install_result_cache(tmp_path)
-    fast = simulate(config, traces)
-    reference = simulate(config, traces, engine="reference")
+    cache = SimResultCache(tmp_path)
+    with run_context(result_cache=cache):
+        fast = simulate(config, traces)
+        reference = simulate(config, traces, engine="reference")
     assert _counter(cache, "misses") == 2, (
         "an engine override must key (and simulate) separately"
     )
