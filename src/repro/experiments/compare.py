@@ -109,15 +109,17 @@ def compare_notations(
 ) -> CompareResult:
     """Run every notation against the same suite-built traces.
 
-    With ``jobs > 1`` the per-notation simulations run in worker
-    processes; rows come back in the caller's notation order, so the
-    result equals a serial run.  With ``with_metrics=True`` each
-    notation's report is distilled into a ``config``-labelled registry
-    inside its task (workers ship picklable registries, not reports)
-    and merged in notation order into ``result.metrics``.  ``engine``
-    overrides :attr:`SystemConfig.engine` for every notation's run.
+    The per-notation simulations are one task list for
+    :func:`repro.sim.parallel.run_parallel` (inline, or in worker
+    processes with ``jobs > 1``); rows come back in the caller's
+    notation order, so the result equals a serial run.  With
+    ``with_metrics=True`` each notation's report is distilled into a
+    ``config``-labelled registry inside its task (workers ship
+    picklable registries, not reports) and merged in notation order
+    into ``result.metrics``.  ``engine`` overrides
+    :attr:`SystemConfig.engine` for every notation's run.
     """
-    from repro.sim.parallel import parallel_available, run_parallel
+    from repro.sim.parallel import run_parallel
 
     require(bool(notations), "need at least one notation", ConfigurationError)
     traces = get_suite(suite).build(
@@ -152,14 +154,13 @@ def compare_notations(
             )
         return row, registry
 
-    if jobs > 1 and len(notations) > 1 and parallel_available():
-        tasks = [
+    outcomes = run_parallel(
+        [
             (f"{index}-{notation}", lambda notation=notation: one_row(notation))
             for index, notation in enumerate(notations)
-        ]
-        outcomes = run_parallel(tasks, jobs=jobs)
-    else:
-        outcomes = [one_row(notation) for notation in notations]
+        ],
+        jobs,
+    )
     rows = [row for row, _ in outcomes]
     metrics = None
     if with_metrics:

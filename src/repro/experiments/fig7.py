@@ -160,10 +160,11 @@ def run_fig7(
     :class:`~repro.common.errors.InvariantViolation` instead of
     polluting the figure.
 
-    With ``jobs > 1`` the configuration × address-range grid of
-    independent simulations runs in worker processes; rows come back in
-    the same canonical (configuration, range) order, so the result is
-    identical to a serial run.
+    The configuration × address-range grid of independent simulations
+    is one task list for :func:`repro.sim.parallel.run_parallel`, which
+    runs it inline or, with ``jobs > 1``, in worker processes; rows come
+    back in the same canonical (configuration, range) order, so the
+    result is identical either way.
 
     With ``with_metrics=True`` each cell's report is distilled into a
     :class:`~repro.obs.metrics.MetricsRegistry`
@@ -178,7 +179,7 @@ def run_fig7(
     """
     import dataclasses
 
-    from repro.sim.parallel import parallel_available, run_parallel
+    from repro.sim.parallel import run_parallel
 
     cells: List[tuple] = []
     for notation_text in FIG7_CONFIGS:
@@ -198,22 +199,18 @@ def run_fig7(
         for address_range in address_ranges:
             cells.append((notation_text, config, bound, address_range, steer))
 
-    if jobs > 1 and len(cells) > 1 and parallel_available():
-        tasks = [
+    reports = run_parallel(
+        [
             (
                 f"{notation_text}/range-{address_range}",
                 lambda config=config, address_range=address_range, steer=steer: (
                     _run_one(config, address_range, num_requests, seed, steer, engine)
                 ),
             )
-            for notation_text, config, bound, address_range, steer in cells
-        ]
-        reports = run_parallel(tasks, jobs=jobs)
-    else:
-        reports = [
-            _run_one(config, address_range, num_requests, seed, steer, engine)
-            for _, config, _, address_range, steer in cells
-        ]
+            for notation_text, config, _, address_range, steer in cells
+        ],
+        jobs,
+    )
 
     rows = [
         Fig7Row(

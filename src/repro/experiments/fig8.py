@@ -234,8 +234,9 @@ def run_fig8(
 ) -> Fig8Result:
     """Run one sub-figure (``"8a"`` .. ``"8d"``).
 
-    With ``jobs > 1`` the range × configuration grid runs in worker
-    processes (:mod:`repro.sim.parallel`); rows are assembled in
+    The range × configuration grid is one task list for
+    :func:`repro.sim.parallel.run_parallel`, which runs it inline or,
+    with ``jobs > 1``, in worker processes; rows are assembled in
     canonical (range, SS/NSS/P) order either way, so the result is
     identical to a serial run.  With ``with_metrics=True`` each cell
     returns a relabelled registry alongside its makespan; the cells
@@ -244,7 +245,7 @@ def run_fig8(
     :attr:`SystemConfig.engine` per cell (``"fast"``/``"reference"``);
     the figures are bit-identical under either engine.
     """
-    from repro.sim.parallel import parallel_available, run_parallel
+    from repro.sim.parallel import run_parallel
 
     if subfigure not in SUBFIGURES:
         raise KeyError(
@@ -256,8 +257,8 @@ def run_fig8(
         for address_range in address_ranges
         for kind in _FIG8_KINDS
     ]
-    if jobs > 1 and len(cells) > 1 and parallel_available():
-        tasks = [
+    outcomes = run_parallel(
+        [
             (
                 f"range-{address_range}/{kind.name}",
                 lambda address_range=address_range, kind=kind: _run_cell(
@@ -272,22 +273,9 @@ def run_fig8(
                 ),
             )
             for address_range, kind in cells
-        ]
-        outcomes = run_parallel(tasks, jobs=jobs)
-    else:
-        outcomes = [
-            _run_cell(
-                kind,
-                num_cores,
-                capacity,
-                address_range,
-                num_requests,
-                seed,
-                with_metrics,
-                engine,
-            )
-            for address_range, kind in cells
-        ]
+        ],
+        jobs,
+    )
     makespans = [makespan for makespan, _ in outcomes]
     metrics = None
     if with_metrics:

@@ -65,6 +65,7 @@ from repro.common.fileio import (
 )
 from repro.common.validation import require
 from repro.sim.config import SystemConfig
+from repro.sim.parallel import PoolResult, TaskPool, pool_enabled
 from repro.sim.report import SimReport
 from repro.sim.sweeps import SweepResult, TraceFactory, run_seed
 
@@ -409,11 +410,11 @@ class CampaignRunner:
         tasks are dispatched to a fork-backed pool
         (:class:`repro.sim.parallel.TaskPool`): the timeout is enforced
         by the *parent* (a hung worker is killed, not merely signalled),
-        retry/quarantine semantics are unchanged, manifest entries are
-        still journalled durably as each task completes, and
-        outcomes are reported in canonical task order so the campaign
-        result matches a serial run.  Falls back to serial where the
-        ``fork`` start method is unavailable.
+        retry/quarantine semantics are unchanged, and each result is
+        settled into the same manifest entry as a serial one as it
+        completes; outcomes are reported in canonical task order so the
+        campaign result matches a serial run.  Falls back to serial
+        where the ``fork`` start method is unavailable.
     sleep / clock:
         Injection points for tests (backoff sleeping, elapsed timing;
         serial path only — the pool schedules its own backoff).
@@ -464,13 +465,10 @@ class CampaignRunner:
         self.max_restarts = max_restarts
         self.rss_limit_bytes = rss_limit_bytes
         self.registry = registry
-        # Whether the most recent _call_with_timeout actually armed the
-        # requested budget; manifest entries record the (rare) case it
-        # could not.  One loud warning per runner, not one per task.
-        self._last_timeout_enforced = True
+        # One loud unenforceable-timeout warning per runner, not per run.
         self._timeout_warning_issued = False
 
-    # -- timeout enforcement -------------------------------------------
+    # -- one task, in this process -------------------------------------
     @staticmethod
     def _can_use_alarm() -> bool:
         return (
@@ -478,29 +476,12 @@ class CampaignRunner:
             and threading.current_thread() is threading.main_thread()
         )
 
-    def _call_with_timeout(self, name: str, thunk: Callable[[], Any]) -> Any:
-        if self.timeout is None:
-            self._last_timeout_enforced = True
-            return thunk()
-        if not self._can_use_alarm():
-            # SIGALRM is unavailable off the main thread / platform; the
-            # task runs untimed.  Say so loudly (once) and flag it, so a
-            # manifest never silently pretends the budget applied.
-            self._last_timeout_enforced = False
-            if not self._timeout_warning_issued:
-                self._timeout_warning_issued = True
-                warnings.warn(
-                    f"campaign timeout of {self.timeout}s cannot be "
-                    "enforced here (SIGALRM unavailable: not the main "
-                    "thread of a Unix process); tasks run untimed and "
-                    "their manifest entries record timeout_enforced: "
-                    "false",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return thunk()
-        self._last_timeout_enforced = True
+    def _is_transient(self, exc: BaseException) -> bool:
+        return isinstance(exc, self.transient_types) and not isinstance(
+            exc, ReproError
+        )
 
+    def _call_with_alarm(self, name: str, thunk: Callable[[], Any]) -> Any:
         def _on_alarm(signum, frame):  # pragma: no cover - trivial
             raise TaskTimeoutError(
                 f"task {name!r} exceeded its wall-clock budget of "
@@ -515,6 +496,37 @@ class CampaignRunner:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
+    def _run_inline(
+        self, index: int, name: str, thunk: Callable[[], Any], alarm: bool
+    ) -> PoolResult:
+        """Run one task here, under the SIGALRM budget when ``alarm``.
+
+        Transient failures are retried after ``sleep(retry.delay(n))``.
+        A timeout is a :class:`ReproError`, so it never is — a hung task
+        will hang again.
+        """
+        started = self.clock()
+        attempt = 0
+        while True:
+            attempt += 1
+            value, error = None, None
+            try:
+                value = self._call_with_alarm(name, thunk) if alarm else thunk()
+            except Exception as exc:
+                if self._is_transient(exc) and attempt < self.retry.max_attempts:
+                    self.sleep(self.retry.delay(attempt))
+                    continue
+                error = exc
+            return PoolResult(
+                index=index,
+                name=name,
+                status="done" if error is None else "error",
+                value=value,
+                error=error,
+                attempts=attempt,
+                elapsed_seconds=self.clock() - started,
+            )
+
     # -- main entry point ----------------------------------------------
     def run(
         self,
@@ -526,11 +538,12 @@ class CampaignRunner:
 
         With ``resume=True`` (the default) tasks already marked done in
         the manifest are skipped, so re-invoking an interrupted campaign
-        completes only the remaining work.  Each outcome is journalled
-        as it completes; the manifest is compacted when the run starts
-        over a leftover journal, when it finishes, and when a
-        ``KeyboardInterrupt`` propagates — the canonical "killed
-        mid-campaign" path.
+        completes only the remaining work.  The rest run inline or on
+        the pool, and every finished task goes through :meth:`_settle`,
+        which journals its entry.  The manifest is compacted when the
+        run starts over a leftover journal, when it finishes, and when a
+        ``KeyboardInterrupt`` propagates from any point of the run — the
+        canonical "killed mid-campaign" path.
         """
         names = [name for name, _ in tasks]
         require(
@@ -550,53 +563,11 @@ class CampaignRunner:
             # tail, and keeps a fresh campaign from journalling on top of
             # an older campaign's snapshot.
             manifest.save()
-        result = CampaignResult(manifest=manifest)
-        if self.jobs > 1:
-            from repro.sim.parallel import parallel_available
-
-            if parallel_available():
-                self._run_parallel(tasks, resume, manifest, result, progress)
-                manifest.save()
-                return result
-        for name, thunk in tasks:
-            if resume and manifest.is_done(name):
-                outcome = TaskOutcome(
-                    name=name, status="skipped", attempts=0, elapsed_seconds=0.0
-                )
-                result.outcomes.append(outcome)
-                if progress is not None:
-                    progress(f"{name}: already done (resumed)")
-                continue
-            outcome = self._run_task(name, thunk, manifest)
-            result.outcomes.append(outcome)
-            if progress is not None:
-                tag = "PASS" if outcome.status == "done" else "QUARANTINED"
-                progress(f"{name}: {tag}")
-        manifest.save()
-        return result
-
-    def _run_parallel(
-        self,
-        tasks: Sequence[Task],
-        resume: bool,
-        manifest: RunManifest,
-        result: CampaignResult,
-        progress: Optional[Callable[[str], None]],
-    ) -> None:
-        """Dispatch runnable tasks to the fork-backed pool.
-
-        Resume semantics match the serial path (done tasks are skipped);
-        each completing worker checkpoints its manifest entry at once;
-        outcomes are merged back in canonical task order so a parallel
-        campaign's :class:`CampaignResult` equals a serial run's.
-        """
-        from repro.sim.parallel import PoolResult, TaskPool
-
-        skipped: Dict[str, TaskOutcome] = {}
+        outcomes: Dict[str, TaskOutcome] = {}
         runnable: List[Task] = []
         for name, thunk in tasks:
             if resume and manifest.is_done(name):
-                skipped[name] = TaskOutcome(
+                outcomes[name] = TaskOutcome(
                     name=name, status="skipped", attempts=0, elapsed_seconds=0.0
                 )
                 if progress is not None:
@@ -604,156 +575,86 @@ class CampaignRunner:
             else:
                 runnable.append((name, thunk))
 
-        outcomes: Dict[str, TaskOutcome] = {}
-
-        def on_result(pool_result: PoolResult) -> None:
-            outcome = self._record_pool_result(pool_result, manifest)
-            outcomes[outcome.name] = outcome
-            if progress is not None:
-                tag = "PASS" if outcome.status == "done" else "QUARANTINED"
-                progress(f"{outcome.name}: {tag}")
-
-        pool = TaskPool(
-            jobs=self.jobs,
-            timeout=self.timeout,
-            retry=self.retry,
-            is_transient=lambda exc: (
-                isinstance(exc, self.transient_types)
-                and not isinstance(exc, ReproError)
-            ),
-            hung_after=self.hung_after,
-            max_restarts=self.max_restarts,
-            rss_limit_bytes=self.rss_limit_bytes,
-            registry=self.registry,
+        use_pool = pool_enabled(self.jobs)
+        # The pool enforces its timeout from the parent; inline, the
+        # budget needs SIGALRM on the main thread.
+        untimed = self.timeout is not None and not (
+            use_pool or self._can_use_alarm()
         )
+        if untimed and runnable and not self._timeout_warning_issued:
+            self._timeout_warning_issued = True
+            warnings.warn(
+                f"campaign timeout of {self.timeout}s cannot be "
+                "enforced here (SIGALRM unavailable: not the main "
+                "thread of a Unix process); tasks run untimed and "
+                "their manifest entries record timeout_enforced: "
+                "false",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+        def settle(pool_result: PoolResult) -> None:
+            outcomes[pool_result.name] = self._settle(
+                pool_result, manifest, progress, untimed
+            )
+
         try:
-            pool.run(runnable, on_result=on_result)
+            if use_pool:
+                TaskPool(
+                    jobs=self.jobs,
+                    timeout=self.timeout,
+                    retry=self.retry,
+                    is_transient=self._is_transient,
+                    hung_after=self.hung_after,
+                    max_restarts=self.max_restarts,
+                    rss_limit_bytes=self.rss_limit_bytes,
+                    registry=self.registry,
+                ).run(runnable, on_result=settle)
+            else:
+                alarm = self.timeout is not None and not untimed
+                for index, (name, thunk) in enumerate(runnable):
+                    settle(self._run_inline(index, name, thunk, alarm))
         except KeyboardInterrupt:
-            # Killed mid-campaign: everything completed so far is
-            # already journalled; compact and let the interrupt
-            # unwind — the next run resumes from here.
+            # Killed mid-campaign: everything finished so far is already
+            # journalled; compact and let the interrupt unwind — the
+            # next run resumes from here.
             manifest.save()
             raise
-        result.outcomes.extend(
-            skipped[name] if name in skipped else outcomes[name]
-            for name, _ in tasks
+        manifest.save()
+        return CampaignResult(
+            outcomes=[outcomes[name] for name in names], manifest=manifest
         )
 
-    def _record_pool_result(
-        self, pool_result: "Any", manifest: RunManifest
+    def _settle(
+        self,
+        pool_result: PoolResult,
+        manifest: RunManifest,
+        progress: Optional[Callable[[str], None]],
+        untimed: bool,
     ) -> TaskOutcome:
-        """Checkpoint one pool completion; mirror the serial entries."""
-        if pool_result.ok:
-            manifest.record(
-                pool_result.name,
-                {
-                    "status": "done",
-                    "attempts": pool_result.attempts,
-                    "elapsed_seconds": round(pool_result.elapsed_seconds, 3),
-                    "error": None,
-                    "error_type": None,
-                    "payload": self.payload_of(pool_result.value),
-                },
-            )
-            return TaskOutcome(
-                name=pool_result.name,
-                status="done",
-                attempts=pool_result.attempts,
-                elapsed_seconds=pool_result.elapsed_seconds,
-                result=pool_result.value,
-            )
-        error = pool_result.error
-        manifest.record(
-            pool_result.name,
-            {
-                "status": "quarantined",
-                "attempts": pool_result.attempts,
-                "elapsed_seconds": round(pool_result.elapsed_seconds, 3),
-                "error": str(error),
-                "error_type": type(error).__name__,
-                "payload": None,
-            },
-        )
+        """Journal one finished task's manifest entry; return its outcome."""
+        ok, error = pool_result.ok, pool_result.error
+        entry: Dict[str, Any] = {
+            "status": "done" if ok else "quarantined",
+            "attempts": pool_result.attempts,
+            "elapsed_seconds": round(pool_result.elapsed_seconds, 3),
+            "error": None if ok else str(error),
+            "error_type": None if ok else type(error).__name__,
+            "payload": self.payload_of(pool_result.value) if ok else None,
+        }
+        if untimed:
+            entry["timeout_enforced"] = False
+        manifest.record(pool_result.name, entry)
+        if progress is not None:
+            progress(f"{pool_result.name}: {'PASS' if ok else 'QUARANTINED'}")
         return TaskOutcome(
             name=pool_result.name,
-            status="quarantined",
+            status=entry["status"],
             attempts=pool_result.attempts,
             elapsed_seconds=pool_result.elapsed_seconds,
-            error_type=type(error).__name__,
-            error=str(error),
-        )
-
-    def _run_task(
-        self, name: str, thunk: Callable[[], Any], manifest: RunManifest
-    ) -> TaskOutcome:
-        started = self.clock()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                task_result = self._call_with_timeout(name, thunk)
-            except KeyboardInterrupt:
-                # Killed mid-task: checkpoint what we have, then let the
-                # interrupt unwind — the next run resumes from here.
-                manifest.save()
-                raise
-            except TaskTimeoutError as exc:
-                # A hung task will hang again — straight to quarantine.
-                return self._quarantine(name, manifest, attempt, started, exc)
-            except self.transient_types as exc:
-                if isinstance(exc, ReproError) or attempt >= self.retry.max_attempts:
-                    return self._quarantine(name, manifest, attempt, started, exc)
-                self.sleep(self.retry.delay(attempt))
-                continue
-            except Exception as exc:
-                return self._quarantine(name, manifest, attempt, started, exc)
-            elapsed = self.clock() - started
-            entry = {
-                "status": "done",
-                "attempts": attempt,
-                "elapsed_seconds": round(elapsed, 3),
-                "error": None,
-                "error_type": None,
-                "payload": self.payload_of(task_result),
-            }
-            if not self._last_timeout_enforced:
-                entry["timeout_enforced"] = False
-            manifest.record(name, entry)
-            return TaskOutcome(
-                name=name,
-                status="done",
-                attempts=attempt,
-                elapsed_seconds=elapsed,
-                result=task_result,
-            )
-
-    def _quarantine(
-        self,
-        name: str,
-        manifest: RunManifest,
-        attempts: int,
-        started: float,
-        exc: BaseException,
-    ) -> TaskOutcome:
-        elapsed = self.clock() - started
-        entry = {
-            "status": "quarantined",
-            "attempts": attempts,
-            "elapsed_seconds": round(elapsed, 3),
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "payload": None,
-        }
-        if not self._last_timeout_enforced:
-            entry["timeout_enforced"] = False
-        manifest.record(name, entry)
-        return TaskOutcome(
-            name=name,
-            status="quarantined",
-            attempts=attempts,
-            elapsed_seconds=elapsed,
-            error_type=type(exc).__name__,
-            error=str(exc),
+            error_type=entry["error_type"],
+            error=entry["error"],
+            result=pool_result.value,
         )
 
 
@@ -1019,27 +920,16 @@ def sweep_seeds_robust(
     ]
     campaign = runner.run(tasks, progress=progress)
     completed: List[int] = []
-    observed: List[int] = []
-    makespans: List[int] = []
+    reports: List[SimReport] = []
     quarantined: List[int] = []
     for seed, outcome in zip(seeds, campaign.outcomes):
         if outcome.status == "done" and outcome.result is not None:
             completed.append(seed)
-            observed.append(outcome.result.observed_wcl())
-            makespans.append(outcome.result.makespan)
+            reports.append(outcome.result)
         else:
             quarantined.append(seed)
-    result = (
-        SweepResult(
-            seeds=tuple(completed),
-            observed_wcls=tuple(observed),
-            makespans=tuple(makespans),
-        )
-        if completed
-        else None
-    )
     return RobustSweepResult(
-        result=result,
+        result=SweepResult.from_reports(completed, reports) if completed else None,
         completed_seeds=tuple(completed),
         quarantined_seeds=tuple(quarantined),
         campaign=campaign,

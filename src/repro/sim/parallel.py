@@ -42,8 +42,13 @@ Design notes
 * **Bounded concurrency.**  At most ``jobs`` workers run at once;
   completed slots are refilled from the pending queue in submission
   order (transient retries re-enter the queue with a backoff deadline).
-* On platforms without ``fork`` (Windows), :func:`parallel_available`
-  is ``False`` and every caller falls back to its serial path.
+* **One serial-or-fork choice.**  :func:`run_parallel` is the
+  fallback of every plain grid, which only builds its task list: it
+  runs the tasks inline, in order, when ``jobs`` is 1, when there is
+  one task, or when :func:`parallel_available` is ``False`` (no
+  ``fork``, e.g. Windows); otherwise it uses the pool.  The campaign
+  runner, which needs the pool's supervision, asks the same
+  :func:`pool_enabled`.
 """
 
 from __future__ import annotations
@@ -624,19 +629,24 @@ class TaskPool:
                 on_result(result)
 
 
-def run_parallel(
-    tasks: Sequence[PoolTask],
-    jobs: int,
-    timeout: Optional[float] = None,
-) -> List[Any]:
+def pool_enabled(jobs: int) -> bool:
+    """Whether ``jobs`` workers means the fork pool rather than inline."""
+    return jobs > 1 and parallel_available()
+
+
+def run_parallel(tasks: Sequence[PoolTask], jobs: int) -> List[Any]:
     """Run ``tasks`` with ``jobs`` workers; return values in task order.
 
-    The strict variant used by the plain (non-robust) sweeps: the first
-    failing task — in canonical submission order, regardless of which
-    worker failed first — has its worker-side exception re-raised in the
-    parent, matching the serial loop's fail-fast behaviour.
+    The strict runner behind every grid: the first failing task — in
+    canonical submission order, regardless of which worker failed first
+    — has its exception raised in the caller.  With one worker, one
+    task or no ``fork`` the tasks run inline, stopping at that failure;
+    otherwise they run on a :class:`TaskPool` and the failure's
+    worker-side exception is re-raised in the parent.
     """
-    results = TaskPool(jobs=jobs, timeout=timeout).run(tasks)
+    if len(tasks) <= 1 or not pool_enabled(jobs):
+        return [thunk() for _, thunk in tasks]
+    results = TaskPool(jobs=jobs).run(tasks)
     for result in results:
         if not result.ok:
             raise result.error  # noqa: B904 - worker traceback is lost

@@ -20,7 +20,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -52,6 +51,21 @@ class SweepResult:
     #: only), every series labelled ``seed=<seed>``.  Excluded from
     #: equality: two sweeps are "the same sweep" by their aggregates.
     metrics: Optional["MetricsRegistry"] = field(default=None, compare=False)
+
+    @classmethod
+    def from_reports(
+        cls,
+        seeds: Sequence[int],
+        reports: Sequence[SimReport],
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> "SweepResult":
+        """Aggregate one report per seed, in seed order."""
+        return cls(
+            seeds=tuple(seeds),
+            observed_wcls=tuple(report.observed_wcl() for report in reports),
+            makespans=tuple(report.makespan for report in reports),
+            metrics=metrics,
+        )
 
     @property
     def max_observed_wcl(self) -> Cycle:
@@ -119,28 +133,6 @@ def run_seed(
     return report
 
 
-def _sweep_reports(
-    config: SystemConfig,
-    trace_factory: TraceFactory,
-    seeds: Sequence[int],
-    check: Optional[Callable[[SimReport], None]],
-    jobs: int,
-) -> List[SimReport]:
-    """One report per seed, in seed order, serial or fanned out."""
-    from repro.sim.parallel import parallel_available, run_parallel
-
-    if jobs > 1 and len(seeds) > 1 and parallel_available():
-        tasks = [
-            (
-                f"seed-{seed}",
-                lambda seed=seed: run_seed(config, trace_factory, seed, check),
-            )
-            for seed in seeds
-        ]
-        return run_parallel(tasks, jobs=jobs)
-    return [run_seed(config, trace_factory, seed, check) for seed in seeds]
-
-
 def sweep_seeds(
     config: SystemConfig,
     trace_factory: TraceFactory,
@@ -151,16 +143,28 @@ def sweep_seeds(
 ) -> SweepResult:
     """Run ``config`` once per seed; optionally verify each report.
 
-    With ``jobs > 1`` the per-seed simulations run in worker processes
-    (:mod:`repro.sim.parallel`); results are aggregated in canonical
-    seed order, so the returned :class:`SweepResult` is bit-identical
-    to the serial one.  With ``with_metrics=True`` each seed's report
-    is distilled into a ``seed``-labelled registry and merged in seed
-    order into ``result.metrics`` — the same canonical-order merge, so
-    parallel metrics equal serial metrics byte for byte.
+    The seeds are one task each for
+    :func:`repro.sim.parallel.run_parallel`, which runs them inline or,
+    with ``jobs > 1``, in worker processes; results are aggregated in
+    canonical seed order, so the returned :class:`SweepResult` is
+    bit-identical either way.  With ``with_metrics=True`` each seed's
+    report is distilled into a ``seed``-labelled registry and merged in
+    seed order into ``result.metrics`` — the same canonical-order merge,
+    so parallel metrics equal serial metrics byte for byte.
     """
+    from repro.sim.parallel import run_parallel
+
     require(bool(seeds), "sweep needs at least one seed", ConfigurationError)
-    reports = _sweep_reports(config, trace_factory, seeds, check, jobs)
+    reports = run_parallel(
+        [
+            (
+                f"seed-{seed}",
+                lambda seed=seed: run_seed(config, trace_factory, seed, check),
+            )
+            for seed in seeds
+        ],
+        jobs,
+    )
     metrics = None
     if with_metrics:
         from repro.obs.collect import collect_metrics
@@ -172,12 +176,7 @@ def sweep_seeds(
                 for seed, report in zip(seeds, reports)
             ]
         )
-    return SweepResult(
-        seeds=tuple(seeds),
-        observed_wcls=tuple(report.observed_wcl() for report in reports),
-        makespans=tuple(report.makespan for report in reports),
-        metrics=metrics,
-    )
+    return SweepResult.from_reports(seeds, reports, metrics)
 
 
 def compare_configs(
@@ -193,15 +192,17 @@ def compare_configs(
     different partitioned configurations" requirement, now across a
     whole distribution.
 
-    With ``jobs > 1`` the whole configuration × seed grid is flattened
-    into one task pool, then re-aggregated per configuration in
-    canonical (insertion, seed) order — identical to the serial result.
+    The whole configuration × seed grid is one task list for
+    :func:`repro.sim.parallel.run_parallel` (inline, or on worker
+    processes with ``jobs > 1``), re-aggregated per configuration in
+    canonical (insertion, seed) order — identical either way.
     """
-    from repro.sim.parallel import parallel_available, run_parallel
+    from repro.sim.parallel import run_parallel
 
+    require(bool(seeds), "sweep needs at least one seed", ConfigurationError)
     names = list(configs)
-    if jobs > 1 and len(names) * len(seeds) > 1 and parallel_available():
-        tasks = [
+    reports = run_parallel(
+        [
             (
                 f"{name}/seed-{seed}",
                 lambda name=name, seed=seed: run_seed(
@@ -210,21 +211,13 @@ def compare_configs(
             )
             for name in names
             for seed in seeds
-        ]
-        reports = run_parallel(tasks, jobs=jobs)
-        per_config = {
-            name: reports[i * len(seeds) : (i + 1) * len(seeds)]
-            for i, name in enumerate(names)
-        }
-        return {
-            name: SweepResult(
-                seeds=tuple(seeds),
-                observed_wcls=tuple(r.observed_wcl() for r in cell),
-                makespans=tuple(r.makespan for r in cell),
-            )
-            for name, cell in per_config.items()
-        }
+        ],
+        jobs,
+    )
+    width = len(seeds)
     return {
-        name: sweep_seeds(config, trace_factory, seeds)
-        for name, config in configs.items()
+        name: SweepResult.from_reports(
+            seeds, reports[i * width : (i + 1) * width]
+        )
+        for i, name in enumerate(names)
     }

@@ -81,6 +81,45 @@ def test_run_parallel_returns_values_in_task_order():
     assert run_parallel(tasks, jobs=3) == [10, 11, 12, 13, 14]
 
 
+#: (jobs, task count, fork available) for each way run_parallel stays
+#: in the calling process.
+_INLINE_CASES = {
+    "one-job": (1, 3, True),
+    "one-task": (4, 1, True),
+    "no-fork": (4, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INLINE_CASES))
+def test_run_parallel_falls_back_to_inline_in_task_order(case, monkeypatch):
+    from repro.sim import parallel as parallel_mod
+
+    jobs, count, fork = _INLINE_CASES[case]
+    monkeypatch.setattr(parallel_mod, "parallel_available", lambda: fork)
+    parent = os.getpid()
+    tasks = [(f"t{i}", lambda i=i: (os.getpid(), i)) for i in range(count)]
+    assert run_parallel(tasks, jobs=jobs) == [(parent, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("case", sorted(_INLINE_CASES))
+def test_run_parallel_inline_raises_the_first_failure(case, monkeypatch):
+    from repro.sim import parallel as parallel_mod
+
+    jobs, count, fork = _INLINE_CASES[case]
+    monkeypatch.setattr(parallel_mod, "parallel_available", lambda: fork)
+    ran = []
+
+    def fail(index):
+        ran.append(index)
+        raise ValueError(f"task {index} failed")
+
+    tasks = [(f"t{i}", lambda i=i: fail(i)) for i in range(count)]
+    with pytest.raises(ValueError, match="task 0 failed"):
+        run_parallel(tasks, jobs=jobs)
+    # Inline is fail-fast: nothing after the first failure ran.
+    assert ran == [0]
+
+
 def test_bounded_concurrency_still_completes_all_tasks():
     tasks = [(f"t{i}", lambda i=i: i) for i in range(9)]
     results = TaskPool(jobs=2).run(tasks)

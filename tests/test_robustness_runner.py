@@ -21,6 +21,7 @@ from repro.robustness.runner import (
     run_all_robust,
     sweep_seeds_robust,
 )
+from repro.sim.parallel import parallel_available
 from repro.sim.sweeps import sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
@@ -287,6 +288,109 @@ class TestManifestAndResume:
             RunManifest.load(path).results()
             == RunManifest.load(ref_path).results()
         )
+
+
+class TestSerialInterrupt:
+    def test_interrupt_during_retry_backoff_compacts_the_manifest(
+        self, tmp_path
+    ):
+        def down():
+            raise OSError("transient blip")
+
+        def interrupted_sleep(_seconds):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "m.json"
+        runner = CampaignRunner(
+            manifest_path=path,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.1),
+            sleep=interrupted_sleep,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            runner.run([("a", lambda: "ok"), ("b", down)])
+        # Ctrl-C in b's backoff still compacts: the snapshot holds a and
+        # no journal is left behind.
+        assert not path.with_name("m.json.journal").exists()
+        tasks = json.loads(path.read_text())["tasks"]
+        assert list(tasks) == ["a"]
+        assert tasks["a"]["status"] == "done"
+
+
+class TestSettleParity:
+    """Inline and pool results settle into the same manifest entries."""
+
+    KEYS = ["status", "attempts", "elapsed_seconds", "error", "error_type",
+            "payload"]
+    EXPECTED = {
+        "done": {
+            "status": "done", "attempts": 1, "error": None,
+            "error_type": None, "payload": {"value": 7},
+        },
+        "model-error": {
+            "status": "quarantined", "attempts": 1, "error": "deterministic",
+            "error_type": "SimulationError", "payload": None,
+        },
+        "recovers": {
+            "status": "done", "attempts": 2, "error": None,
+            "error_type": None, "payload": {"value": "recovered"},
+        },
+        "exhausts": {
+            "status": "quarantined", "attempts": 2, "error": "still down",
+            "error_type": "OSError", "payload": None,
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            1,
+            pytest.param(
+                2,
+                marks=pytest.mark.skipif(
+                    not parallel_available(), reason="needs fork"
+                ),
+            ),
+        ],
+    )
+    def test_entries_match_across_jobs(self, tmp_path, jobs):
+        # Each pool attempt is a fresh fork, so the first failure of
+        # "recovers" is remembered on disk.
+        marker = tmp_path / "failed-once"
+
+        def recovers():
+            if not marker.exists():
+                marker.touch()
+                raise OSError("transient blip")
+            return "recovered"
+
+        def model_error():
+            raise SimulationError("deterministic")
+
+        def exhausts():
+            raise OSError("still down")
+
+        path = tmp_path / "m.json"
+        CampaignRunner(
+            manifest_path=path,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            jobs=jobs,
+            sleep=lambda _s: None,
+        ).run(
+            [
+                ("done", lambda: 7),
+                ("model-error", model_error),
+                ("recovers", recovers),
+                ("exhausts", exhausts),
+            ]
+        )
+        entries = json.loads(path.read_text())["tasks"]
+        assert {name: list(entry) for name, entry in entries.items()} == {
+            name: self.KEYS for name in self.EXPECTED
+        }
+        assert {
+            name: {k: v for k, v in entry.items() if k != "elapsed_seconds"}
+            for name, entry in entries.items()
+        } == self.EXPECTED
 
 
 class TestManifestDurability:
