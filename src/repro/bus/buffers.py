@@ -158,32 +158,31 @@ class PendingWritebackBuffer:
         self._entries.append(entry)
         self.max_occupancy = max(self.max_occupancy, len(self._entries))
 
-    def _select(self, before: Optional[Cycle]) -> Optional[WritebackEntry]:
-        eligible = [
-            entry
-            for entry in self._entries
-            if before is None or entry.enqueued_at <= before
-        ]
-        for entry in eligible:
-            if entry.reason is WritebackReason.BACK_INVALIDATION:
-                return entry
-        return eligible[0] if eligible else None
-
     def pop(self, before: Optional[Cycle] = None) -> WritebackEntry:
         """Remove and return the next write-back to send.
 
         ``before`` restricts the choice to entries enqueued at or
         before that cycle (the slot-eligibility rule).
         """
-        entry = self._select(before)
+        entry = self.peek(before)
         if entry is None:
             raise SimulationError(f"core {self.core}: pop from empty PWB")
         self._entries.remove(entry)
         return entry
 
     def peek(self, before: Optional[Cycle] = None) -> Optional[WritebackEntry]:
-        """The write-back ``pop`` would return, without removing it."""
-        return self._select(before)
+        """The write-back ``pop`` would return, without removing it: the
+        oldest eligible back-invalidation, else the oldest eligible
+        entry, found in one scan."""
+        oldest: Optional[WritebackEntry] = None
+        for entry in self._entries:
+            if before is not None and entry.enqueued_at > before:
+                continue
+            if entry.reason is WritebackReason.BACK_INVALIDATION:
+                return entry
+            if oldest is None:
+                oldest = entry
+        return oldest
 
     def earliest_enqueue(self) -> Optional[Cycle]:
         """Smallest ``enqueued_at`` among queued entries, or ``None``.

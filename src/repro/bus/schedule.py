@@ -57,6 +57,10 @@ class TdmSchedule:
         # fast-forward path, where rebuilding the position tuple per
         # call would dominate the candidate computation.
         object.__setattr__(self, "_positions", {})
+        # 1S-TDM (Definition 4.1) means no core owns two slots per
+        # period.  Fixed at construction: the tightness adversary's
+        # distance() calls re-check it on every victim choice.
+        object.__setattr__(self, "_one_slot", len(set(owners)) == len(owners))
 
     @classmethod
     def parse(cls, text: str, slot_width: int) -> "TdmSchedule":
@@ -114,7 +118,7 @@ class TdmSchedule:
     @property
     def is_one_slot(self) -> bool:
         """Whether this is a 1S-TDM schedule (Definition 4.1)."""
-        return all(len(self.slots_of(core)) == 1 for core in self.cores)
+        return self._one_slot
 
     def require_one_slot(self) -> None:
         """Raise :class:`ScheduleError` unless this is 1S-TDM."""

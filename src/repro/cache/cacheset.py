@@ -30,6 +30,8 @@ class CacheSet:
         self.ways = ways
         self.policy = policy
         self._slots: List[Optional[CacheLine]] = [None] * ways
+        # Every way, the candidate list a full set hands the policy.
+        self._all_ways = tuple(range(ways))
         self._index: Dict[BlockAddress, int] = {}
 
     def __len__(self) -> int:
@@ -70,15 +72,21 @@ class CacheSet:
         if block in self._index:
             raise SimulationError(f"fill of already-resident block {block:#x}")
         evicted: Optional[EvictedLine] = None
-        way = self._free_way()
-        if way is None:
-            way = self.policy.victim(list(range(self.ways)))
-            victim = self._slots[way]
+        slots = self._slots
+        if len(self._index) < self.ways:
+            # The lowest free way; one exists, since every resident
+            # line is indexed.
+            way = 0
+            while slots[way] is not None:
+                way += 1
+        else:
+            way = self.policy.victim(self._all_ways)
+            victim = slots[way]
             assert victim is not None
             evicted = EvictedLine(block=victim.block, dirty=victim.dirty)
             del self._index[victim.block]
             self.policy.on_invalidate(way)
-        self._slots[way] = CacheLine(block=block, dirty=dirty)
+        slots[way] = CacheLine(block=block, dirty=dirty)
         self._index[block] = way
         self.policy.on_fill(way)
         return evicted
@@ -102,17 +110,12 @@ class CacheSet:
         line.dirty = False
         return True
 
-    def _free_way(self) -> Optional[int]:
-        for way, line in enumerate(self._slots):
-            if line is None:
-                return way
-        return None
-
     def clone(self) -> "CacheSet":
         """An independent copy with identical contents and policy state."""
         dup = CacheSet.__new__(CacheSet)
         dup.ways = self.ways
         dup.policy = self.policy.clone()
+        dup._all_ways = self._all_ways
         dup._slots = [
             None if line is None else CacheLine(block=line.block, dirty=line.dirty)
             for line in self._slots

@@ -91,7 +91,7 @@ class LruPolicy(ReplacementPolicy):
 
     def victim(self, candidates: Sequence[int]) -> int:
         self._check_candidates(candidates)
-        return min(candidates, key=lambda way: self._last_use[way])
+        return min(candidates, key=self._last_use.__getitem__)
 
     def clone(self) -> "LruPolicy":
         dup = LruPolicy(self.ways)
@@ -123,7 +123,7 @@ class MruPolicy(ReplacementPolicy):
 
     def victim(self, candidates: Sequence[int]) -> int:
         self._check_candidates(candidates)
-        return max(candidates, key=lambda way: self._last_use[way])
+        return max(candidates, key=self._last_use.__getitem__)
 
     def clone(self) -> "MruPolicy":
         dup = MruPolicy(self.ways)
@@ -182,7 +182,7 @@ class FifoPolicy(ReplacementPolicy):
 
     def victim(self, candidates: Sequence[int]) -> int:
         self._check_candidates(candidates)
-        return min(candidates, key=lambda way: self._filled_at[way])
+        return min(candidates, key=self._filled_at.__getitem__)
 
     def clone(self) -> "FifoPolicy":
         dup = FifoPolicy(self.ways)

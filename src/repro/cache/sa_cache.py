@@ -55,6 +55,9 @@ class SetAssociativeCache:
         self.ways = ways
         self.policy_name = policy
         self.stats = CacheStats()
+        # Set index = the block's low bits; every per-block operation
+        # indexes ``_sets[block & _mask]`` directly.
+        self._mask = num_sets - 1
         self._sets: List[CacheSet] = []
         for set_index in range(num_sets):
             set_policy = make_policy(policy, ways, rng)
@@ -69,19 +72,15 @@ class SetAssociativeCache:
 
     def set_index(self, block: BlockAddress) -> int:
         """Set index of a block address."""
-        return block & (self.num_sets - 1)
-
-    def set_for(self, block: BlockAddress) -> CacheSet:
-        """The set a block maps to."""
-        return self._sets[self.set_index(block)]
+        return block & self._mask
 
     def contains(self, block: BlockAddress) -> bool:
         """Whether ``block`` is resident (no policy side effects)."""
-        return self.set_for(block).find(block) is not None
+        return self._sets[block & self._mask].find(block) is not None
 
     def is_dirty(self, block: BlockAddress) -> bool:
         """Whether ``block`` is resident and dirty."""
-        line = self.set_for(block).find(block)
+        line = self._sets[block & self._mask].find(block)
         return line is not None and line.dirty
 
     def access(self, block: BlockAddress, is_write: bool) -> bool:
@@ -91,7 +90,7 @@ class SetAssociativeCache:
         decides when (and whether) to fill.
         """
         self.stats.accesses += 1
-        if self.set_for(block).touch(block, is_write):
+        if self._sets[block & self._mask].touch(block, is_write):
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -99,7 +98,7 @@ class SetAssociativeCache:
 
     def fill(self, block: BlockAddress, dirty: bool) -> Optional[EvictedLine]:
         """Install ``block``, returning any displaced line."""
-        evicted = self.set_for(block).fill(block, dirty)
+        evicted = self._sets[block & self._mask].fill(block, dirty)
         self.stats.fills += 1
         if evicted is not None:
             self.stats.evictions += 1
@@ -109,7 +108,7 @@ class SetAssociativeCache:
 
     def invalidate(self, block: BlockAddress) -> Optional[EvictedLine]:
         """Remove ``block`` (inclusive back-invalidation), if present."""
-        removed = self.set_for(block).invalidate(block)
+        removed = self._sets[block & self._mask].invalidate(block)
         if removed is not None:
             self.stats.invalidations += 1
             if removed.dirty:
@@ -118,7 +117,7 @@ class SetAssociativeCache:
 
     def mark_clean(self, block: BlockAddress) -> bool:
         """Clear ``block``'s dirty bit (after its data was written back)."""
-        return self.set_for(block).mark_clean(block)
+        return self._sets[block & self._mask].mark_clean(block)
 
     def resident_blocks(self) -> List[BlockAddress]:
         """All block addresses currently resident, set by set."""
@@ -133,7 +132,7 @@ class SetAssociativeCache:
 
     def find(self, block: BlockAddress) -> Optional[CacheLine]:
         """The resident line record for ``block``, if any."""
-        return self.set_for(block).find(block)
+        return self._sets[block & self._mask].find(block)
 
     def clone(self) -> "SetAssociativeCache":
         """An independent copy with identical contents, policy state and
@@ -145,6 +144,7 @@ class SetAssociativeCache:
         dup.num_sets = self.num_sets
         dup.ways = self.ways
         dup.policy_name = self.policy_name
+        dup._mask = self._mask
         dup.stats = CacheStats(
             accesses=self.stats.accesses,
             hits=self.stats.hits,

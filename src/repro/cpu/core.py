@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import SimulationError
+from repro.common.errors import GeometryError, SimulationError
 from repro.common.types import AccessType, BlockAddress, CoreId, Cycle
 from repro.cpu.private_stack import PrivateStack
 from repro.mem.address import AddressGeometry
@@ -78,6 +78,9 @@ class TraceDrivenCore:
         self.stack = stack
         self.trace = trace
         self.geometry = AddressGeometry(line_size=line_size, num_sets=1)
+        # Byte address -> block address is a shift by the line offset;
+        # precomputed so replay does not re-derive it per access.
+        self._offset_bits = self.geometry.offset_bits
         self.state = CoreState.RUNNING if len(trace) else CoreState.DONE
         self.time: Cycle = start_cycle
         self.position = 0
@@ -111,13 +114,17 @@ class TraceDrivenCore:
         ``BLOCKED`` at the miss cycle), or ``None`` if the core ran out
         of trace or reached ``until`` on private hits alone.
         """
-        if self.state is not CoreState.RUNNING:
+        if self.state is not CoreState.RUNNING or self.time >= until:
             return None
+        records = self.trace.records
+        count = len(records)
+        offset_bits = self._offset_bits
+        stack = self.stack
         while self.time < until:
-            if self.position >= len(self.trace):
+            if self.position >= count:
                 self._finish()
                 return None
-            record = self.trace[self.position]
+            record = records[self.position]
             if not self._gap_applied:
                 self._gap_applied = True
                 if record.compute_cycles:
@@ -125,8 +132,11 @@ class TraceDrivenCore:
                     # so a long computation does not overshoot it.
                     self.time += record.compute_cycles
                     continue
-            block = self.geometry.block_of(record.address)
-            result = self.stack.access(block, record.access)
+            address = record.address
+            if address < 0:
+                raise GeometryError(f"address must be non-negative, got {address}")
+            block = address >> offset_bits
+            result = stack.access(block, record.access)
             if result.hit_level is not None:
                 self.private_hits += 1
                 self.time += result.latency

@@ -75,6 +75,11 @@ class StackAccessResult:
     latency: int
 
 
+#: The outcome of every private miss; hits share one result per level
+#: and stack (see PrivateStack.access), so no access allocates one.
+_MISS = StackAccessResult(None, 0)
+
+
 @dataclass(frozen=True)
 class FillResult:
     """Side effects of installing an LLC response into the stack.
@@ -86,6 +91,10 @@ class FillResult:
     """
 
     l2_victim: Optional[EvictedLine]
+
+
+#: The result of every fill that displaced nothing.
+_NO_VICTIM = FillResult(l2_victim=None)
 
 
 class _FrozenL2View:
@@ -145,6 +154,8 @@ class PrivateStack:
         self.l2 = SetAssociativeCache(
             f"core{core}.L2", cfg.l2_sets, cfg.l2_ways, cfg.policy, rng
         )
+        self._l1_hit = StackAccessResult("L1", cfg.l1_hit_latency)
+        self._l2_hit = StackAccessResult("L2", cfg.l2_hit_latency)
         #: Bumped on every externally-driven content change — an LLC
         #: fill (:meth:`fill_from_llc`) or inclusive back-invalidation
         #: (:meth:`invalidate_block`).  Ordinary :meth:`access` calls do
@@ -159,9 +170,8 @@ class PrivateStack:
     # Access path
     # ------------------------------------------------------------------
     def _l1_for(self, access: AccessType) -> Optional[SetAssociativeCache]:
-        if not self.config.has_l1:
-            return None
-        return self.l1i if access.is_instruction else self.l1d
+        # Both L1s are None when the stack models no L1 at all.
+        return self.l1i if access is AccessType.INSTR else self.l1d
 
     def access(self, block: BlockAddress, access: AccessType) -> StackAccessResult:
         """Run one access through L1 then L2.
@@ -170,26 +180,29 @@ class PrivateStack:
         installed — the fill happens later via :meth:`fill_from_llc`
         when the LLC response arrives over the bus.
         """
+        is_write = access is AccessType.WRITE
         l1 = self._l1_for(access)
-        if l1 is not None and l1.access(block, access.is_write):
-            return StackAccessResult("L1", self.config.l1_hit_latency)
-        if self.l2.access(block, access.is_write):
+        if l1 is not None and l1.access(block, is_write):
+            return self._l1_hit
+        if self.l2.access(block, is_write):
             if l1 is not None:
-                self._fill_l1(l1, block, access.is_write)
-            return StackAccessResult("L2", self.config.l2_hit_latency)
-        return StackAccessResult(None, 0)
+                self._fill_l1(l1, block, is_write)
+            return self._l2_hit
+        return _MISS
 
     def fill_from_llc(self, block: BlockAddress, access: AccessType) -> FillResult:
         """Install the LLC response for ``block`` into L2 (and L1)."""
         self.version += 1
-        l2_victim = self.l2.fill(block, access.is_write)
-        merged_victim: Optional[EvictedLine] = None
+        is_write = access is AccessType.WRITE
+        l2_victim = self.l2.fill(block, is_write)
+        # The victim leaves the L1s before the new block enters one.
+        result = _NO_VICTIM
         if l2_victim is not None:
-            merged_victim = self._back_invalidate_l1(l2_victim)
+            result = FillResult(l2_victim=self._back_invalidate_l1(l2_victim))
         l1 = self._l1_for(access)
         if l1 is not None:
-            self._fill_l1(l1, block, access.is_write)
-        return FillResult(l2_victim=merged_victim)
+            self._fill_l1(l1, block, is_write)
+        return result
 
     def _fill_l1(self, l1: SetAssociativeCache, block: BlockAddress, dirty: bool) -> None:
         if l1.contains(block):
@@ -215,6 +228,8 @@ class PrivateStack:
             removed = l1.invalidate(l2_victim.block)
             if removed is not None and removed.dirty:
                 dirty = True
+        if dirty == l2_victim.dirty:
+            return l2_victim
         return EvictedLine(block=l2_victim.block, dirty=dirty)
 
     # ------------------------------------------------------------------
@@ -242,6 +257,8 @@ class PrivateStack:
         if not present:
             return None
         self.version += 1
+        if removed_l2 is not None and removed_l2.dirty == dirty:
+            return removed_l2
         return EvictedLine(block=block, dirty=dirty)
 
     # ------------------------------------------------------------------
@@ -255,13 +272,8 @@ class PrivateStack:
         a clone to predict its next L2 miss without touching the live
         stack.  ``config`` is a frozen dataclass and safely shared.
         """
-        dup = PrivateStack.__new__(PrivateStack)
-        dup.core = self.core
-        dup.config = self.config
-        dup.l1i = None if self.l1i is None else self.l1i.clone()
-        dup.l1d = None if self.l1d is None else self.l1d.clone()
+        dup = self._clone_l1s()
         dup.l2 = self.l2.clone()
-        dup.version = self.version
         return dup
 
     def clone_for_prediction(self) -> "PrivateStack":
@@ -275,12 +287,19 @@ class PrivateStack:
         what keeps each fresh prediction cheap enough for the fast-
         forward engine to pay for itself.
         """
+        dup = self._clone_l1s()
+        dup.l2 = _FrozenL2View(self.l2)  # type: ignore[assignment]
+        return dup
+
+    def _clone_l1s(self) -> "PrivateStack":
+        """A copy with cloned L1s and everything but the L2 set."""
         dup = PrivateStack.__new__(PrivateStack)
         dup.core = self.core
         dup.config = self.config
         dup.l1i = None if self.l1i is None else self.l1i.clone()
         dup.l1d = None if self.l1d is None else self.l1d.clone()
-        dup.l2 = _FrozenL2View(self.l2)  # type: ignore[assignment]
+        dup._l1_hit = self._l1_hit
+        dup._l2_hit = self._l2_hit
         dup.version = self.version
         return dup
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -42,9 +43,21 @@ class LlcEntry:
     #: When ``PENDING_EVICT``: dirty private owners whose write-back the
     #: entry still waits for.
     pending_writers: Set[CoreId] = field(default_factory=set)
-    #: The (partition × set) region the entry belongs to; ``None`` for
-    #: cells no partition covers.  Fixed at construction.
-    region: Optional["LlcRegion"] = field(default=None, repr=False, compare=False)
+    #: Weak reference to the entry's region (see ``region``).
+    _region: Optional["weakref.ReferenceType[LlcRegion]"] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def region(self) -> Optional["LlcRegion"]:
+        """The (partition × set) region the entry belongs to; ``None``
+        for cells no partition covers.  Fixed at construction.
+
+        Held weakly: the region lists its entries, so a strong
+        back-reference would make every LLC a reference cycle that
+        only the cyclic garbage collector frees, long after its run.
+        """
+        return None if self._region is None else self._region()
 
     @property
     def is_free(self) -> bool:
@@ -188,7 +201,7 @@ class PartitionedLlc:
                     entries=[self._entries[set_index][way] for way in spec.ways()],
                 )
                 for entry in region.entries:
-                    entry.region = region
+                    entry._region = weakref.ref(region)
                 regions.append(region)
             self._regions[spec.name] = tuple(regions)
         self._reindex()

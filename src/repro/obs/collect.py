@@ -33,7 +33,9 @@ pin down.
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
+from typing import Dict, Tuple
+
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.sim.report import SimReport
 
 
@@ -72,15 +74,28 @@ def collect_metrics(report: SimReport, slot_width: int) -> MetricsRegistry:
             int(core_report.outstanding_block is not None)
         )
 
+    # A core's latency histograms are looked up on its first request and
+    # its LLC-hit counter on its first hit, not once per request; series
+    # are still created at the same records, in the same order.
+    latency_series: Dict[int, Tuple[Histogram, Histogram]] = {}
+    hit_counters: Dict[int, Counter] = {}
     for record in report.requests:
-        registry.histogram("core.latency", slot_width, core=record.core).observe(
-            record.latency
-        )
-        registry.histogram(
-            "core.bus_latency", slot_width, core=record.core
-        ).observe(record.bus_latency)
+        core = record.core
+        histograms = latency_series.get(core)
+        if histograms is None:
+            histograms = latency_series[core] = (
+                registry.histogram("core.latency", slot_width, core=core),
+                registry.histogram("core.bus_latency", slot_width, core=core),
+            )
+        histograms[0].observe(record.latency)
+        histograms[1].observe(record.bus_latency)
         if record.served_by_hit:
-            registry.counter("core.llc_hits", core=record.core).inc()
+            hits = hit_counters.get(core)
+            if hits is None:
+                hits = hit_counters[core] = registry.counter(
+                    "core.llc_hits", core=core
+                )
+            hits.inc()
 
     for core, usage in sorted(report.slot_usage.items()):
         for kind, count in sorted(usage.items()):

@@ -116,8 +116,10 @@ class Histogram:
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.count += 1
         self.value_sum += value
-        self.value_min = value if self.value_min is None else min(self.value_min, value)
-        self.value_max = value if self.value_max is None else max(self.value_max, value)
+        if self.value_min is None or value < self.value_min:
+            self.value_min = value
+        if self.value_max is None or value > self.value_max:
+            self.value_max = value
 
     def observe_bucket(self, bucket_value: int, count: int) -> None:
         """Record ``count`` samples that all fall at ``bucket_value``.

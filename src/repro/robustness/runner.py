@@ -339,17 +339,21 @@ class CampaignResult:
             for entry in self.manifest.tasks.values():
                 if entry.get("status") != "done":
                     return False
-                payload = entry.get("payload")
-                if isinstance(payload, dict) and payload.get("passed") is False:
+                if _checks_failed(entry.get("payload")):
                     return False
         return True
 
     def summary(self) -> str:
         """One line per task of this run."""
         labels = {"done": "PASS", "skipped": "SKIP", "quarantined": "QUARANTINED"}
+        tasks = self.manifest.tasks if self.manifest is not None else {}
         lines = []
         for outcome in self.outcomes:
             label = labels.get(outcome.status, outcome.status.upper())
+            if outcome.status == "done" and _checks_failed(
+                tasks.get(outcome.name, {}).get("payload")
+            ):
+                label = "FAIL"
             suffix = f"  ({outcome.error})" if outcome.error else ""
             lines.append(f"{label:11} {outcome.name}{suffix}")
         return "\n".join(lines)
@@ -358,6 +362,11 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
+def _checks_failed(payload: Any) -> bool:
+    """Whether a done task's payload reports failed checks (FAIL)."""
+    return isinstance(payload, dict) and payload.get("passed") is False
+
+
 def _default_payload(result: Any) -> Optional[Dict[str, Any]]:
     """Summarise a task result for the manifest (JSON-serialisable).
 
@@ -646,7 +655,13 @@ class CampaignRunner:
             entry["timeout_enforced"] = False
         manifest.record(pool_result.name, entry)
         if progress is not None:
-            progress(f"{pool_result.name}: {'PASS' if ok else 'QUARANTINED'}")
+            if not ok:
+                label = "QUARANTINED"
+            elif _checks_failed(entry["payload"]):
+                label = "FAIL"
+            else:
+                label = "PASS"
+            progress(f"{pool_result.name}: {label}")
         return TaskOutcome(
             name=pool_result.name,
             status=entry["status"],

@@ -70,7 +70,8 @@ def config_document(value: Any) -> Any:
     latency) can never silently share an identity.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # fields() skips non-field memo slots (TdmSchedule._positions),
+        # fields() skips non-field memo slots (TdmSchedule._positions
+        # and ._one_slot),
         # which asdict-style __dict__ walks would drag into the key.
         return {
             f.name: config_document(getattr(value, f.name))

@@ -94,6 +94,9 @@ class SlotEngine:
 
             self._sampler = SlotSampler(system)
         self._completed: List[PendingRequest] = []
+        # Each core's set sequencer (None when its partition has none),
+        # resolved once instead of per bus request.
+        self._sequencers = {core: system.sequencer_for(core) for core in system.cores}
         self._slot: SlotIndex = 0
         self._finished_cores: set[CoreId] = set()
         # Per-core slot usage: how each core spent its bus slots.
@@ -196,12 +199,28 @@ class SlotEngine:
         # may still be attached later (or by a hook), so those stay in
         # the per-iteration gate.
         fast = self._fast_ok and self._sampler is None
+        schedule = self.schedule
+        slot_owners = schedule.slot_owners
+        period = schedule.period_slots
+        width = schedule.slot_width
+        max_slots = self.config.max_slots
+        cores = self.system.cores
+        prbs = self.system.prbs
+        pwbs = self.system.pwbs
+        running = CoreState.RUNNING
+        done = CoreState.DONE
         while not self._finished():
-            if self._slot >= self.config.max_slots:
+            slot = self._slot
+            if slot >= max_slots:
                 timed_out = True
                 break
-            if stop_at_slot is not None and self._slot >= stop_at_slot:
+            if stop_at_slot is not None and slot >= stop_at_slot:
                 break
+            # The slot's owner and start cycle, computed once per slot
+            # (owner_of_slot/slot_start without their argument checks:
+            # the cursor never goes negative).
+            owner = slot_owners[slot % period]
+            slot_start = slot * width
             if (
                 fast
                 and not self._pre_slot_hooks
@@ -210,25 +229,38 @@ class SlotEngine:
             ):
                 if self._ff_skip:
                     self._ff_skip -= 1
-                elif self._try_fast_forward():
-                    continue
+                else:
+                    # O(1) prefilter: an owner with eligible PRB or PWB
+                    # work makes this slot actionable, so there is
+                    # nothing to jump over.
+                    request = prbs[owner].entry
+                    if (
+                        request is None or request.enqueued_at > slot_start
+                    ) and pwbs[owner].peek(slot_start) is None:
+                        if self._try_fast_forward():
+                            continue
             if self._pre_slot_hooks:
                 # A pre-slot hook may mutate the slot counter (the
                 # dropped-slot fault does); re-check the cap afterwards.
                 for hook in self._pre_slot_hooks:
                     hook(self, self._slot)
-                if self._slot >= self.config.max_slots:
+                slot = self._slot
+                if slot >= max_slots:
                     timed_out = True
                     break
-            slot_start = self.schedule.slot_start(self._slot)
+                owner = slot_owners[slot % period]
+                slot_start = slot * width
             # Advance through slot_start inclusive: a miss occurring
             # exactly at the boundary is in the PRB "at the beginning of
             # the core's slot" (Section 3) and may use this slot.
-            # Blocked cores are skipped: advancing one is a no-op.
-            for core_id, core in self.system.cores.items():
-                if core.state is not CoreState.BLOCKED:
+            # Blocked cores are skipped: advancing one is a no-op.  So
+            # are done cores whose CORE_DONE is already accounted.
+            for core_id, core in cores.items():
+                state = core.state
+                if state is running or (
+                    state is done and core_id not in self._finished_cores
+                ):
                     self._advance_core(core_id, slot_start + 1)
-            owner = self.schedule.owner_of_slot(self._slot)
             self._do_slot(owner, slot_start)
             if self._post_slot_hooks:
                 for hook in self._post_slot_hooks:
@@ -322,20 +354,15 @@ class SlotEngine:
         report is bit-identical to ticking them one by one.
 
         Only called when nothing observes individual slots (no events,
-        samplers or hooks — see run()); returns False whenever the
-        *current* slot is actionable, leaving it to the reference step.
+        samplers or hooks) and the slot loop's O(1) prefilter found no
+        eligible PRB/PWB work for the current slot's owner (see
+        advance()); returns False whenever the current slot is
+        actionable or the jump would not pay, leaving it to the
+        reference step.
         """
         system = self.system
         schedule = self.schedule
         start_slot = self._slot
-        slot_start = schedule.slot_start(start_slot)
-        # O(1) prefilter: the current owner already has eligible work.
-        owner = schedule.owner_of_slot(start_slot)
-        owner_request = system.prbs[owner].entry
-        if owner_request is not None and owner_request.enqueued_at <= slot_start:
-            return False
-        if system.pwbs[owner].peek(slot_start) is not None:
-            return False
 
         # Cheap phase: candidates visible without prediction — parked
         # PRB requests and queued write-backs.
@@ -454,6 +481,7 @@ class SlotEngine:
         core = self.system.cores[core_id]
         miss = core.advance(until)
         if miss is not None:
+            # The core is now BLOCKED on the miss, so not done.
             self.system.prbs[core_id].push(
                 PendingRequest(
                     core=core_id,
@@ -462,10 +490,13 @@ class SlotEngine:
                     enqueued_at=miss.at_cycle,
                 )
             )
-        if core.done and core_id not in self._done_seen:
+            return
+        if core.state is not CoreState.DONE:
+            return
+        if core_id not in self._done_seen:
             self._done_seen.add(core_id)
             self._done_count += 1
-        if core.done and core_id not in self._finished_cores:
+        if core_id not in self._finished_cores:
             # Kept separate from _done_seen: that set is pre-seeded with
             # cores that were already done before run() (no event is
             # owed for the seeding scan), while CORE_DONE must still be
@@ -562,7 +593,7 @@ class SlotEngine:
                 block=request.block,
             )
         )
-        sequencer = self.system.sequencer_for(core)
+        sequencer = self._sequencers[core]
         region = llc.region(core, request.block)
         set_index = region.set_index
 
@@ -827,7 +858,7 @@ class SlotEngine:
     def _complete_request(
         self, core: CoreId, request: PendingRequest, response_cycle: Cycle
     ) -> None:
-        slot_end = self.schedule.slot_end(self._slot)
+        slot_end = (self._slot + 1) * self.schedule.slot_width
         if response_cycle > slot_end:
             raise SimulationError(
                 f"response at cycle {response_cycle} spills past slot end "

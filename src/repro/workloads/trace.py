@@ -108,6 +108,12 @@ class MemoryTrace(Sequence[TraceRecord]):
             return MemoryTrace(self._records[index], name=self.name)
         return self._records[index]
 
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The record list itself, not a copy (the core's replay loop
+        indexes it directly); callers must not mutate it."""
+        return self._records
+
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 

@@ -1,6 +1,8 @@
 """Unit tests for the PRB/PWB buffers and the slot arbiter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bus.arbiter import ArbitrationPolicy, PrbPwbArbiter
 from repro.bus.buffers import (
@@ -186,3 +188,57 @@ class TestArbiter:
         arbiter.choose(True, True)
         arbiter.reset()
         assert arbiter.choose(True, True) is TransactionKind.WRITE_BACK
+
+
+def reference_select(entries, before):
+    """The PWB's choice by brute force: the first eligible back-
+    invalidation, else the first eligible entry (``before`` inclusive)."""
+    eligible = [e for e in entries if before is None or e.enqueued_at <= before]
+    for entry in eligible:
+        if entry.reason is WritebackReason.BACK_INVALIDATION:
+            return entry
+    return eligible[0] if eligible else None
+
+
+pwb_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from(list(WritebackReason)),
+        ),
+        st.tuples(
+            st.just("pop"),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@given(operations=pwb_operations)
+@settings(max_examples=200)
+def test_pwb_peek_and_pop_match_the_brute_force_choice(operations):
+    pwb = PendingWritebackBuffer(0)
+    model = []
+    clock = 0
+    for block, operation in enumerate(operations):
+        if operation[0] == "push":
+            _, gap, reason = operation
+            clock += gap  # pushes arrive in cycle order
+            entry = writeback(block=block, at=clock, reason=reason)
+            pwb.push(entry)
+            model.append(entry)
+            continue
+        before = operation[1]
+        # Probe the eligibility boundary itself: `before` is inclusive.
+        for probe in (before, clock, clock - 1):
+            assert pwb.peek(probe) is reference_select(model, probe)
+        expected = reference_select(model, before)
+        if expected is None:
+            with pytest.raises(SimulationError, match="empty PWB"):
+                pwb.pop(before)
+            continue
+        assert pwb.pop(before) is expected
+        model.remove(expected)
+        assert pwb.blocks() == [entry.block for entry in model]

@@ -1,6 +1,8 @@
 """Unit tests for CacheSet and SetAssociativeCache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cacheset import CacheSet
 from repro.cache.replacement import LruPolicy
@@ -201,3 +203,59 @@ class TestSetAssociativeCache:
         assert merged.accesses == 2
         assert merged.hits == 1
         assert merged.misses == 1
+
+
+class RecordingLru(LruPolicy):
+    """LRU that records the ways it fills and every victim query."""
+
+    def __init__(self, ways):
+        super().__init__(ways)
+        self.filled = []
+        self.queries = []
+
+    def on_fill(self, way):
+        self.filled.append(way)
+        super().on_fill(way)
+
+    def victim(self, candidates):
+        self.queries.append(tuple(candidates))
+        return super().victim(candidates)
+
+
+@given(
+    ways=st.integers(min_value=1, max_value=4),
+    operations=st.lists(
+        st.tuples(st.sampled_from(["fill", "invalidate"]), st.integers(0, 7)),
+        max_size=60,
+    ),
+)
+@settings(max_examples=200)
+def test_fill_takes_lowest_free_way_and_queries_policy_only_when_full(
+    ways, operations
+):
+    policy = RecordingLru(ways)
+    cache_set = CacheSet(ways, policy)
+    slots = [None] * ways  # brute-force model: block held by each way
+    for op, block in operations:
+        if op == "invalidate":
+            removed = cache_set.invalidate(block)
+            assert (removed is not None) == (block in slots)
+            if block in slots:
+                slots[slots.index(block)] = None
+            continue
+        if block in slots:
+            continue
+        queries_before = len(policy.queries)
+        evicted = cache_set.fill(block, dirty=False)
+        way = policy.filled[-1]
+        if None in slots:
+            assert way == slots.index(None)
+            assert evicted is None
+            assert len(policy.queries) == queries_before
+        else:
+            assert policy.queries[queries_before:] == [tuple(range(ways))]
+            assert evicted is not None and evicted.block == slots[way]
+        slots[way] = block
+        assert sorted(cache_set.resident_blocks()) == sorted(
+            b for b in slots if b is not None
+        )

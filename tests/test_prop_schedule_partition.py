@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bus.schedule import TdmSchedule, distance, one_slot_tdm
+from repro.sim.codec import config_document
 from repro.llc.partition import PartitionNotation, PartitionSpec
 
 core_counts = st.integers(min_value=1, max_value=12)
@@ -91,3 +92,23 @@ def test_notation_roundtrip_shared(sets, ways, cores, kind):
 def test_notation_roundtrip_private(sets, ways):
     text = f"P({sets},{ways})"
     assert str(PartitionNotation.parse(text)) == text
+
+
+@given(
+    owners=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+    slot_width=slot_widths,
+)
+def test_schedule_memos_leave_identity_unchanged(owners, slot_width):
+    fresh = TdmSchedule(owners, slot_width)
+    used = TdmSchedule(owners, slot_width)
+    one_slot = used.is_one_slot
+    for core in used.cores:
+        used.slots_of(core)
+        if one_slot:
+            distance(used, core, used.cores[0])
+    # 1S-TDM by brute force: every core owns exactly one slot.
+    assert one_slot == all(owners.count(core) == 1 for core in set(owners))
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert config_document(used) == {"slot_owners": owners, "slot_width": slot_width}

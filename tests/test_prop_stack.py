@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.types import AccessType
-from repro.cpu.private_stack import PrivateStack, PrivateStackConfig
+from repro.cpu.private_stack import (
+    PrivateStack,
+    PrivateStackConfig,
+    StackAccessResult,
+)
 
 CONFIGS = [
     PrivateStackConfig(l1_sets=1, l1_ways=1, l2_sets=2, l2_ways=2),
@@ -86,3 +90,73 @@ def test_write_fill_leaves_dirty_copy(ops):
     if not stack.l2.contains(99):
         stack.fill_from_llc(99, AccessType.WRITE)
         assert stack.is_dirty(99)
+
+
+def reference_access(stack: PrivateStack, block, access) -> StackAccessResult:
+    """The access path spelled out level by level, a fresh result each
+    time: the L1 by access type, then the L2, refilling the L1 on an L2
+    hit and pushing an L1 victim's dirtiness down."""
+    config = stack.config
+    l1 = None
+    if config.has_l1:
+        l1 = stack.l1i if access.is_instruction else stack.l1d
+    if l1 is not None and l1.access(block, access.is_write):
+        return StackAccessResult("L1", config.l1_hit_latency)
+    if stack.l2.access(block, access.is_write):
+        if l1 is not None:
+            victim = l1.fill(block, access.is_write)  # it just missed
+            if victim is not None and victim.dirty:
+                stack.l2.find(victim.block).dirty = True
+        return StackAccessResult("L2", config.l2_hit_latency)
+    return StackAccessResult(None, 0)
+
+
+def contents(stack: PrivateStack):
+    return [
+        None
+        if cache is None
+        else sorted((b, cache.is_dirty(b)) for b in cache.resident_blocks())
+        for cache in (stack.l1i, stack.l1d, stack.l2)
+    ]
+
+
+accesses = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=15),
+        st.sampled_from([AccessType.READ, AccessType.WRITE, AccessType.INSTR]),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    ops=operations,
+    tail=accesses,
+    config_index=st.integers(0, len(CONFIGS) - 1),
+)
+@settings(max_examples=80)
+def test_access_matches_the_reference_path_and_survives_cloning(
+    ops, tail, config_index
+):
+    config = CONFIGS[config_index]
+    stack = PrivateStack(0, config)
+    twin = PrivateStack(0, config)
+    for op, block, access in ops:
+        if op == "access":
+            assert stack.access(block, access) == reference_access(
+                twin, block, access
+            )
+        elif not stack.l2.contains(block):
+            assert stack.fill_from_llc(block, access) == twin.fill_from_llc(
+                block, access
+            )
+        else:
+            assert stack.invalidate_block(block) == twin.invalidate_block(block)
+    assert contents(stack) == contents(twin)
+    # Clones answer exactly like the live stack from here on.
+    copies = [stack.clone(), stack.clone_for_prediction()]
+    for block, access in tail:
+        expected = reference_access(twin, block, access)
+        assert stack.access(block, access) == expected
+        for copy in copies:
+            assert copy.access(block, access) == expected

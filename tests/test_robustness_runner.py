@@ -798,6 +798,20 @@ class TestRunAllRobust:
         assert not result.quarantined
         assert not result.all_ok
 
+    def test_failed_checks_print_fail_not_pass(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "artifact_steps", self.fake_steps)
+        lines = []
+        result = run_all_robust(out_dir=tmp_path / "results", progress=lines.append)
+        # The progress lines, the printed summary and SUMMARY.txt agree:
+        # a done artifact whose checks failed is FAIL.
+        assert lines == ["alpha: PASS", "beta: FAIL"]
+        assert result.summary().splitlines() == [
+            "PASS        alpha",
+            "FAIL        beta",
+        ]
+
     def test_cli_all_exit_codes(self, tmp_path, monkeypatch, capsys):
         import repro.experiments.runner as runner_mod
         from repro.cli import main
