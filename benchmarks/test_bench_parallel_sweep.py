@@ -8,21 +8,19 @@ Runs the same seed sweep serially and through the fork-backed pool
   factory, which runs inside the worker), so the measurement exercises
   the pool's ability to overlap task wall-clock time and stays
   meaningful on single-core CI runners.
-* **determinism** — the parallel :class:`SweepResult` and the robust
-  campaign's manifest are bit-identical to the serial ones.
+* **determinism** — the parallel :class:`SweepResult`, and the manifest
+  of the same seeds run as campaign tasks, are bit-identical to the
+  serial ones.
 """
 
 import time
+from functools import partial
 
 import pytest
 
-from repro.robustness.runner import (
-    CampaignRunner,
-    RunManifest,
-    sweep_seeds_robust,
-)
+from repro.robustness.runner import CampaignRunner, RunManifest
 from repro.sim.parallel import parallel_available
-from repro.sim.sweeps import sweep_seeds
+from repro.sim.sweeps import run_seed, sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -93,27 +91,26 @@ def test_parallel_sweep_speedup(benchmark):
 
 def test_parallel_campaign_manifest_is_deterministic(benchmark, tmp_path):
     config = _config()
+    tasks = [
+        (f"seed-{seed}", partial(run_seed, config, trace_factory, seed))
+        for seed in SEEDS
+    ]
 
     def both_runs():
-        serial = sweep_seeds_robust(
-            config,
-            trace_factory,
-            SEEDS,
-            runner=CampaignRunner(manifest_path=tmp_path / "serial.json"),
+        serial = CampaignRunner(manifest_path=tmp_path / "serial.json").run(
+            tasks
         )
-        parallel = sweep_seeds_robust(
-            config,
-            trace_factory,
-            SEEDS,
-            runner=CampaignRunner(
-                manifest_path=tmp_path / "parallel.json", jobs=4
-            ),
-        )
+        parallel = CampaignRunner(
+            manifest_path=tmp_path / "parallel.json", jobs=4
+        ).run(tasks)
         return serial, parallel
 
     serial, parallel = benchmark.pedantic(both_runs, iterations=1, rounds=1)
-    assert parallel.result == serial.result
-    assert parallel.completed_seeds == serial.completed_seeds
+    assert [o.status for o in parallel.outcomes] == ["done"] * len(SEEDS)
+    assert [o.status for o in serial.outcomes] == ["done"] * len(SEEDS)
+    assert [o.result.observed_wcl() for o in parallel.outcomes] == [
+        o.result.observed_wcl() for o in serial.outcomes
+    ]
     serial_manifest = RunManifest.load(tmp_path / "serial.json")
     parallel_manifest = RunManifest.load(tmp_path / "parallel.json")
     assert parallel_manifest.results() == serial_manifest.results()

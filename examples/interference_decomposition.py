@@ -13,13 +13,13 @@ Run:  python examples/interference_decomposition.py
 
 import dataclasses
 
-from repro import (
-    ArbitrationPolicy,
+from repro.analysis.distance import tracker_from_events
+from repro.analysis.interference import (
     decompose_report,
     summarize,
-    tracker_from_events,
     worst_request,
 )
+from repro.bus.arbiter import ArbitrationPolicy
 from repro.experiments.configs import build_system_for_notation
 from repro.experiments.tables import render_table
 from repro.experiments.tightness import install_adversarial_replacement

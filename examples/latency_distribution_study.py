@@ -10,17 +10,16 @@ the set sequencer removes.
 Run:  python examples/latency_distribution_study.py
 """
 
-from repro import (
-    PartitionKind,
-    SyntheticWorkloadConfig,
-    core_latency_stats,
-    fig7_system,
-    generate_disjoint_workload,
-    render_histogram,
-    simulate,
-    sweep_seeds,
-)
+from repro.experiments.configs import fig7_system
 from repro.experiments.tables import render_table
+from repro.llc.partition import PartitionKind
+from repro.sim.export import core_latency_stats, render_histogram
+from repro.sim.simulator import simulate
+from repro.sim.sweeps import sweep_seeds
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    generate_disjoint_workload,
+)
 
 SEEDS = list(range(1, 11))
 

@@ -19,18 +19,20 @@ hold and to compare capacity utilisation.
 Run:  python examples/mixed_criticality_consolidation.py
 """
 
-from repro import (
-    PartitionSpec,
+from repro.analysis.wcl import (
     SharedPartitionParams,
-    SyntheticWorkloadConfig,
-    SystemConfig,
-    generate_core_trace,
-    simulate,
     wcl_private_cycles,
     wcl_ss_cycles,
 )
 from repro.cpu.private_stack import PrivateStackConfig
 from repro.experiments.tables import render_table
+from repro.llc.partition import PartitionSpec
+from repro.sim.config import SystemConfig
+from repro.sim.simulator import simulate
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    generate_core_trace,
+)
 
 SLOT = 50
 CORES = 4

@@ -15,19 +15,18 @@ pages of the partition's *colors*.  This example:
 Run:  python examples/page_coloring_deployment.py
 """
 
-from repro import (
-    AccessType,
+from repro.common.types import AccessType
+from repro.experiments.tables import render_table
+from repro.llc.coloring import (
     ColorGeometry,
-    MemoryTrace,
-    PartitionSpec,
-    SystemConfig,
-    TraceRecord,
     colored_allocator_for_partition,
     colors_of_partition,
     is_colorable,
-    simulate,
 )
-from repro.experiments.tables import render_table
+from repro.llc.partition import PartitionSpec
+from repro.sim.config import SystemConfig
+from repro.sim.simulator import simulate
+from repro.workloads.trace import MemoryTrace, TraceRecord
 
 # An LLC where coloring has room to work: 32 sets, 64-B lines and
 # 512-B pages -> each page spans 8 sets -> 4 colors.

@@ -2,28 +2,28 @@
 """Automatic partition planning with admission control.
 
 Feeds a six-task automotive-style taskset into the admission planner
-(:func:`repro.plan_admission`), which decides who gets a private
-partition and who shares a sequencer-ordered one (the paper's Section 6
-vision, as an algorithm).  The resulting layout is then validated by
+(:func:`repro.analysis.admission.plan_admission`), which decides who
+gets a private partition and who shares a sequencer-ordered one (the
+paper's Section 6 vision, as an algorithm).  The resulting layout is then validated by
 simulation, and the task-level WCET mathematics
 (:mod:`repro.analysis.wcet`) quantifies what sharing costs each task.
 
 Run:  python examples/partition_planner.py
 """
 
-from repro import (
-    PlatformSpec,
-    SyntheticWorkloadConfig,
-    SystemConfig,
+from repro.analysis.admission import PlatformSpec, TaskSpec, plan_admission
+from repro.analysis.wcet import (
     TaskProfile,
-    TaskSpec,
-    generate_core_trace,
     hybrid_wcet_bound,
-    plan_admission,
     sharing_cost_factor,
-    simulate,
 )
 from repro.experiments.tables import render_table
+from repro.sim.config import SystemConfig
+from repro.sim.simulator import simulate
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    generate_core_trace,
+)
 
 PLATFORM = PlatformSpec(num_cores=6, llc_sets=32, llc_ways=16, slot_width=50)
 

@@ -9,17 +9,15 @@ configurations, and prints observed WCLs against the analytical bounds.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    PAPER_CORE_CAPACITY_LINES,
-    PartitionKind,
-    PartitionNotation,
-    SyntheticWorkloadConfig,
-    analytical_wcl_cycles,
-    fig7_system,
-    generate_disjoint_workload,
-    simulate,
-)
+from repro.analysis.wcl import analytical_wcl_cycles
+from repro.experiments.configs import PAPER_CORE_CAPACITY_LINES, fig7_system
 from repro.experiments.tables import render_table
+from repro.llc.partition import PartitionKind, PartitionNotation
+from repro.sim.simulator import simulate
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    generate_disjoint_workload,
+)
 
 
 def main() -> None:

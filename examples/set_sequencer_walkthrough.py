@@ -10,10 +10,10 @@ core whose slot follows a freed entry steals it.
 Run:  python examples/set_sequencer_walkthrough.py
 """
 
-from repro import simulate
 from repro.experiments.configs import build_system_for_notation
 from repro.experiments.tables import render_table
 from repro.sim.events import EventKind
+from repro.sim.simulator import simulate
 from repro.workloads.adversarial import conflict_storm_traces
 
 

@@ -13,18 +13,16 @@ run with the event log enabled so you can watch the steal happen.
 Run:  python examples/unbounded_starvation_demo.py
 """
 
-from repro import (
-    ArbitrationPolicy,
-    PartitionSpec,
-    SystemConfig,
-    TdmSchedule,
-    simulate,
-    starvation_witness,
-)
-from repro.experiments.tables import render_table
-from repro.sim.events import EventKind
-from repro.workloads.trace import MemoryTrace, TraceRecord
+from repro.analysis.unbounded import starvation_witness
+from repro.bus.arbiter import ArbitrationPolicy
+from repro.bus.schedule import TdmSchedule
 from repro.common.types import AccessType
+from repro.experiments.tables import render_table
+from repro.llc.partition import PartitionSpec
+from repro.sim.config import SystemConfig
+from repro.sim.events import EventKind
+from repro.sim.simulator import simulate
+from repro.workloads.trace import MemoryTrace, TraceRecord
 
 
 def growth_table() -> None:

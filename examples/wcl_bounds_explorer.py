@@ -9,11 +9,13 @@ set sequencer makes the WCL independent of cache and partition size.
 Run:  python examples/wcl_bounds_explorer.py
 """
 
-from repro import (
-    SharedPartitionParams,
+from repro.analysis.sensitivity import (
     sweep_partition_lines,
     sweep_sharers,
     sweep_ways,
+)
+from repro.analysis.wcl import (
+    SharedPartitionParams,
     wcl_nss_breakdown,
     wcl_nss_cycles,
     wcl_ss_cycles,

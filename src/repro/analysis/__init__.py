@@ -13,65 +13,3 @@ the simulator:
 * :mod:`repro.analysis.sensitivity` — parameter sweeps of the bounds
   (how WCL scales with sharers, ways, partition size).
 """
-
-from repro.analysis.distance import DistanceTracker, line_distance, tracker_from_events
-from repro.analysis.wcl import (
-    SharedPartitionParams,
-    NssBreakdown,
-    interference_factor,
-    wcl_nss_slots,
-    wcl_nss_cycles,
-    wcl_nss_breakdown,
-    wcl_ss_slots,
-    wcl_ss_cycles,
-    wcl_private_slots,
-    wcl_private_cycles,
-    wcl_reduction_factor,
-    analytical_wcl_cycles,
-)
-from repro.analysis.unbounded import (
-    starvation_witness,
-    StarvationWitnessResult,
-)
-from repro.analysis.verification import (
-    BoundViolation,
-    CoreBound,
-    assert_bounds,
-    derive_core_bounds,
-    verify_bounds,
-)
-from repro.analysis.sensitivity import (
-    sweep_sharers,
-    sweep_ways,
-    sweep_partition_lines,
-    SensitivityPoint,
-)
-
-__all__ = [
-    "DistanceTracker",
-    "line_distance",
-    "tracker_from_events",
-    "SharedPartitionParams",
-    "NssBreakdown",
-    "interference_factor",
-    "wcl_nss_slots",
-    "wcl_nss_cycles",
-    "wcl_nss_breakdown",
-    "wcl_ss_slots",
-    "wcl_ss_cycles",
-    "wcl_private_slots",
-    "wcl_private_cycles",
-    "wcl_reduction_factor",
-    "analytical_wcl_cycles",
-    "starvation_witness",
-    "StarvationWitnessResult",
-    "sweep_sharers",
-    "BoundViolation",
-    "CoreBound",
-    "assert_bounds",
-    "derive_core_bounds",
-    "verify_bounds",
-    "sweep_ways",
-    "sweep_partition_lines",
-    "SensitivityPoint",
-]

@@ -5,30 +5,3 @@ only talk to the LLC inside their TDM slots, and the LLC only responds
 within the requesting core's slot.  The worst-case analysis of Section 4
 is entirely in terms of slots of this bus.
 """
-
-from repro.bus.schedule import (
-    TdmSchedule,
-    one_slot_tdm,
-    distance,
-)
-from repro.bus.buffers import (
-    PendingRequest,
-    PendingRequestBuffer,
-    WritebackEntry,
-    WritebackReason,
-    PendingWritebackBuffer,
-)
-from repro.bus.arbiter import ArbitrationPolicy, PrbPwbArbiter
-
-__all__ = [
-    "TdmSchedule",
-    "one_slot_tdm",
-    "distance",
-    "PendingRequest",
-    "PendingRequestBuffer",
-    "WritebackEntry",
-    "WritebackReason",
-    "PendingWritebackBuffer",
-    "ArbitrationPolicy",
-    "PrbPwbArbiter",
-]

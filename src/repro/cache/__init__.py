@@ -6,40 +6,3 @@ set-associative cache used for the private L1/L2 levels.  The shared LLC
 has richer semantics (partitioning, inclusive owner tracking, the
 ``PENDING_EVICT`` entry lifecycle) and lives in :mod:`repro.llc`.
 """
-
-from repro.cache.line import CacheLine, EvictedLine
-from repro.cache.replacement import (
-    ReplacementPolicy,
-    LruPolicy,
-    FifoPolicy,
-    MruPolicy,
-    NmruPolicy,
-    PlruTreePolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    OraclePolicy,
-    make_policy,
-    POLICY_NAMES,
-)
-from repro.cache.cacheset import CacheSet
-from repro.cache.sa_cache import SetAssociativeCache
-from repro.cache.stats import CacheStats
-
-__all__ = [
-    "CacheLine",
-    "EvictedLine",
-    "ReplacementPolicy",
-    "LruPolicy",
-    "FifoPolicy",
-    "MruPolicy",
-    "NmruPolicy",
-    "PlruTreePolicy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "OraclePolicy",
-    "make_policy",
-    "POLICY_NAMES",
-    "CacheSet",
-    "SetAssociativeCache",
-    "CacheStats",
-]

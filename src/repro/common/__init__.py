@@ -5,48 +5,3 @@ exception hierarchy, common enumerations and type aliases, byte-size
 parsing, integer helpers and argument-validation helpers that every other
 subpackage builds on.
 """
-
-from repro.common.errors import (
-    ReproError,
-    ConfigurationError,
-    GeometryError,
-    ScheduleError,
-    PartitionError,
-    SimulationError,
-    TraceError,
-    AnalysisError,
-)
-from repro.common.types import AccessType, EntryState, TransactionKind
-from repro.common.units import format_bytes, parse_bytes
-from repro.common.intmath import ceil_div, ilog2, is_power_of_two
-from repro.common.validation import (
-    require,
-    require_positive,
-    require_non_negative,
-    require_power_of_two,
-    require_in_range,
-)
-
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "GeometryError",
-    "ScheduleError",
-    "PartitionError",
-    "SimulationError",
-    "TraceError",
-    "AnalysisError",
-    "AccessType",
-    "EntryState",
-    "TransactionKind",
-    "format_bytes",
-    "parse_bytes",
-    "ceil_div",
-    "ilog2",
-    "is_power_of_two",
-    "require",
-    "require_positive",
-    "require_non_negative",
-    "require_power_of_two",
-    "require_in_range",
-]

@@ -5,21 +5,3 @@ core"), modelled as a memory trace.  The core has at most one
 outstanding LLC request; private hits are serviced at fixed latencies
 without touching the shared bus.
 """
-
-from repro.cpu.private_stack import (
-    PrivateStack,
-    PrivateStackConfig,
-    StackAccessResult,
-    FillResult,
-)
-from repro.cpu.core import TraceDrivenCore, CoreState, MissInfo
-
-__all__ = [
-    "PrivateStack",
-    "PrivateStackConfig",
-    "StackAccessResult",
-    "FillResult",
-    "TraceDrivenCore",
-    "CoreState",
-    "MissInfo",
-]

@@ -9,31 +9,3 @@
 * :mod:`repro.experiments.tables` — plain-text table rendering used by
   the benchmarks and the CLI.
 """
-
-from repro.experiments.compare import CompareResult, CompareRow, compare_notations
-from repro.experiments.configs import (
-    PAPER_CORE_CAPACITY_LINES,
-    build_system_for_notation,
-    fig7_system,
-    fig8_system,
-)
-from repro.experiments.fig7 import Fig7Result, Fig7Row, run_fig7
-from repro.experiments.fig8 import Fig8Result, Fig8Row, run_fig8
-from repro.experiments.tables import render_table
-
-__all__ = [
-    "CompareResult",
-    "CompareRow",
-    "compare_notations",
-    "PAPER_CORE_CAPACITY_LINES",
-    "build_system_for_notation",
-    "fig7_system",
-    "fig8_system",
-    "Fig7Result",
-    "Fig7Row",
-    "run_fig7",
-    "Fig8Result",
-    "Fig8Row",
-    "run_fig8",
-    "render_table",
-]

@@ -5,35 +5,3 @@ This package models exactly the LLC of the paper's system model
 partitions that are either private to one core (``P``) or shared by a
 group of cores with (``SS``) or without (``NSS``) the set sequencer.
 """
-
-from repro.llc.partition import (
-    PartitionSpec,
-    PartitionMap,
-    PartitionNotation,
-    PartitionKind,
-)
-from repro.llc.coloring import (
-    ColorGeometry,
-    ColoredAllocator,
-    colored_allocator_for_partition,
-    colors_of_partition,
-    is_colorable,
-)
-from repro.llc.directory import OwnerDirectory
-from repro.llc.llc import PartitionedLlc, LlcEntry, VictimInfo
-
-__all__ = [
-    "PartitionSpec",
-    "PartitionMap",
-    "PartitionNotation",
-    "PartitionKind",
-    "OwnerDirectory",
-    "ColorGeometry",
-    "ColoredAllocator",
-    "colored_allocator_for_partition",
-    "colors_of_partition",
-    "is_colorable",
-    "PartitionedLlc",
-    "LlcEntry",
-    "VictimInfo",
-]

@@ -1,6 +1,1 @@
 """Physical memory substrate: address geometry and the DRAM backend."""
-
-from repro.mem.address import AddressGeometry, AddressRange
-from repro.mem.dram import Dram, DramConfig
-
-__all__ = ["AddressGeometry", "AddressRange", "Dram", "DramConfig"]

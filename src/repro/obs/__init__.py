@@ -11,56 +11,3 @@ occupancy sampler (:mod:`repro.obs.recorder`).
 See ``docs/OBSERVABILITY.md`` for the metric catalogue and format
 specs.
 """
-
-from repro.obs.collect import collect_metrics
-from repro.obs.exporters import (
-    SUPPORTED_SUFFIXES,
-    metrics_to_csv,
-    metrics_to_jsonl,
-    metrics_to_prometheus,
-    render_metrics_table,
-    write_metrics,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    canonical_labels,
-    format_labels,
-    merge_all,
-)
-from repro.obs.recorder import OCCUPANCY_CAP, SlotSampler
-from repro.obs.tracing import (
-    TRACE_SCHEMA_VERSION,
-    JsonlTraceSink,
-    event_json_line,
-    event_to_dict,
-    trace_digest,
-    trace_to_jsonl_bytes,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "canonical_labels",
-    "format_labels",
-    "merge_all",
-    "collect_metrics",
-    "SUPPORTED_SUFFIXES",
-    "metrics_to_csv",
-    "metrics_to_jsonl",
-    "metrics_to_prometheus",
-    "render_metrics_table",
-    "write_metrics",
-    "OCCUPANCY_CAP",
-    "SlotSampler",
-    "TRACE_SCHEMA_VERSION",
-    "JsonlTraceSink",
-    "event_json_line",
-    "event_to_dict",
-    "trace_digest",
-    "trace_to_jsonl_bytes",
-]

@@ -29,121 +29,3 @@ Three pieces, one goal — trust the numbers the simulator reports:
   reduces any failing fuzz case to a self-contained JSON repro
   artifact (``repro-llc repro FILE`` replays it).
 """
-
-from repro.robustness.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    install_fault_plan,
-)
-from repro.robustness.iofault import (
-    InjectedIoError,
-    IoFaultKind,
-    IoFaultPlan,
-    IoFaultSpec,
-    IoOperationRecorder,
-    parse_io_fault_specs,
-    record_io_operations,
-)
-from repro.robustness.invariants import (
-    InclusivityInvariant,
-    Invariant,
-    InvariantMonitor,
-    LatencyBoundInvariant,
-    LlcConsistencyInvariant,
-    OneOutstandingRequestInvariant,
-    PartitionRoutingInvariant,
-    PendingEvictAccountingInvariant,
-    SequencerConsistencyInvariant,
-    SlotAccountingInvariant,
-    SlotSequenceInvariant,
-    standard_invariants,
-)
-from repro.robustness.fuzz import (
-    FuzzCase,
-    FuzzCaseResult,
-    FuzzReport,
-    generate_case,
-    generate_cases,
-    run_fuzz,
-    run_fuzz_case,
-)
-from repro.robustness.oracle import (
-    ORACLE_CHECKS,
-    OracleReport,
-    OracleViolation,
-    check_run,
-)
-from repro.robustness.runner import (
-    CampaignResult,
-    CampaignRunner,
-    RetryPolicy,
-    RobustSweepResult,
-    RunManifest,
-    TaskOutcome,
-    run_all_robust,
-    sweep_seeds_robust,
-)
-from repro.robustness.shrink import (
-    ReplayResult,
-    ShrinkResult,
-    load_artifact,
-    replay_artifact,
-    shrink_case,
-    write_artifact,
-)
-
-__all__ = [
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "install_fault_plan",
-    "InjectedIoError",
-    "IoFaultKind",
-    "IoFaultPlan",
-    "IoFaultSpec",
-    "IoOperationRecorder",
-    "parse_io_fault_specs",
-    "record_io_operations",
-    "InclusivityInvariant",
-    "Invariant",
-    "InvariantMonitor",
-    "LatencyBoundInvariant",
-    "LlcConsistencyInvariant",
-    "OneOutstandingRequestInvariant",
-    "PartitionRoutingInvariant",
-    "PendingEvictAccountingInvariant",
-    "SequencerConsistencyInvariant",
-    "SlotAccountingInvariant",
-    "SlotSequenceInvariant",
-    "standard_invariants",
-    "CampaignResult",
-    "CampaignRunner",
-    "RetryPolicy",
-    "RobustSweepResult",
-    "RunManifest",
-    "TaskOutcome",
-    "run_all_robust",
-    "sweep_seeds_robust",
-    "ORACLE_CHECKS",
-    "OracleReport",
-    "OracleViolation",
-    "check_run",
-    "FuzzCase",
-    "FuzzCaseResult",
-    "FuzzReport",
-    "generate_case",
-    "generate_cases",
-    "run_fuzz",
-    "run_fuzz_case",
-    "ReplayResult",
-    "ShrinkResult",
-    "load_artifact",
-    "replay_artifact",
-    "shrink_case",
-    "write_artifact",
-]

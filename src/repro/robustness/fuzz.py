@@ -511,7 +511,8 @@ def generate_cases(
 
 
 def record_fuzz_metrics(registry: Any, report: FuzzReport) -> None:
-    """Fill ``registry`` (a :class:`repro.obs.MetricsRegistry`) from a report."""
+    """Fill ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`)
+    from ``report``."""
     for case in report.cases:
         status = "passed" if case.get("passed") else "failed"
         registry.counter("fuzz_cases_total", status=status).inc()
@@ -584,19 +585,8 @@ def run_fuzz(
     campaign = runner.run(tasks, resume=resume, progress=progress)
 
     report = FuzzReport(budget=budget, seed=seed, fault_rate=fault_rate)
-    manifest = campaign.manifest
     for case in cases:
-        entry = manifest.tasks.get(case.case_id) if manifest else None
-        if entry is None:  # checkpointing disabled: read the outcome
-            outcome = next(
-                o for o in campaign.outcomes if o.name == case.case_id
-            )
-            entry = {
-                "status": outcome.status,
-                "payload": _fuzz_payload(outcome.result),
-                "error_type": outcome.error_type,
-                "error": outcome.error,
-            }
+        entry = campaign.manifest.tasks[case.case_id]
         if entry.get("status") == "done" and entry.get("payload"):
             # JSON round-trip so fresh and resumed campaigns agree on
             # types (tuples become lists either way).

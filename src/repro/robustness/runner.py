@@ -18,10 +18,8 @@ module wraps any sequence of named tasks with:
   picks up where it left off (``repro-llc all --resume``) and completed
   tasks are never re-run.
 
-Two ready-made campaigns: :func:`run_all_robust` (the full artifact
-reproduction of :mod:`repro.experiments.runner`) and
-:func:`sweep_seeds_robust` (per-seed tasks around
-:func:`repro.sim.sweeps.run_seed`).
+The ready-made campaign is :func:`run_all_robust`, the full artifact
+reproduction of :mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -64,10 +62,7 @@ from repro.common.fileio import (
     read_text,
 )
 from repro.common.validation import require
-from repro.sim.config import SystemConfig
 from repro.sim.parallel import PoolResult, TaskPool, pool_enabled
-from repro.sim.report import SimReport
-from repro.sim.sweeps import SweepResult, TraceFactory, run_seed
 
 #: A campaign task: a stable name plus a nullary callable producing the
 #: task's result.
@@ -317,8 +312,8 @@ class TaskOutcome:
 class CampaignResult:
     """Everything one :meth:`CampaignRunner.run` call produced."""
 
-    outcomes: List[TaskOutcome] = field(default_factory=list)
-    manifest: Optional[RunManifest] = None
+    outcomes: List[TaskOutcome]
+    manifest: RunManifest
 
     @property
     def quarantined(self) -> List[TaskOutcome]:
@@ -335,18 +330,16 @@ class CampaignResult:
         """No quarantine this run, and no failed payload in the manifest."""
         if self.quarantined:
             return False
-        if self.manifest is not None:
-            for entry in self.manifest.tasks.values():
-                if entry.get("status") != "done":
-                    return False
-                if _checks_failed(entry.get("payload")):
-                    return False
-        return True
+        return all(
+            entry.get("status") == "done"
+            and not _checks_failed(entry.get("payload"))
+            for entry in self.manifest.tasks.values()
+        )
 
     def summary(self) -> str:
         """One line per task of this run."""
         labels = {"done": "PASS", "skipped": "SKIP", "quarantined": "QUARANTINED"}
-        tasks = self.manifest.tasks if self.manifest is not None else {}
+        tasks = self.manifest.tasks
         lines = []
         for outcome in self.outcomes:
             label = labels.get(outcome.status, outcome.status.upper())
@@ -409,10 +402,6 @@ class CampaignRunner:
         main thread of a Unix process — elsewhere tasks run untimed.
     retry:
         The transient-failure :class:`RetryPolicy`.
-    transient_types:
-        Exception classes considered transient (retried with backoff).
-        Defaults to :class:`OSError` — host-level flakiness.  Model
-        errors (:class:`ReproError`) are deterministic and never retried.
     jobs:
         Worker processes for task execution.  ``1`` (the default) runs
         tasks serially in-process, exactly as before.  With ``jobs > 1``
@@ -445,7 +434,6 @@ class CampaignRunner:
         manifest_path: Optional[Union[str, Path]] = None,
         timeout: Optional[float] = None,
         retry: RetryPolicy = RetryPolicy(),
-        transient_types: Tuple[type, ...] = (OSError,),
         payload_of: Callable[[Any], Optional[Dict[str, Any]]] = _default_payload,
         jobs: int = 1,
         sleep: Callable[[float], None] = time.sleep,
@@ -465,7 +453,6 @@ class CampaignRunner:
         self.manifest_path = Path(manifest_path) if manifest_path else None
         self.timeout = timeout
         self.retry = retry
-        self.transient_types = transient_types
         self.payload_of = payload_of
         self.jobs = jobs
         self.sleep = sleep
@@ -485,10 +472,11 @@ class CampaignRunner:
             and threading.current_thread() is threading.main_thread()
         )
 
-    def _is_transient(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.transient_types) and not isinstance(
-            exc, ReproError
-        )
+    @staticmethod
+    def _is_transient(exc: BaseException) -> bool:
+        """Host-level flakiness (:class:`OSError`) is retried with
+        backoff; model errors (:class:`ReproError`) are deterministic."""
+        return isinstance(exc, OSError) and not isinstance(exc, ReproError)
 
     def _call_with_alarm(self, name: str, thunk: Callable[[], Any]) -> Any:
         def _on_alarm(signum, frame):  # pragma: no cover - trivial
@@ -690,7 +678,6 @@ def write_campaign_summaries(
     would re-count the retried task, so the rollup is pinned by
     ``tests/test_campaign_summary_resume.py``.
     """
-    assert result.manifest is not None
     campaign_order = [o.name for o in result.outcomes]
     extras = sorted(set(result.manifest.tasks) - set(campaign_order))
     ordered = [
@@ -847,7 +834,7 @@ def run_all_robust(
     with run_context(**changes):
         result = runner.run(tasks, resume=resume, progress=progress)
 
-    if target is not None and result.manifest is not None:
+    if target is not None:
         # Canonical order with per-task dedup: the manifest's in-memory
         # insertion order depends on which tasks were resumed from disk,
         # so iterating it directly would make the summary bytes depend
@@ -877,75 +864,10 @@ def campaign_metrics(result: CampaignResult) -> "Any":
             metrics = getattr(outcome.result, "metrics", None)
             if metrics is not None:
                 registries.append(metrics)
-        elif outcome.status == "skipped" and result.manifest is not None:
+        elif outcome.status == "skipped":
             entry = result.manifest.entry(outcome.name) or {}
             payload = entry.get("payload") or {}
             rows = payload.get("metrics_rows")
             if rows:
                 registries.append(registry_from_rows(rows))
     return merge_all(registries)
-
-
-@dataclass
-class RobustSweepResult:
-    """A seed sweep that tolerates per-seed failures.
-
-    ``result`` aggregates the seeds that completed (``None`` when every
-    seed failed); ``quarantined_seeds`` names the rest, with the error
-    recorded per seed in ``campaign``'s manifest/outcomes.
-    """
-
-    result: Optional[SweepResult]
-    completed_seeds: Tuple[int, ...]
-    quarantined_seeds: Tuple[int, ...]
-    campaign: CampaignResult
-
-    @property
-    def complete(self) -> bool:
-        """Whether every seed of the sweep completed."""
-        return not self.quarantined_seeds
-
-
-def sweep_seeds_robust(
-    config: SystemConfig,
-    trace_factory: TraceFactory,
-    seeds: Sequence[int],
-    check: Optional[Callable[[SimReport], None]] = None,
-    runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-) -> RobustSweepResult:
-    """Crash-tolerant :func:`repro.sim.sweeps.sweep_seeds`.
-
-    Each seed runs as one campaign task (timeout/retry/quarantine apply
-    per seed); failed seeds are quarantined and the sweep aggregates
-    over the survivors instead of dying.  ``jobs > 1`` fans the seeds
-    out across worker processes (ignored when an explicit ``runner`` is
-    supplied — configure ``CampaignRunner(jobs=...)`` instead); results
-    aggregate in canonical seed order either way.
-    """
-    require(bool(seeds), "sweep needs at least one seed", ConfigurationError)
-    runner = runner or CampaignRunner(jobs=jobs)
-    tasks: List[Task] = [
-        (
-            f"seed-{seed}",
-            lambda seed=seed: run_seed(config, trace_factory, seed, check),
-        )
-        for seed in seeds
-    ]
-    campaign = runner.run(tasks, progress=progress)
-    completed: List[int] = []
-    reports: List[SimReport] = []
-    quarantined: List[int] = []
-    for seed, outcome in zip(seeds, campaign.outcomes):
-        if outcome.status == "done" and outcome.result is not None:
-            completed.append(seed)
-            reports.append(outcome.result)
-        else:
-            quarantined.append(seed)
-    return RobustSweepResult(
-        result=SweepResult.from_reports(completed, reports) if completed else None,
-        completed_seeds=tuple(completed),
-        quarantined_seeds=tuple(quarantined),
-        campaign=campaign,
-    )

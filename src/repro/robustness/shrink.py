@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.common.errors import FuzzError, ReproError
-from repro.common.fileio import Durability, persist_text
+from repro.common.fileio import Durability, persist_text, read_text
 from repro.robustness.fuzz import FuzzCase, FuzzCaseResult, run_fuzz_case
 
 #: Schema version of repro artifacts.
@@ -288,10 +288,10 @@ def load_artifact(path: Union[str, Path]) -> Tuple[FuzzCase, str]:
     """
     target = Path(path)
     try:
-        data = json.loads(target.read_text())
+        data = json.loads(read_text(target, site="repro-artifact"))
     except OSError as exc:
         raise FuzzError(f"repro artifact {target} is unreadable: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FuzzError(f"repro artifact {target} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FuzzError(f"repro artifact {target} is malformed (not an object)")

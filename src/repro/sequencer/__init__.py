@@ -9,14 +9,3 @@ by the core at the head of that set's queue, which removes the
 Theorem 4.7's partition-size-dependent bound to Theorem 4.8's
 ``(2(n-1)·n + 1)·N·SW``.
 """
-
-from repro.sequencer.qlt import QueueLookupTable
-from repro.sequencer.sq import SequencerQueue
-from repro.sequencer.set_sequencer import SetSequencer, SequencerStats
-
-__all__ = [
-    "QueueLookupTable",
-    "SequencerQueue",
-    "SetSequencer",
-    "SequencerStats",
-]

@@ -114,8 +114,8 @@ def run_seed(
 
     ``check`` (e.g. a bound assertion) runs on the report before it is
     returned; its exception propagates with the offending seed attached.
-    The crash-tolerant sweep (:func:`repro.robustness.runner.sweep_seeds_robust`)
-    wraps exactly this function per task.
+    A crash-tolerant sweep hands ``(f"seed-{seed}", partial(run_seed,
+    ...))`` tasks to :class:`repro.robustness.runner.CampaignRunner`.
 
     A timed-out or starved run raises :class:`SimulationError` (before
     ``check`` sees it) unless ``allow_incomplete=True``: an incomplete

@@ -7,40 +7,3 @@ partition configurations (Section 5).  :mod:`repro.workloads.synthetic`
 implements exactly that; :mod:`repro.workloads.adversarial` builds
 access patterns that steer the system toward the analytical worst case.
 """
-
-from repro.workloads.trace import MemoryTrace, TraceRecord, read_trace, write_trace
-from repro.workloads.synthetic import (
-    SyntheticWorkloadConfig,
-    generate_core_trace,
-    generate_disjoint_workload,
-)
-from repro.workloads.phased import (
-    Phase,
-    PhaseKind,
-    PhasedWorkloadConfig,
-    control_task_config,
-    generate_phased_trace,
-    generate_phased_workload,
-)
-from repro.workloads.adversarial import (
-    conflict_storm_traces,
-    pingpong_traces,
-)
-
-__all__ = [
-    "MemoryTrace",
-    "TraceRecord",
-    "read_trace",
-    "write_trace",
-    "SyntheticWorkloadConfig",
-    "generate_core_trace",
-    "generate_disjoint_workload",
-    "conflict_storm_traces",
-    "pingpong_traces",
-    "Phase",
-    "PhaseKind",
-    "PhasedWorkloadConfig",
-    "control_task_config",
-    "generate_phased_trace",
-    "generate_phased_workload",
-]

@@ -12,10 +12,10 @@ import json
 
 import pytest
 
+from repro.common.context import RetryPolicy
 from repro.robustness.runner import (
     CampaignResult,
     CampaignRunner,
-    RetryPolicy,
     RunManifest,
     TaskOutcome,
     write_campaign_summaries,
@@ -145,6 +145,6 @@ def test_quarantine_resume_retry_end_to_end(tmp_path):
     assert summary == {"flaky": {"reproduced": True}}
 
 
-def test_summaries_require_manifest(tmp_path):
-    with pytest.raises(AssertionError):
-        write_campaign_summaries(tmp_path, CampaignResult(outcomes=[]))
+def test_summaries_require_manifest():
+    with pytest.raises(TypeError):
+        CampaignResult(outcomes=[])

@@ -8,6 +8,8 @@ checked on each run.
 
 import doctest
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -227,8 +229,17 @@ def documented_names(entry: str):
 
 
 def resolves(module_name: str, dotted: str) -> bool:
-    target = importlib.import_module(module_name)
-    for part in dotted.split("."):
+    """``dotted`` resolves in ``module_name`` and, when it names a class
+    or function, that module defines it (one import path per name)."""
+    module = importlib.import_module(module_name)
+    head, *attributes = dotted.split(".")
+    if not hasattr(module, head):
+        return False
+    target = getattr(module, head)
+    defines = inspect.isclass(target) or inspect.isfunction(target)
+    if defines and target.__module__ != module_name:
+        return False
+    for part in attributes:
         if hasattr(target, part):
             target = getattr(target, part)
         elif part in getattr(target, "__dataclass_fields__", {}):
@@ -239,7 +250,7 @@ def resolves(module_name: str, dotted: str) -> bool:
 
 
 class TestApiTables:
-    """Every name docs/API.md lists imports from its row's module."""
+    """Every name docs/API.md lists is defined in its row's module."""
 
     ROWS = api_table_rows()
 
@@ -256,3 +267,42 @@ class TestApiTables:
                     f"docs/API.md lists {name!r} under {modules}, "
                     "but it does not import from there"
                 )
+
+
+#: The quickstart's names: the only ones the top-level package exports.
+TOP_LEVEL_NAMES = {
+    "PartitionKind",
+    "PartitionNotation",
+    "SystemConfig",
+    "SyntheticWorkloadConfig",
+    "analytical_wcl_cycles",
+    "fig7_system",
+    "generate_disjoint_workload",
+    "simulate",
+    "__version__",
+}
+
+
+class TestOneImportPath:
+    """Each public name imports from its defining module only."""
+
+    def test_top_level_exports_only_the_quickstart_names(self):
+        import repro
+
+        assert set(repro.__all__) == TOP_LEVEL_NAMES
+        assert len(repro.__all__) == len(TOP_LEVEL_NAMES)
+
+    def test_subpackages_export_nothing_but_submodules(self):
+        import repro
+
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not info.ispkg:
+                continue
+            module = importlib.import_module(info.name)
+            assert not hasattr(module, "__all__"), info.name
+            strays = [
+                name
+                for name, value in vars(module).items()
+                if not name.startswith("_") and not inspect.ismodule(value)
+            ]
+            assert not strays, f"{info.name} re-exports {strays}"

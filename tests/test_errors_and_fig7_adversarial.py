@@ -49,7 +49,7 @@ class TestErrorHierarchy:
         assert not issubclass(SimulationError, ConfigurationError)
 
     def test_catching_the_base_class_catches_everything(self):
-        from repro import PartitionNotation
+        from repro.llc.partition import PartitionNotation
 
         with pytest.raises(ReproError):
             PartitionNotation.parse("garbage")

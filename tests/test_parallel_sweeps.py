@@ -6,23 +6,20 @@ guarantee of :mod:`repro.sim.parallel` as seen by its real callers.
 """
 
 import time
+from functools import partial
 
 import pytest
 
 from sim_helpers import small_config
 
+from repro.common.context import RetryPolicy
 from repro.common.errors import SimulationError
 from repro.experiments.compare import compare_notations
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
-from repro.robustness.runner import (
-    CampaignRunner,
-    RetryPolicy,
-    RunManifest,
-    sweep_seeds_robust,
-)
+from repro.robustness.runner import CampaignRunner, RunManifest
 from repro.sim.parallel import parallel_available
-from repro.sim.sweeps import compare_configs, sweep_seeds
+from repro.sim.sweeps import compare_configs, run_seed, sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -99,21 +96,29 @@ def test_compare_notations_parallel_is_bit_identical():
 # ----------------------------------------------------------------------
 # Robust campaign
 # ----------------------------------------------------------------------
+def seed_tasks(factory, seeds):
+    """One ``run_seed`` campaign task per seed."""
+    return [
+        (f"seed-{seed}", partial(run_seed, CONFIG, factory, seed))
+        for seed in seeds
+    ]
+
+
 def test_robust_sweep_parallel_matches_serial_including_manifest(tmp_path):
     serial_runner = CampaignRunner(manifest_path=tmp_path / "serial.json")
     parallel_runner = CampaignRunner(
         manifest_path=tmp_path / "parallel.json", jobs=3
     )
-    serial = sweep_seeds_robust(
-        CONFIG, trace_factory, SEEDS, runner=serial_runner
-    )
-    parallel = sweep_seeds_robust(
-        CONFIG, trace_factory, SEEDS, runner=parallel_runner
-    )
-    assert parallel.result == serial.result
-    assert parallel.completed_seeds == serial.completed_seeds
-    assert [o.status for o in parallel.campaign.outcomes] == [
-        o.status for o in serial.campaign.outcomes
+    serial = serial_runner.run(seed_tasks(trace_factory, SEEDS))
+    parallel = parallel_runner.run(seed_tasks(trace_factory, SEEDS))
+    assert [o.status for o in parallel.outcomes] == [
+        o.status for o in serial.outcomes
+    ]
+    assert [o.result.observed_wcl() for o in parallel.outcomes] == [
+        o.result.observed_wcl() for o in serial.outcomes
+    ]
+    assert [o.result.makespan for o in parallel.outcomes] == [
+        o.result.makespan for o in serial.outcomes
     ]
     # The comparable manifest content (status + payload; not timings).
     assert (
@@ -128,12 +133,10 @@ def test_parallel_campaign_quarantines_worker_exception(tmp_path):
             raise SimulationError("seed 2 workload is broken")
         return trace_factory(seed)
 
-    robust = sweep_seeds_robust(
-        CONFIG, selective_factory, [1, 2, 3], jobs=3
-    )
-    assert robust.quarantined_seeds == (2,)
-    assert robust.completed_seeds == (1, 3)
-    bad = robust.campaign.outcomes[1]
+    robust = CampaignRunner(jobs=3).run(seed_tasks(selective_factory, [1, 2, 3]))
+    assert [o.name for o in robust.quarantined] == ["seed-2"]
+    assert [o.status for o in robust.outcomes] == ["done", "quarantined", "done"]
+    bad = robust.outcomes[1]
     assert bad.status == "quarantined"
     assert bad.error_type == "SimulationError"
     assert "seed 2 workload is broken" in bad.error

@@ -3,26 +3,25 @@
 import json
 import re
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from repro.common.context import RetryPolicy
 from repro.common.errors import (
     CampaignError,
     ConfigurationError,
-    ReproError,
     SimulationError,
     TaskTimeoutError,
 )
 from repro.robustness.runner import (
     CampaignRunner,
-    RetryPolicy,
     RunManifest,
     run_all_robust,
-    sweep_seeds_robust,
 )
 from repro.sim.parallel import parallel_available
-from repro.sim.sweeps import sweep_seeds
+from repro.sim.sweeps import run_seed, sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -89,7 +88,6 @@ class TestRetryAndQuarantine:
         runner = CampaignRunner(
             manifest_path=tmp_path / "m.json",
             retry=RetryPolicy(max_attempts=5, backoff_base=0),
-            transient_types=(OSError, ReproError),
             sleep=lambda _s: None,
         )
         result = runner.run([("det", deterministic)])
@@ -718,6 +716,8 @@ class TestParallelKeyboardInterrupt:
 
 
 class TestRobustSweep:
+    """A seed sweep as a campaign: one ``run_seed`` task per seed."""
+
     CONFIG = small_config(num_cores=2)
 
     @staticmethod
@@ -727,44 +727,48 @@ class TestRobustSweep:
         )
         return generate_disjoint_workload(workload, [0, 1])
 
+    def sweep(self, factory, seeds):
+        tasks = [
+            (f"seed-{seed}", partial(run_seed, self.CONFIG, factory, seed))
+            for seed in seeds
+        ]
+        return CampaignRunner().run(tasks)
+
     def test_matches_plain_sweep_when_healthy(self):
         seeds = [1, 2, 3]
         plain = sweep_seeds(self.CONFIG, self.trace_factory, seeds)
-        robust = sweep_seeds_robust(self.CONFIG, self.trace_factory, seeds)
-        assert robust.complete
-        assert robust.result.seeds == plain.seeds
-        assert robust.result.observed_wcls == plain.observed_wcls
-        assert robust.result.makespans == plain.makespans
+        robust = self.sweep(self.trace_factory, seeds)
+        assert [o.status for o in robust.outcomes] == ["done"] * 3
+        reports = [o.result for o in robust.outcomes]
+        assert tuple(r.observed_wcl() for r in reports) == plain.observed_wcls
+        assert tuple(r.makespan for r in reports) == plain.makespans
 
     def test_failing_seed_is_quarantined_not_fatal(self):
-        def check(report):
-            # Seed-independent state makes seed 2 fail deterministically.
-            assert report.makespan != report.makespan or True
-
-        def picky_check(report):
-            raise AssertionError("bound violated")
-
         def selective_factory(seed):
             if seed == 2:
                 raise SimulationError("seed 2 workload is broken")
             return self.trace_factory(seed)
 
-        robust = sweep_seeds_robust(
-            self.CONFIG, selective_factory, [1, 2, 3]
-        )
-        assert robust.quarantined_seeds == (2,)
-        assert robust.completed_seeds == (1, 3)
-        assert not robust.complete
-        assert robust.result is not None
-        assert len(robust.result.observed_wcls) == 2
+        robust = self.sweep(selective_factory, [1, 2, 3])
+        assert [o.name for o in robust.quarantined] == ["seed-2"]
+        assert [o.status for o in robust.outcomes] == [
+            "done",
+            "quarantined",
+            "done",
+        ]
+        bad = robust.outcomes[1]
+        assert bad.error_type == "SimulationError"
+        assert "seed 2 workload is broken" in bad.error
+        assert robust.manifest.tasks["seed-2"]["status"] == "quarantined"
 
     def test_all_seeds_failing_yields_no_result(self):
         def bad_factory(seed):
             raise SimulationError("nothing works")
 
-        robust = sweep_seeds_robust(self.CONFIG, bad_factory, [1, 2])
-        assert robust.result is None
-        assert robust.quarantined_seeds == (1, 2)
+        robust = self.sweep(bad_factory, [1, 2])
+        assert [o.name for o in robust.quarantined] == ["seed-1", "seed-2"]
+        assert all(o.result is None for o in robust.outcomes)
+        assert not robust.all_ok
 
 
 class TestRunAllRobust:

@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.context import run_context
 from repro.common.errors import FuzzError
 from repro.robustness.fuzz import generate_cases, run_fuzz_case
+from repro.robustness.iofault import IoFaultPlan, IoFaultSpec
 from repro.robustness.shrink import (
+    ARTIFACT_VERSION,
     load_artifact,
     replay_artifact,
     shrink_case,
@@ -99,6 +102,11 @@ class TestArtifacts:
         with pytest.raises(FuzzError, match="not JSON"):
             load_artifact(not_json)
 
+        not_utf8 = tmp_path / "d.json"
+        not_utf8.write_bytes(b"\xff{}")
+        with pytest.raises(FuzzError, match="not JSON"):
+            load_artifact(not_utf8)
+
         wrong_version = tmp_path / "b.json"
         case, result = _detected_chaos_case()
         good = json.loads(
@@ -116,3 +124,23 @@ class TestArtifacts:
         missing_case.write_text(json.dumps({"artifact_version": 1}))
         with pytest.raises(FuzzError, match="malformed"):
             load_artifact(missing_case)
+
+    def test_load_reads_through_the_io_seam(self, tmp_path):
+        case = generate_cases(1, 0)[0]
+        path = tmp_path / "repro.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "artifact_version": ARTIFACT_VERSION,
+                    "case": case.to_dict(),
+                    "failure": {"signature": "oracle:response-latency"},
+                }
+            )
+        )
+        assert load_artifact(path) == (case, "oracle:response-latency")
+        spec = IoFaultSpec.parse("eio@1x*,site=repro-artifact,op=read")
+        plan = IoFaultPlan([spec])
+        with run_context(io_hook=plan):
+            with pytest.raises(FuzzError, match="unreadable"):
+                load_artifact(path)
+        assert plan.fired_count == 1
