@@ -299,19 +299,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         address_range=args.range,
         seed=args.seed,
     )
-    from repro.common.errors import CheckpointError
-
-    try:
-        report = simulate(
-            config,
-            traces,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_slots=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = simulate(
+        config,
+        traces,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every_slots=args.checkpoint_every,
+        checkpoint_every_secs=args.checkpoint_every_secs,
+    )
     rows = []
     for core in range(args.cores):
         core_report = report.core_reports[core]
@@ -469,7 +463,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.collect import collect_metrics
     from repro.obs.exporters import render_metrics_table
     from repro.obs.tracing import JsonlTraceSink
-    from repro.common.errors import ObservabilityError
     from repro.sim.simulator import simulate
     from repro.workloads.suites import get_suite
 
@@ -486,27 +479,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     from pathlib import Path
 
-    from repro.common.errors import CheckpointError
-
     sink = None
     if args.trace:
-        try:
-            if args.checkpoint and Path(args.checkpoint).exists():
-                # Resuming: rewind the trace file to the checkpointed
-                # offset so the resumed run appends exactly where the
-                # snapshot left off (byte-identical final trace).
-                from repro.robustness.checkpoint import (
-                    checkpoint_sink_states,
-                )
+        if args.checkpoint and Path(args.checkpoint).exists():
+            # Resuming: rewind the trace file to the checkpointed
+            # offset so the resumed run appends exactly where the
+            # snapshot left off (byte-identical final trace).
+            from repro.robustness.checkpoint import checkpoint_sink_states
 
-                states = checkpoint_sink_states(args.checkpoint)
-                if states:
-                    sink = JsonlTraceSink.reopen(args.trace, states[0])
-            if sink is None:
-                sink = JsonlTraceSink(args.trace)
-        except (ObservabilityError, CheckpointError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            states = checkpoint_sink_states(args.checkpoint)
+            if states:
+                sink = JsonlTraceSink.reopen(args.trace, states[0])
+        if sink is None:
+            sink = JsonlTraceSink(args.trace)
     try:
         report = simulate(
             config,
@@ -516,9 +501,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             checkpoint_every_slots=args.checkpoint_every,
             checkpoint_every_secs=args.checkpoint_every_secs,
         )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if sink is not None:
             sink.close()
@@ -629,14 +611,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    from repro.common.errors import FuzzError
     from repro.robustness.shrink import replay_artifact
 
-    try:
-        replay = replay_artifact(args.artifact)
-    except FuzzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    replay = replay_artifact(args.artifact)
     case = replay.case
     summary = (
         f"case {case.case_id}: {case.total_requests} request(s), "
@@ -1155,12 +1132,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     and summaries are inside the ``--io-fault`` window too — and maps a
     :class:`~repro.common.errors.PersistenceError` (an ESSENTIAL
     artifact that could not be written after bounded retries) to a
-    clean one-line error and exit code 1.
+    clean one-line error and exit code 1.  An unusable input — a
+    malformed metrics or trace request, or a corrupt or foreign
+    manifest, checkpoint or repro artifact — is one ``error:`` line and
+    the usage-error exit code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     from repro.common.context import run_context
-    from repro.common.errors import ObservabilityError, PersistenceError
+    from repro.common.errors import (
+        CampaignError,
+        CheckpointError,
+        FuzzError,
+        ObservabilityError,
+        PersistenceError,
+    )
 
     changes = _run_context_changes(args)
     try:
@@ -1173,8 +1159,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ObservabilityError as exc:
-        # e.g. a trace sink that failed mid-run: requested output,
+    except (CampaignError, CheckpointError, FuzzError, ObservabilityError) as exc:
+        # e.g. a trace sink that failed mid-run or a corrupt manifest:
         # loud failure with the offending path, usage-error exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -588,9 +588,7 @@ def run_fuzz(
     for case in cases:
         entry = campaign.manifest.tasks[case.case_id]
         if entry.get("status") == "done" and entry.get("payload"):
-            # JSON round-trip so fresh and resumed campaigns agree on
-            # types (tuples become lists either way).
-            report.cases.append(json.loads(json.dumps(entry["payload"])))
+            report.cases.append(entry["payload"])
         else:
             report.cases.append(
                 {

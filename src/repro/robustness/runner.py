@@ -16,7 +16,10 @@ module wraps any sequence of named tasks with:
 * **checkpoint/resume** through a :class:`RunManifest` that journals
   every task's outcome durably as it completes, so a killed campaign
   picks up where it left off (``repro-llc all --resume``) and completed
-  tasks are never re-run.
+  tasks are never re-run.  Its snapshot and journal lines are sealed
+  documents (:func:`repro.sim.codec.seal`), so a corrupt manifest is
+  refused with :class:`~repro.common.errors.CampaignError`, never
+  resumed from.
 
 The ready-made campaign is :func:`run_all_robust`, the full artifact
 reproduction of :mod:`repro.experiments.runner`.
@@ -45,6 +48,7 @@ from typing import (
 from repro.common.context import RetryPolicy, run_context
 from repro.common.errors import (
     CampaignError,
+    CheckpointError,
     ConfigurationError,
     ReproError,
     TaskTimeoutError,
@@ -59,87 +63,64 @@ from repro.common.fileio import (
     guarded_write,
     persist_text,
     read_bytes,
-    read_text,
 )
 from repro.common.validation import require
+from repro.sim.codec import canonical_json, seal, unseal
 from repro.sim.parallel import PoolResult, TaskPool, pool_enabled
 
 #: A campaign task: a stable name plus a nullary callable producing the
 #: task's result.
 Task = Tuple[str, Callable[[], Any]]
 
-#: Manifest schema version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: The kind and version stamps of a sealed manifest document.
+MANIFEST_KIND = "repro-run-manifest"
+MANIFEST_VERSION = 2
 
 
 # ----------------------------------------------------------------------
 # Run manifest (checkpoint/resume)
 # ----------------------------------------------------------------------
-def _read_snapshot(path: Path) -> Dict[str, Dict[str, Any]]:
-    """The task entries of a manifest snapshot, version-checked."""
+def _seal_tasks(tasks: Dict[str, Dict[str, Any]]) -> str:
+    """The manifest document holding ``tasks``: a snapshot or a journal line."""
+    return seal({"kind": MANIFEST_KIND, "version": MANIFEST_VERSION, "tasks": tasks})
+
+
+def _unseal_tasks(
+    data: Union[str, bytes], path: Optional[Path], problem: str
+) -> Dict[str, Dict[str, Any]]:
+    """The tasks of one :func:`_seal_tasks` document, verified by
+    :func:`~repro.sim.codec.unseal`; ``problem`` heads its errors."""
     try:
-        data = json.loads(read_text(path, site="manifest"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return unseal(data, path, MANIFEST_KIND, MANIFEST_VERSION)["tasks"]
+    except CheckpointError as exc:
         raise CampaignError(
-            f"run manifest {path} is unreadable: {exc}"
+            f"run manifest {problem}: {exc}; delete the manifest (or rerun "
+            "with --no-resume) to start a fresh campaign"
         ) from exc
-    if not isinstance(data, dict) or "tasks" not in data:
-        raise CampaignError(
-            f"run manifest {path} is malformed (no tasks object)"
-        )
-    version = data.get("version")
-    if isinstance(version, int) and version > MANIFEST_VERSION:
-        raise CampaignError(
-            f"run manifest {path} has version {version}, "
-            f"written by a newer repro build (this build reads "
-            f"version {MANIFEST_VERSION}); upgrade this installation "
-            "to resume that campaign, or delete the manifest to "
-            "start a fresh one"
-        )
-    if version != MANIFEST_VERSION:
-        raise CampaignError(
-            f"run manifest {path} has version {version!r}; "
-            f"this runner writes version {MANIFEST_VERSION} "
-            "(delete the manifest to start a fresh campaign)"
-        )
-    return dict(data["tasks"])
 
 
-def _journal_record(line: bytes) -> Tuple[str, Dict[str, Any]]:
-    record = json.loads(line)
-    if not (
-        isinstance(record, list)
-        and len(record) == 2
-        and isinstance(record[0], str)
-        and isinstance(record[1], dict)
-    ):
-        raise ValueError("not a [name, entry] record")
-    return record[0], record[1]
+def _read(path: Path) -> bytes:
+    try:
+        return read_bytes(path, site="manifest")
+    except OSError as exc:
+        raise CampaignError(f"run manifest {path} is unreadable: {exc}") from exc
 
 
 def _read_journal(journal: Path) -> Dict[str, Dict[str, Any]]:
     """Replay a manifest journal: the last record of each name wins."""
-    try:
-        data = read_bytes(journal, site="manifest")
-    except OSError as exc:
-        raise CampaignError(
-            f"run manifest journal {journal} is unreadable: {exc}"
-        ) from exc
     # Every complete record ends in a newline, so the last piece is
     # empty unless the final append was torn; a torn tail is skipped.
-    lines = data.split(b"\n")
+    lines = _read(journal).split(b"\n")
     torn_tail = lines.pop() != b""
     entries: Dict[str, Dict[str, Any]] = {}
     for number, line in enumerate(lines, start=1):
+        problem = f"journal {journal} line {number} is corrupt"
         try:
-            name, entry = _journal_record(line)
-        except ValueError as exc:
+            entries.update(_unseal_tasks(line, journal, problem))
+        except CampaignError:
             if number == len(lines) and not torn_tail:
-                break  # an unparseable final line is a torn append too
-            raise CampaignError(
-                f"run manifest journal {journal} line {number} is corrupt: {exc}"
-            ) from exc
-        entries[name] = entry
+                break  # an undecodable final line is a torn append too
+            raise
     return entries
 
 
@@ -151,24 +132,29 @@ class RunManifest:
     JSON-serialisable payload summarising the result (for ``run_all``
     artifacts: their reproduction checks).
 
-    On disk a manifest is a *snapshot* plus an append-only *journal*:
+    On disk a manifest is a *snapshot* plus an append-only *journal*,
+    both made of one document type: a :func:`~repro.sim.codec.seal`
+    line ``{"kind": "repro-run-manifest", "version": 2, "tasks": {...}}``.
 
-    * :meth:`record` appends one compact JSON line ``[name, entry]`` to
+    * :meth:`record` appends the document holding that one task to
       ``<path>.journal`` and fsyncs it, so each task is durable before
       the next one starts, at a cost proportional to that entry alone.
       If the append fails it falls back to :meth:`save`.
-    * :meth:`save` compacts: it atomically rewrites the snapshot (temp
-      file + rename, ``indent=2``, sorted names, so a completed manifest
-      has the same bytes it always had), then unlinks the journal.
-    * :meth:`load` reads the snapshot, then replays the journal with the
-      last record of a name winning.  An unterminated or unparseable
-      final line is a torn append whose task never got its record: it
-      is ignored, so that task simply runs again.  A bad line anywhere
-      else raises :class:`~repro.common.errors.CampaignError`.
+    * :meth:`save` compacts: it atomically rewrites the snapshot, the
+      document holding every task, then unlinks the journal.
+    * :meth:`load` unseals the snapshot, then replays the journal with
+      the last record of a name winning.  An unterminated or
+      undecodable final line is a torn append whose task never got its
+      record: it is ignored, so that task simply runs again.  Any other
+      document that fails to unseal (corrupt bytes, a flipped bit,
+      another kind or version) raises
+      :class:`~repro.common.errors.CampaignError`.
 
-    A kill at any point therefore leaves a loadable manifest.  With
-    ``path=None`` the manifest lives in memory only: :meth:`record` and
-    :meth:`save` persist nothing.
+    :meth:`record` holds each entry as :meth:`load` will decode it, so
+    fresh and resumed campaigns hold identical entries.  A kill at any
+    point leaves a loadable manifest.  With ``path=None`` the manifest
+    lives in memory only: :meth:`record` and :meth:`save` persist
+    nothing.
     """
 
     def __init__(self, path: Optional[Union[str, Path]]) -> None:
@@ -190,12 +176,13 @@ class RunManifest:
         tail is skipped here and dropped by the next :meth:`save`.
         """
         manifest = cls(path)
+        path = manifest.path
         # A crash between writing the temp file and the atomic rename
         # can orphan a *.tmp next to the manifest; it holds no state the
         # manifest itself lacks, so clear it out.
-        cleanup_stale_tmp(manifest.path)
-        if manifest.path.exists():
-            manifest.tasks = _read_snapshot(manifest.path)
+        cleanup_stale_tmp(path)
+        if path.exists():
+            manifest.tasks = _unseal_tasks(_read(path), path, f"{path} is unreadable")
         if manifest.journal.exists():
             manifest.tasks.update(_read_journal(manifest.journal))
         return manifest
@@ -211,10 +198,10 @@ class RunManifest:
 
     def record(self, name: str, entry: Dict[str, Any]) -> None:
         """Record one task's outcome; durable on disk when this returns."""
-        self.tasks[name] = entry
+        line = _seal_tasks({name: entry})
+        self.tasks.update(_unseal_tasks(line, self.path, f"entry {name!r}"))
         if self.path is None:
             return
-        line = json.dumps([name, entry], separators=(",", ":")) + "\n"
         try:
             self._append(line)
         except OSError:
@@ -238,25 +225,18 @@ class RunManifest:
     def save(self) -> None:
         """Compact: atomically rewrite the snapshot, then drop the journal.
 
-        Task entries are written in sorted-name order so the file layout
-        does not depend on completion order — a parallel campaign and a
+        The sealed document sorts task names, so the file layout does
+        not depend on completion order — a parallel campaign and a
         serial one produce the same manifest structure.  A crash after
         the rename but before the unlink leaves a journal whose records
         the snapshot already holds; replaying it is idempotent.
         """
         if self.path is None:
             return
-        payload = json.dumps(
-            {
-                "version": MANIFEST_VERSION,
-                "tasks": {name: self.tasks[name] for name in sorted(self.tasks)},
-            },
-            indent=2,
-        )
         # The manifest is the campaign's resume point: ESSENTIAL.
         persist_text(
             self.path,
-            payload + "\n",
+            _seal_tasks(self.tasks),
             site="manifest",
             durability=Durability.ESSENTIAL,
         )
@@ -373,12 +353,14 @@ def _default_payload(result: Any) -> Optional[Dict[str, Any]]:
     checks = getattr(result, "checks", None)
     passed = getattr(result, "passed", None)
     if isinstance(checks, dict) and isinstance(passed, bool):
-        payload: Dict[str, Any] = {"passed": passed, "checks": dict(checks)}
+        # Ordered pairs: the sealed manifest sorts object keys, and the
+        # summaries list checks in the order the artifact made them.
+        payload: Dict[str, Any] = {"passed": passed, "checks": list(checks.items())}
     elif result is None:
         payload = {}
     else:
         try:
-            json.dumps(result)
+            canonical_json(result)
             payload = {"value": result}
         except (TypeError, ValueError):
             payload = {"repr": repr(result)[:200]}
@@ -689,7 +671,7 @@ def write_campaign_summaries(
     for name in ordered:
         entry = result.manifest.tasks[name]
         summary[name] = (
-            entry["payload"]["checks"]
+            dict(entry["payload"]["checks"])
             if entry.get("status") == "done"
             and isinstance(entry.get("payload"), dict)
             and "checks" in entry["payload"]

@@ -148,3 +148,20 @@ def test_quarantine_resume_retry_end_to_end(tmp_path):
 def test_summaries_require_manifest():
     with pytest.raises(TypeError):
         CampaignResult(outcomes=[])
+
+
+def test_summary_lists_checks_in_the_artifacts_order(tmp_path):
+    # The sealed manifest sorts object keys; the summary must still list
+    # an artifact's checks in the order the artifact made them, fresh
+    # and resumed alike.
+    class Artifact:
+        checks = {"zeta": True, "alpha": False}
+        passed = False
+
+    runner = CampaignRunner(manifest_path=tmp_path / "manifest.json")
+    for expected in ("done", "skipped"):
+        result = runner.run([("art", Artifact)])
+        assert [o.status for o in result.outcomes] == [expected]
+        write_campaign_summaries(tmp_path, result)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary["art"]) == ["zeta", "alpha"]

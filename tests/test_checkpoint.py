@@ -33,7 +33,7 @@ from repro.robustness.checkpoint import (
     save_checkpoint,
     snapshot_simulator,
 )
-from repro.robustness.runner import MANIFEST_VERSION, RunManifest
+from repro.robustness.runner import MANIFEST_KIND, MANIFEST_VERSION, RunManifest
 from repro.sim.codec import canonical_json as _canonical, run_key, seal
 from repro.sim.export import report_to_dict
 from repro.sim.simulator import Simulator, simulate
@@ -524,7 +524,7 @@ def test_simulate_rejects_interval_without_path():
 def test_manifest_rejects_newer_version_with_actionable_error(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(
-        json.dumps({"version": MANIFEST_VERSION + 1, "tasks": {}}) + "\n"
+        seal({"kind": MANIFEST_KIND, "version": MANIFEST_VERSION + 1, "tasks": {}})
     )
     with pytest.raises(CampaignError, match="newer repro build") as excinfo:
         RunManifest.load(path)

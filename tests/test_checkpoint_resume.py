@@ -238,7 +238,11 @@ def test_campaign_summary_and_metrics_bytes_survive_kill_and_resume(tmp_path):
     # The merged metrics export and the summary files of a campaign that
     # was killed and resumed must be byte-identical to an uninterrupted
     # run's — regardless of which artifacts completed before the kill.
-    from repro.robustness.runner import campaign_metrics, run_all_robust
+    from repro.robustness.runner import (
+        RunManifest,
+        campaign_metrics,
+        run_all_robust,
+    )
 
     ref = tmp_path / "ref"
     killed = tmp_path / "killed"
@@ -253,14 +257,14 @@ def test_campaign_summary_and_metrics_bytes_survive_kill_and_resume(tmp_path):
     # entries and the summary files only a finished run writes.  The
     # surviving names sort *differently* than they ran, which is
     # exactly what used to leak into the resumed summary's key order.
-    manifest = json.loads((killed / "manifest.json").read_text())
+    manifest = RunManifest.load(killed / "manifest.json")
     survived = {"section-5.1-constants", "figure-7"}
-    manifest["tasks"] = {
+    manifest.tasks = {
         name: entry
-        for name, entry in manifest["tasks"].items()
+        for name, entry in manifest.tasks.items()
         if name in survived
     }
-    (killed / "manifest.json").write_text(json.dumps(manifest))
+    manifest.save()
     (killed / "summary.json").unlink()
     (killed / "SUMMARY.txt").unlink()
 

@@ -1,10 +1,16 @@
 """Tests for the extended CLI subcommands."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.robustness.runner import RunManifest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSimulateCommand:
@@ -110,3 +116,25 @@ class TestAllCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "figure-7" in summary
         assert code in (0, 1)  # shape checks may be noisy at tiny sizes
+
+    def test_corrupt_manifest_exits_2_without_traceback(self, tmp_path):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        path = out_dir / "manifest.json"
+        manifest = RunManifest(path)
+        manifest.record("figure-7", {"status": "done", "payload": None})
+        manifest.save()
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "all", "--out", str(out_dir),
+             "--requests", "60"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: run manifest {path} ")

@@ -16,10 +16,13 @@ from repro.common.errors import (
     TaskTimeoutError,
 )
 from repro.robustness.runner import (
+    MANIFEST_KIND,
+    MANIFEST_VERSION,
     CampaignRunner,
     RunManifest,
     run_all_robust,
 )
+from repro.sim.codec import seal, unseal
 from repro.sim.parallel import parallel_available
 from repro.sim.sweeps import run_seed, sweep_seeds
 from repro.workloads.synthetic import (
@@ -220,7 +223,7 @@ class TestManifestAndResume:
 
     def test_wrong_version_is_a_campaign_error(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"version": 999, "tasks": {}}))
+        path.write_text(seal({"kind": MANIFEST_KIND, "version": 999, "tasks": {}}))
         with pytest.raises(CampaignError, match="version"):
             RunManifest.load(path)
 
@@ -309,7 +312,7 @@ class TestSerialInterrupt:
         # Ctrl-C in b's backoff still compacts: the snapshot holds a and
         # no journal is left behind.
         assert not path.with_name("m.json.journal").exists()
-        tasks = json.loads(path.read_text())["tasks"]
+        tasks = RunManifest.load(path).tasks
         assert list(tasks) == ["a"]
         assert tasks["a"]["status"] == "done"
 
@@ -317,8 +320,9 @@ class TestSerialInterrupt:
 class TestSettleParity:
     """Inline and pool results settle into the same manifest entries."""
 
-    KEYS = ["status", "attempts", "elapsed_seconds", "error", "error_type",
-            "payload"]
+    # The sealed manifest holds every entry's keys in sorted order.
+    KEYS = ["attempts", "elapsed_seconds", "error", "error_type", "payload",
+            "status"]
     EXPECTED = {
         "done": {
             "status": "done", "attempts": 1, "error": None,
@@ -381,7 +385,7 @@ class TestSettleParity:
                 ("exhausts", exhausts),
             ]
         )
-        entries = json.loads(path.read_text())["tasks"]
+        entries = RunManifest.load(path).tasks
         assert {name: list(entry) for name, entry in entries.items()} == {
             name: self.KEYS for name in self.EXPECTED
         }
@@ -417,10 +421,20 @@ class TestManifestDurability:
 
 
 def _normalised(path):
-    """Manifest bytes with the run-dependent timings zeroed."""
-    return re.sub(
-        rb'"elapsed_seconds": [0-9.e+-]+', b'"elapsed_seconds": 0', path.read_bytes()
+    """Manifest bytes with the run-dependent timings, and the integrity
+    digest that covers them, blanked."""
+    data = re.sub(
+        rb'"elapsed_seconds":[0-9.e+-]+', b'"elapsed_seconds":0', path.read_bytes()
     )
+    return re.sub(rb'"integrity":"[0-9a-f]+"', b'"integrity":""', data)
+
+
+def _journal_names(journal):
+    """The task names of each journal line, in append order."""
+    return [
+        list(unseal(line, journal, MANIFEST_KIND, MANIFEST_VERSION)["tasks"])
+        for line in journal.read_text().splitlines()
+    ]
 
 
 def _entry(value):
@@ -438,11 +452,10 @@ class TestManifestJournal:
         manifest.record("b", _entry(2))
         manifest.record("a", _entry(1))
         assert not path.exists()
-        lines = manifest.journal.read_text().splitlines()
-        assert [json.loads(line)[0] for line in lines] == ["b", "a"]
+        assert _journal_names(manifest.journal) == [["b"], ["a"]]
         manifest.save()
         assert not manifest.journal.exists()
-        assert list(json.loads(path.read_text())["tasks"]) == ["a", "b"]
+        assert list(RunManifest.load(path).tasks) == ["a", "b"]
         assert RunManifest.load(path).tasks == manifest.tasks
 
     def test_last_record_of_a_name_wins(self, tmp_path):
@@ -571,9 +584,11 @@ class TestManifestJournal:
         path = tmp_path / "m.json"
         CampaignRunner(manifest_path=path).run(list(reversed(self.TASKS)))
         text = path.read_text()
-        data = json.loads(text)
-        assert json.dumps(data, indent=2) + "\n" == text
-        assert data["version"] == 1
+        data = unseal(text, path, MANIFEST_KIND, MANIFEST_VERSION)
+        # One sealed line: canonical JSON under its integrity digest.
+        assert seal(data) == text
+        assert text.count("\n") == 1
+        assert (data["kind"], data["version"]) == ("repro-run-manifest", 2)
         assert list(data["tasks"]) == ["a", "b", "c", "d"]
 
     def test_fresh_run_does_not_journal_over_an_older_campaign(self, tmp_path):
@@ -603,6 +618,114 @@ class TestManifestJournal:
         assert sorted(result.manifest.tasks) == ["a", "b", "c", "d"]
         assert recorder.operations == []
         assert list(tmp_path.iterdir()) == []
+
+
+def _corrupt_read(seed):
+    """A plan that corrupts the first manifest read: a seeded choice of
+    one byte XOR 0xFF at a seeded offset, or a cut to half length."""
+    from repro.robustness.iofault import IoFaultPlan, IoFaultSpec
+
+    return IoFaultPlan([IoFaultSpec.parse("corrupt-read@1,site=manifest")], seed)
+
+
+def _flip_value_bit(data):
+    """Flip the low bit of the digit in ``"value":2``: the JSON stays
+    valid and now says 3."""
+    at = re.search(rb'"value": ?(2)', data).start(1)
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+class TestSealedManifest:
+    """Snapshot and journal lines are sealed: corruption is refused."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corrupt_snapshot_read_is_a_campaign_error(self, tmp_path, seed):
+        from repro.common.context import run_context
+
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        for name in "abcd":
+            manifest.record(name, _entry(name))
+        manifest.save()
+        with run_context(io_hook=_corrupt_read(seed)):
+            with pytest.raises(CampaignError, match="is unreadable"):
+                RunManifest.load(path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corrupt_journal_read_never_yields_an_altered_entry(
+        self, tmp_path, seed
+    ):
+        from repro.common.context import run_context
+        from repro.common.fileio import read_bytes
+
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        # Twenty records keep every seeded flip off the final line, which
+        # the torn-tail rule skips like a torn append.
+        names = [f"t{index:02d}" for index in range(20)]
+        for name in names:
+            manifest.record(name, _entry(name))
+        with run_context(io_hook=_corrupt_read(seed)):
+            seen = read_bytes(manifest.journal, site="manifest")
+        with run_context(io_hook=_corrupt_read(seed)):
+            if len(seen) == len(manifest.journal.read_bytes()):
+                with pytest.raises(CampaignError, match="is corrupt"):
+                    RunManifest.load(path)
+                return
+            # A read cut short is indistinguishable from a torn append:
+            # a prefix of the records loads, every entry unaltered.
+            loaded = RunManifest.load(path)
+        kept = list(loaded.tasks)
+        assert kept == names[: len(kept)] and len(kept) < len(names)
+        assert loaded.tasks == {name: manifest.tasks[name] for name in kept}
+
+    def test_one_bit_flip_in_the_snapshot_is_refused(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        manifest.record("a", _entry(2))
+        manifest.save()
+        path.write_bytes(_flip_value_bit(path.read_bytes()))
+        with pytest.raises(CampaignError, match="integrity check"):
+            RunManifest.load(path)
+
+    def test_one_bit_flip_in_an_interior_journal_line_is_refused(
+        self, tmp_path
+    ):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path)
+        for name, value in (("a", 1), ("b", 2), ("c", 3)):
+            manifest.record(name, _entry(value))
+        journal = manifest.journal
+        journal.write_bytes(_flip_value_bit(journal.read_bytes()))
+        with pytest.raises(CampaignError, match="line 2 is corrupt"):
+            RunManifest.load(path)
+
+    def test_v1_manifest_is_refused_and_no_resume_overwrites_it(
+        self, tmp_path
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"version": 1, "tasks": {"a": _entry(1)}}, indent=2)
+            + "\n"
+        )
+        with pytest.raises(CampaignError, match="delete the manifest"):
+            RunManifest.load(path)
+        with pytest.raises(CampaignError, match="--no-resume"):
+            CampaignRunner(manifest_path=path).run([("a", lambda: 1)])
+        CampaignRunner(manifest_path=path).run([("a", lambda: 1)], resume=False)
+        assert RunManifest.load(path).tasks["a"]["payload"] == {"value": 1}
+
+    @pytest.mark.parametrize("persisted", [True, False], ids=["disk", "memory"])
+    def test_record_holds_the_entry_load_decodes(self, tmp_path, persisted):
+        path = tmp_path / "m.json"
+        manifest = RunManifest(path if persisted else None)
+        entry = {"status": "done", "payload": {"z": (1, 2), "a": {3: "x"}}}
+        manifest.record("a", entry)
+        decoded = {"payload": {"a": {"3": "x"}, "z": [1, 2]}, "status": "done"}
+        assert manifest.tasks == {"a": decoded}
+        assert list(manifest.tasks["a"]) == ["payload", "status"]
+        if persisted:
+            assert RunManifest.load(path).tasks == manifest.tasks
 
 
 class TestTimeoutUnenforceable:
