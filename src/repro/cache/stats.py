@@ -30,13 +30,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of accesses that missed; 0.0 when there were none."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return element-wise sums of two counter sets."""
         return CacheStats(

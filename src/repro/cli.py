@@ -754,27 +754,27 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             metavar="SECS",
             default=None,
-            help="liveness watchdog for --jobs workers: a worker that "
-            "sends no heartbeat for SECS seconds is torn down (SIGTERM "
-            "then SIGKILL); slow-but-alive workers are unaffected and "
-            "run until --timeout",
+            help="liveness watchdog, at any --jobs: a task's worker "
+            "that sends no heartbeat for SECS seconds is torn down "
+            "(SIGTERM then SIGKILL); slow-but-alive workers are "
+            "unaffected and run until --timeout",
         )
         sub_parser.add_argument(
             "--worker-restarts",
             type=int,
             metavar="N",
             default=0,
-            help="restart a hung or memory-killed task up to N times "
-            "before quarantining it (restarts resume from the last "
-            "checkpoint when --checkpoint-dir is set; default: 0)",
+            help="at any --jobs, restart a hung or memory-killed task "
+            "up to N times before quarantining it (restarts resume from "
+            "the last checkpoint under --checkpoint-dir; default: 0)",
         )
         sub_parser.add_argument(
             "--worker-rss-limit-mb",
             type=int,
             metavar="MB",
             default=None,
-            help="per-worker resident-memory ceiling; a worker past it "
-            "is killed and its task quarantined as resource_exceeded",
+            help="per-worker memory ceiling, at any --jobs; a worker "
+            "past it is killed, its task quarantined as resource_exceeded",
         )
 
     def add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
@@ -991,8 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-artifact wall-clock budget in seconds (hung artifacts "
-        "are quarantined)",
+        help="per-artifact wall-clock budget in seconds, at any --jobs "
+        "(an overrunning artifact's worker is killed; it is quarantined)",
     )
     all_cmd.add_argument(
         "--retries",
@@ -1052,8 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-case wall-clock budget in seconds (hung cases are "
-        "quarantined and count as failures)",
+        help="per-case wall-clock budget in seconds, at any --jobs (an "
+        "overrunning case's worker is killed; it counts as a failure)",
     )
     fuzz_cmd.add_argument(
         "--shrink",

@@ -10,7 +10,7 @@ and LLC behaviour in one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -133,7 +133,7 @@ def compare_notations(
         notation: str,
     ) -> Tuple[CompareRow, Optional["MetricsRegistry"]]:
         config = build_system_for_notation(notation, num_cores=num_cores)
-        report = simulate(config, traces, engine=engine)
+        report = simulate(replace(config, engine=engine or config.engine), traces)
         bounds = derive_core_bounds(config)
         finite = [b.cycles for b in bounds.values() if b.cycles is not None]
         row = CompareRow(

@@ -68,13 +68,6 @@ class Fig7Row:
         """
         return self.complete and self.observed_wcl <= self.analytical_wcl
 
-    @property
-    def slack(self) -> float:
-        """Bound / observed (how much headroom the bound leaves)."""
-        if self.observed_wcl == 0:
-            return float("inf")
-        return self.analytical_wcl / self.observed_wcl
-
 
 @dataclass
 class Fig7Result:
@@ -188,8 +181,9 @@ def run_fig7(
         config = (
             _adversarial_system(notation) if steer else fig7_system(notation.kind)
         )
-        if checked:
-            config = dataclasses.replace(config, checked=True)
+        config = dataclasses.replace(
+            config, checked=checked, engine=engine or config.engine
+        )
         bound = analytical_wcl_cycles(
             notation,
             total_cores=config.num_cores,
@@ -204,7 +198,7 @@ def run_fig7(
             (
                 f"{notation_text}/range-{address_range}",
                 lambda config=config, address_range=address_range, steer=steer: (
-                    _run_one(config, address_range, num_requests, seed, steer, engine)
+                    _run_one(config, address_range, num_requests, seed, steer)
                 ),
             )
             for notation_text, config, _, address_range, steer in cells
@@ -263,7 +257,6 @@ def _run_one(
     num_requests: int,
     seed: int,
     steer: bool = False,
-    engine: Optional[str] = None,
 ) -> SimReport:
     from repro.sim.simulator import Simulator
 
@@ -276,9 +269,9 @@ def _run_one(
     )
     traces = generate_disjoint_workload(workload, list(range(config.num_cores)))
     if not steer:
-        return simulate(config, traces, engine=engine)
+        return simulate(config, traces)
     from repro.experiments.tightness import install_adversarial_replacement
 
-    sim = Simulator(config, traces, engine=engine)
+    sim = Simulator(config, traces)
     install_adversarial_replacement(sim)
     return sim.run()

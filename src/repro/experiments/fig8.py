@@ -32,7 +32,7 @@ computed points byte-identically instead of simulating them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -212,7 +212,7 @@ def _run_cell(
     """
     traces = graded_workload(num_cores, address_range, num_requests, seed)
     config = fig8_system(kind, num_cores, capacity, seed=seed)
-    report = simulate(config, traces, engine=engine)
+    report = simulate(replace(config, engine=engine or config.engine), traces)
     if not with_metrics:
         return report.makespan, None
     from repro.obs.collect import collect_metrics

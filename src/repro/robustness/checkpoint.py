@@ -755,7 +755,6 @@ def run_resumable(
     every_secs: Optional[float] = None,
     start_cycles=None,
     event_sink=None,
-    engine: Optional[str] = None,
     registry=None,
     clock: Callable[[], float] = time.monotonic,
     durability: Durability = Durability.ESSENTIAL,
@@ -791,7 +790,6 @@ def run_resumable(
                 traces,
                 start_cycles=start_cycles,
                 event_sink=event_sink,
-                engine=engine,
                 registry=registry,
             )
         except CheckpointError:
@@ -800,7 +798,7 @@ def run_resumable(
             count_io(f"io.degraded.{site}")
             path.unlink(missing_ok=True)
     if sim is None:
-        sim = Simulator(config, traces, start_cycles, event_sink, engine)
+        sim = Simulator(config, traces, start_cycles, event_sink)
     interval = every_slots if every_slots is not None else DEFAULT_POLL_SLOTS
     last_save = clock()
     while True:

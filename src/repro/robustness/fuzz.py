@@ -556,10 +556,10 @@ def run_fuzz(
     minimal ``repro-<case>.json`` artifact replayable with
     ``repro-llc repro``.
 
-    ``hung_after`` / ``max_restarts`` / ``rss_limit_bytes`` supervise
-    the parallel workers (``jobs > 1``): silent workers are torn down
-    and their case quarantined as hung, leaky ones as
-    ``resource_exceeded`` (see :class:`repro.sim.parallel.TaskPool`).
+    ``timeout``, ``hung_after`` and ``rss_limit_bytes`` run each case in
+    a worker the parent kills when it overruns, goes silent or leaks
+    (see :class:`repro.sim.parallel.TaskPool`); ``registry`` receives
+    only :func:`record_fuzz_metrics`, whatever ``jobs`` is.
     """
     cases = generate_cases(budget, seed, fault_rate)
     target = Path(out_dir) if out_dir is not None else None
@@ -576,7 +576,6 @@ def run_fuzz(
         hung_after=hung_after,
         max_restarts=max_restarts,
         rss_limit_bytes=rss_limit_bytes,
-        registry=registry,
     )
     tasks: List[Task] = [
         (case.case_id, (lambda case=case: run_fuzz_case(case)))

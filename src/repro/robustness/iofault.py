@@ -322,11 +322,6 @@ class IoFaultPlan:
         return IoFaultAction(error=_injected_error(spec.kind, operation))
 
 
-def parse_io_fault_specs(texts: Sequence[str]) -> List[IoFaultSpec]:
-    """Parse several spec strings (CLI helper)."""
-    return [IoFaultSpec.parse(text) for text in texts]
-
-
 @dataclass
 class IoOperationRecorder:
     """A pass-through hook that records the operation stream.

@@ -4,8 +4,9 @@ A long reproduction campaign (``repro-llc all``, a many-seed sweep) must
 not be torpedoed by one bad configuration or one hung simulation.  This
 module wraps any sequence of named tasks with:
 
-* a **per-task wall-clock timeout** (SIGALRM-based; a hung task raises
-  :class:`~repro.common.errors.TaskTimeoutError` and is quarantined —
+* a **per-task wall-clock timeout**, enforced by killing the task's
+  worker process (:class:`~repro.sim.parallel.TaskPool`; a hung task
+  is quarantined with :class:`~repro.common.errors.TaskTimeoutError` —
   a hung simulation will hang again, so timeouts are not retried);
 * **bounded retry with exponential backoff** for *transient* failures
   (host-level errors such as :class:`OSError`; model errors —
@@ -28,10 +29,7 @@ reproduction of :mod:`repro.experiments.runner`.
 from __future__ import annotations
 
 import json
-import signal
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -50,8 +48,6 @@ from repro.common.errors import (
     CampaignError,
     CheckpointError,
     ConfigurationError,
-    ReproError,
-    TaskTimeoutError,
 )
 from repro.common.fileio import (
     Durability,
@@ -66,7 +62,12 @@ from repro.common.fileio import (
 )
 from repro.common.validation import require
 from repro.sim.codec import canonical_json, seal, unseal
-from repro.sim.parallel import PoolResult, TaskPool, pool_enabled
+from repro.sim.parallel import (
+    PoolResult,
+    TaskPool,
+    is_transient,
+    parallel_available,
+)
 
 #: A campaign task: a stable name plus a nullary callable producing the
 #: task's result.
@@ -380,26 +381,27 @@ class CampaignRunner:
         checkpointing (every run starts fresh, nothing is written).
     timeout:
         Per-task wall-clock budget in seconds; ``None`` disables it.
-        Enforcement uses ``SIGALRM`` and therefore only engages on the
-        main thread of a Unix process — elsewhere tasks run untimed.
+        The pool's parent kills a task's worker when it expires, so the
+        budget holds on any thread, even against a busy loop.
     retry:
         The transient-failure :class:`RetryPolicy`.
     jobs:
-        Worker processes for task execution.  ``1`` (the default) runs
-        tasks serially in-process, exactly as before.  With ``jobs > 1``
-        tasks are dispatched to a fork-backed pool
-        (:class:`repro.sim.parallel.TaskPool`): the timeout is enforced
-        by the *parent* (a hung worker is killed, not merely signalled),
-        retry/quarantine semantics are unchanged, and each result is
-        settled into the same manifest entry as a serial one as it
-        completes; outcomes are reported in canonical task order so the
-        campaign result matches a serial run.  Falls back to serial
-        where the ``fork`` start method is unavailable.
-    sleep / clock:
-        Injection points for tests (backoff sleeping, elapsed timing;
-        serial path only — the pool schedules its own backoff).
+        Worker processes for task execution (default 1).  Tasks go to
+        a fork-backed pool (:class:`repro.sim.parallel.TaskPool`) when
+        ``jobs > 1`` or when a ``timeout``, ``hung_after`` or
+        ``rss_limit_bytes`` is set; only an untimed, unsupervised
+        serial campaign runs its tasks in this process.  Either way
+        retry/quarantine semantics are the same, each result is settled
+        into the same manifest entry as it completes, and outcomes are
+        reported in canonical task order.  An untimed campaign falls
+        back to serial where the ``fork`` start method is unavailable;
+        a timed or supervised one raises
+        :class:`~repro.common.errors.ConfigurationError` there.
+    sleep:
+        Injection point for tests (backoff sleeping; inline path only —
+        the pool schedules its own backoff).
     hung_after / max_restarts / rss_limit_bytes / registry:
-        Worker supervision for the parallel path, forwarded to
+        Worker supervision, forwarded to
         :class:`repro.sim.parallel.TaskPool`: a liveness watchdog that
         tears down workers gone silent for ``hung_after`` seconds
         (restarting their task up to ``max_restarts`` times — resuming
@@ -408,7 +410,7 @@ class CampaignRunner:
         an optional metrics registry for the supervision counters.
         Hung and resource-killed tasks that exhaust their restarts are
         quarantined with ``TaskHungError`` / ``ResourceExceededError``
-        signatures in the manifest.  Ignored on the serial path.
+        signatures in the manifest.
     """
 
     def __init__(
@@ -419,7 +421,6 @@ class CampaignRunner:
         payload_of: Callable[[Any], Optional[Dict[str, Any]]] = _default_payload,
         jobs: int = 1,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
         hung_after: Optional[float] = None,
         max_restarts: int = 0,
         rss_limit_bytes: Optional[int] = None,
@@ -432,67 +433,42 @@ class CampaignRunner:
                 ConfigurationError,
             )
         require(jobs >= 1, f"jobs must be >= 1, got {jobs}", ConfigurationError)
+        # Only the pool's parent can bound a task: it kills the worker.
+        self._bounded = any(
+            limit is not None for limit in (timeout, hung_after, rss_limit_bytes)
+        )
+        require(
+            not self._bounded or parallel_available(),
+            "a campaign timeout or worker supervision needs the 'fork' "
+            "start method; run without them on this platform",
+            ConfigurationError,
+        )
         self.manifest_path = Path(manifest_path) if manifest_path else None
         self.timeout = timeout
         self.retry = retry
         self.payload_of = payload_of
         self.jobs = jobs
         self.sleep = sleep
-        self.clock = clock
         self.hung_after = hung_after
         self.max_restarts = max_restarts
         self.rss_limit_bytes = rss_limit_bytes
         self.registry = registry
-        # One loud unenforceable-timeout warning per runner, not per run.
-        self._timeout_warning_issued = False
 
     # -- one task, in this process -------------------------------------
-    @staticmethod
-    def _can_use_alarm() -> bool:
-        return (
-            hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()
-        )
-
-    @staticmethod
-    def _is_transient(exc: BaseException) -> bool:
-        """Host-level flakiness (:class:`OSError`) is retried with
-        backoff; model errors (:class:`ReproError`) are deterministic."""
-        return isinstance(exc, OSError) and not isinstance(exc, ReproError)
-
-    def _call_with_alarm(self, name: str, thunk: Callable[[], Any]) -> Any:
-        def _on_alarm(signum, frame):  # pragma: no cover - trivial
-            raise TaskTimeoutError(
-                f"task {name!r} exceeded its wall-clock budget of "
-                f"{self.timeout}s and was aborted"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, self.timeout)
-        try:
-            return thunk()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
     def _run_inline(
-        self, index: int, name: str, thunk: Callable[[], Any], alarm: bool
+        self, index: int, name: str, thunk: Callable[[], Any]
     ) -> PoolResult:
-        """Run one task here, under the SIGALRM budget when ``alarm``.
-
-        Transient failures are retried after ``sleep(retry.delay(n))``.
-        A timeout is a :class:`ReproError`, so it never is — a hung task
-        will hang again.
-        """
-        started = self.clock()
+        """Run one untimed task here; retry what :func:`is_transient`
+        accepts after ``sleep(retry.delay(n))``."""
+        started = time.monotonic()
         attempt = 0
         while True:
             attempt += 1
             value, error = None, None
             try:
-                value = self._call_with_alarm(name, thunk) if alarm else thunk()
+                value = thunk()
             except Exception as exc:
-                if self._is_transient(exc) and attempt < self.retry.max_attempts:
+                if is_transient(exc) and attempt < self.retry.max_attempts:
                     self.sleep(self.retry.delay(attempt))
                     continue
                 error = exc
@@ -503,7 +479,7 @@ class CampaignRunner:
                 value=value,
                 error=error,
                 attempts=attempt,
-                elapsed_seconds=self.clock() - started,
+                elapsed_seconds=time.monotonic() - started,
             )
 
     # -- main entry point ----------------------------------------------
@@ -554,45 +530,25 @@ class CampaignRunner:
             else:
                 runnable.append((name, thunk))
 
-        use_pool = pool_enabled(self.jobs)
-        # The pool enforces its timeout from the parent; inline, the
-        # budget needs SIGALRM on the main thread.
-        untimed = self.timeout is not None and not (
-            use_pool or self._can_use_alarm()
-        )
-        if untimed and runnable and not self._timeout_warning_issued:
-            self._timeout_warning_issued = True
-            warnings.warn(
-                f"campaign timeout of {self.timeout}s cannot be "
-                "enforced here (SIGALRM unavailable: not the main "
-                "thread of a Unix process); tasks run untimed and "
-                "their manifest entries record timeout_enforced: "
-                "false",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
         def settle(pool_result: PoolResult) -> None:
             outcomes[pool_result.name] = self._settle(
-                pool_result, manifest, progress, untimed
+                pool_result, manifest, progress
             )
 
         try:
-            if use_pool:
+            if self._bounded or (self.jobs > 1 and parallel_available()):
                 TaskPool(
                     jobs=self.jobs,
                     timeout=self.timeout,
                     retry=self.retry,
-                    is_transient=self._is_transient,
                     hung_after=self.hung_after,
                     max_restarts=self.max_restarts,
                     rss_limit_bytes=self.rss_limit_bytes,
                     registry=self.registry,
                 ).run(runnable, on_result=settle)
             else:
-                alarm = self.timeout is not None and not untimed
                 for index, (name, thunk) in enumerate(runnable):
-                    settle(self._run_inline(index, name, thunk, alarm))
+                    settle(self._run_inline(index, name, thunk))
         except KeyboardInterrupt:
             # Killed mid-campaign: everything finished so far is already
             # journalled; compact and let the interrupt unwind — the
@@ -609,7 +565,6 @@ class CampaignRunner:
         pool_result: PoolResult,
         manifest: RunManifest,
         progress: Optional[Callable[[str], None]],
-        untimed: bool,
     ) -> TaskOutcome:
         """Journal one finished task's manifest entry; return its outcome."""
         ok, error = pool_result.ok, pool_result.error
@@ -621,8 +576,6 @@ class CampaignRunner:
             "error_type": None if ok else type(error).__name__,
             "payload": self.payload_of(pool_result.value) if ok else None,
         }
-        if untimed:
-            entry["timeout_enforced"] = False
         manifest.record(pool_result.name, entry)
         if progress is not None:
             if not ok:

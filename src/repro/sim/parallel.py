@@ -15,23 +15,25 @@ Design notes
   ``fork`` start method a worker inherits the thunk through the forked
   address space, so arbitrary closures run unchanged.  Only the task's
   *result* (or its exception) crosses the process boundary, via a pipe.
-* **Parent-enforced timeouts.**  The serial campaign runner's SIGALRM
-  timeout only works on the main thread of the executing process — a
-  hung worker cannot be trusted to interrupt itself.  Here the *parent*
-  tracks one deadline per in-flight task and kills the worker when
-  it expires, so a genuinely wedged simulation (busy loop, deadlock)
-  is reclaimed.
+* **Parent-enforced timeouts.**  A hung task cannot be trusted to
+  interrupt itself, so the *parent* tracks one deadline per in-flight
+  task and kills the worker when it expires: a genuinely wedged
+  simulation (busy loop, deadlock) is reclaimed, on any thread of the
+  caller.  This is the only task timeout there is — the campaign
+  runner sends every timed or supervised campaign here, even at
+  ``jobs=1``.
 * **Liveness supervision.**  With ``hung_after`` set, workers send
   heartbeats over the result pipe from a daemon thread and the parent
   runs a watchdog that distinguishes *hung* (no heartbeat for
   ``hung_after`` seconds — wedged interpreter, deadlock, stalled
   syscall) from merely *slow* (still heartbeating; allowed to run to
-  its hard ``timeout``).  A hung worker is torn down with an escalating
-  SIGTERM → grace → SIGKILL sequence and, if ``max_restarts`` allows,
-  its task is restarted — resuming from its last simulation checkpoint
-  when the auto-checkpoint policy is installed (see
-  :mod:`repro.robustness.checkpoint`), so the restart re-does only the
-  slots since the last snapshot.
+  its hard ``timeout``).  Workers beat every ``hung_after / 4``
+  seconds.  A hung worker is torn down with an escalating SIGTERM →
+  :attr:`TaskPool.KILL_GRACE` → SIGKILL sequence and, if
+  ``max_restarts`` allows, its task is restarted — resuming from its
+  last simulation checkpoint when the auto-checkpoint policy is
+  installed (see :mod:`repro.robustness.checkpoint`), so the restart
+  re-does only the slots since the last snapshot.
 * **Resource guards.**  With ``rss_limit_bytes`` set, each child caps
   its own address space via ``RLIMIT_DATA`` (allocation beyond it
   raises ``MemoryError``) and the parent additionally polls
@@ -41,14 +43,13 @@ Design notes
   diagnosable from the run manifest.
 * **Bounded concurrency.**  At most ``jobs`` workers run at once;
   completed slots are refilled from the pending queue in submission
-  order (transient retries re-enter the queue with a backoff deadline).
+  order (failures :func:`is_transient` accepts re-enter the queue with
+  a backoff deadline).
 * **One serial-or-fork choice.**  :func:`run_parallel` is the
   fallback of every plain grid, which only builds its task list: it
   runs the tasks inline, in order, when ``jobs`` is 1, when there is
   one task, or when :func:`parallel_available` is ``False`` (no
-  ``fork``, e.g. Windows); otherwise it uses the pool.  The campaign
-  runner, which needs the pool's supervision, asks the same
-  :func:`pool_enabled`.
+  ``fork``, e.g. Windows); otherwise it uses the pool.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.context import RetryPolicy
 from repro.common.errors import (
     ConfigurationError,
+    ReproError,
     ResourceExceededError,
     TaskHungError,
     TaskTimeoutError,
@@ -73,9 +75,6 @@ from repro.common.validation import require
 #: A pool task: a stable name plus a nullary callable producing the
 #: task's result (the same shape the campaign runner uses).
 PoolTask = Tuple[str, Callable[[], Any]]
-
-#: Decides whether a worker-side exception is transient (retryable).
-TransientPredicate = Callable[[BaseException], bool]
 
 #: Test seam: a forked child that sets this True stops heartbeating
 #: while its task keeps running, which is exactly what a wedged
@@ -88,6 +87,13 @@ def parallel_available() -> bool:
     return hasattr(os, "fork") and (
         "fork" in multiprocessing.get_all_start_methods()
     )
+
+
+def is_transient(exc: BaseException) -> bool:
+    """Whether a failed task is worth retrying: host-level flakiness
+    (:class:`OSError`) is; model errors (:class:`ReproError`) are
+    deterministic and never are."""
+    return isinstance(exc, OSError) and not isinstance(exc, ReproError)
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -236,21 +242,17 @@ class TaskPool:
         ``"timeout"`` with a :class:`TaskTimeoutError`.  ``None``
         disables it.  A worker that is slow but still heartbeating runs
         until this hard budget; only silent workers are reclaimed early.
-    retry / is_transient:
-        Bounded retry for worker failures ``is_transient`` accepts:
+    retry:
+        Bounded retry for worker failures :func:`is_transient` accepts:
         the task re-enters the queue after ``retry.delay(attempt)``
         seconds, at most ``retry.max_attempts`` total attempts (default:
         no retry).  Timeouts are never retried (a hung task will hang
         again).
     hung_after:
-        Liveness watchdog: a worker that sends no heartbeat for this
-        many seconds is declared hung and torn down (SIGTERM, then
-        ``kill_grace`` seconds, then SIGKILL).  ``None`` disables
-        heartbeats entirely.
-    heartbeat_interval:
-        Seconds between worker heartbeats; defaults to a quarter of
-        ``hung_after`` so several beats must be missed before the
-        watchdog fires.
+        Liveness watchdog: workers beat every ``hung_after / 4``
+        seconds, so several beats must be missed before a worker is
+        declared hung and torn down (SIGTERM, then :attr:`KILL_GRACE`
+        seconds, then SIGKILL).  ``None`` disables heartbeats entirely.
     max_restarts:
         Times a hung or resource-killed task is restarted before being
         quarantined.  Restarted simulations resume from their last
@@ -258,8 +260,6 @@ class TaskPool:
     rss_limit_bytes:
         Per-worker resident-memory ceiling, enforced both inside the
         child (``RLIMIT_DATA``) and by a parent-side ``/proc`` poll.
-    kill_grace:
-        Seconds between SIGTERM and SIGKILL during supervised teardown.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         ``pool.worker_restarts``, ``pool.hung_workers``,
@@ -269,18 +269,17 @@ class TaskPool:
 
     #: Seconds between parent-side /proc RSS polls.
     RSS_POLL_INTERVAL = 0.25
+    #: Seconds between SIGTERM and SIGKILL during supervised teardown.
+    KILL_GRACE = 2.0
 
     def __init__(
         self,
         jobs: int,
         timeout: Optional[float] = None,
         retry: RetryPolicy = RetryPolicy(max_attempts=1),
-        is_transient: Optional[TransientPredicate] = None,
         hung_after: Optional[float] = None,
-        heartbeat_interval: Optional[float] = None,
         max_restarts: int = 0,
         rss_limit_bytes: Optional[int] = None,
-        kill_grace: float = 2.0,
         registry=None,
     ) -> None:
         require(jobs >= 1, f"jobs must be >= 1, got {jobs}", ConfigurationError)
@@ -296,13 +295,6 @@ class TaskPool:
                 f"hung_after must be positive, got {hung_after}",
                 ConfigurationError,
             )
-        if heartbeat_interval is not None:
-            require(
-                heartbeat_interval > 0,
-                f"heartbeat_interval must be positive, got "
-                f"{heartbeat_interval}",
-                ConfigurationError,
-            )
         require(
             max_restarts >= 0,
             f"max_restarts must be >= 0, got {max_restarts}",
@@ -314,11 +306,6 @@ class TaskPool:
                 f"rss_limit_bytes must be positive, got {rss_limit_bytes}",
                 ConfigurationError,
             )
-        require(
-            kill_grace >= 0,
-            f"kill_grace must be >= 0, got {kill_grace}",
-            ConfigurationError,
-        )
         if not parallel_available():
             raise ConfigurationError(
                 "parallel execution needs the 'fork' start method; "
@@ -327,14 +314,9 @@ class TaskPool:
         self.jobs = jobs
         self.timeout = timeout
         self.retry = retry
-        self.is_transient = is_transient or (lambda exc: False)
         self.hung_after = hung_after
-        self.heartbeat_interval = heartbeat_interval or (
-            hung_after / 4 if hung_after is not None else None
-        )
         self.max_restarts = max_restarts
         self.rss_limit_bytes = rss_limit_bytes
-        self.kill_grace = kill_grace
         self.registry = registry
         self._context = multiprocessing.get_context("fork")
 
@@ -398,7 +380,7 @@ class TaskPool:
                 args=(
                     task.thunk,
                     child_conn,
-                    self.heartbeat_interval if self.hung_after else None,
+                    self.hung_after / 4 if self.hung_after else None,
                     self.rss_limit_bytes,
                 ),
                 daemon=True,
@@ -509,7 +491,7 @@ class TaskPool:
                     task, run, now, "resource_exceeded"
                 )
             elif (
-                self.is_transient(payload)
+                is_transient(payload)
                 and task.attempts < self.retry.max_attempts
             ):
                 task.ready_at = now + self.retry.delay(task.attempts)
@@ -533,7 +515,7 @@ class TaskPool:
     def _terminate(self, run: _Running) -> None:
         """Escalating teardown: SIGTERM, a grace period, then SIGKILL."""
         run.process.terminate()
-        run.process.join(self.kill_grace)
+        run.process.join(self.KILL_GRACE)
         if run.process.is_alive():
             run.process.kill()
         run.process.join()
@@ -629,11 +611,6 @@ class TaskPool:
                 on_result(result)
 
 
-def pool_enabled(jobs: int) -> bool:
-    """Whether ``jobs`` workers means the fork pool rather than inline."""
-    return jobs > 1 and parallel_available()
-
-
 def run_parallel(tasks: Sequence[PoolTask], jobs: int) -> List[Any]:
     """Run ``tasks`` with ``jobs`` workers; return values in task order.
 
@@ -644,7 +621,7 @@ def run_parallel(tasks: Sequence[PoolTask], jobs: int) -> List[Any]:
     otherwise they run on a :class:`TaskPool` and the failure's
     worker-side exception is re-raised in the parent.
     """
-    if len(tasks) <= 1 or not pool_enabled(jobs):
+    if len(tasks) <= 1 or jobs <= 1 or not parallel_available():
         return [thunk() for _, thunk in tasks]
     results = TaskPool(jobs=jobs).run(tasks)
     for result in results:

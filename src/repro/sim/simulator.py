@@ -10,7 +10,6 @@ harnesses) go through::
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Mapping, Optional
 
 from repro.common.context import current_run_context
@@ -37,10 +36,7 @@ class Simulator:
         traces: Mapping[CoreId, MemoryTrace],
         start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
         event_sink: Optional[Callable[[SimEvent], None]] = None,
-        engine: Optional[str] = None,
     ) -> None:
-        if engine is not None and engine != config.engine:
-            config = dataclasses.replace(config, engine=engine)
         self.config = config
         # Kept for the run identity a checkpoint is keyed and guarded by.
         self.traces = traces
@@ -82,7 +78,6 @@ class Simulator:
         traces: Mapping[CoreId, MemoryTrace],
         start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
         event_sink: Optional[Callable[[SimEvent], None]] = None,
-        engine: Optional[str] = None,
         registry=None,
     ) -> "Simulator":
         """Rebuild a simulator and load a checkpoint into it.
@@ -101,7 +96,7 @@ class Simulator:
         )
 
         payload = load_checkpoint(path, registry=registry)
-        sim = cls(config, traces, start_cycles, event_sink, engine)
+        sim = cls(config, traces, start_cycles, event_sink)
         restore_simulator(sim, payload)
         return sim
 
@@ -111,7 +106,6 @@ def simulate(
     traces: Mapping[CoreId, MemoryTrace],
     start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
     event_sink: Optional[Callable[[SimEvent], None]] = None,
-    engine: Optional[str] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
     checkpoint_every_secs: Optional[float] = None,
@@ -123,9 +117,7 @@ def simulate(
     Section 4.1 witness fills the set before the victim's request).
     ``event_sink`` streams every engine event as it happens (see
     :class:`repro.obs.tracing.JsonlTraceSink`), independent of
-    ``record_events``.  ``engine`` overrides ``config.engine`` for this
-    run only (``"fast"`` or ``"reference"``) — the CLI's ``--engine``
-    flag lands here.
+    ``record_events``.  ``config.engine`` picks the slot engine.
 
     Passing ``checkpoint_path`` (plus an interval) runs resumably: the
     simulation periodically writes a crash-consistent checkpoint and, if
@@ -149,10 +141,7 @@ def simulate(
     """
     cache = current_run_context().result_cache
     if cache is not None and event_sink is None:
-        cached_config = config
-        if engine is not None and engine != config.engine:
-            cached_config = dataclasses.replace(config, engine=engine)
-        cached = cache.lookup(cached_config, traces, start_cycles)
+        cached = cache.lookup(config, traces, start_cycles)
         if cached is not None:
             return cached
         report = _simulate_uncached(
@@ -160,19 +149,17 @@ def simulate(
             traces,
             start_cycles,
             event_sink,
-            engine,
             checkpoint_path,
             checkpoint_every_slots,
             checkpoint_every_secs,
         )
-        cache.store(cached_config, traces, start_cycles, report)
+        cache.store(config, traces, start_cycles, report)
         return report
     return _simulate_uncached(
         config,
         traces,
         start_cycles,
         event_sink,
-        engine,
         checkpoint_path,
         checkpoint_every_slots,
         checkpoint_every_secs,
@@ -184,7 +171,6 @@ def _simulate_uncached(
     traces: Mapping[CoreId, MemoryTrace],
     start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
     event_sink: Optional[Callable[[SimEvent], None]] = None,
-    engine: Optional[str] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
     checkpoint_every_secs: Optional[float] = None,
@@ -200,9 +186,6 @@ def _simulate_uncached(
 
             from repro.common.fileio import Durability
 
-            run_config = config
-            if engine is not None and engine != config.engine:
-                run_config = dataclasses.replace(config, engine=engine)
             # Policy-driven auto-checkpoints are an accelerator the run
             # can live without: save them BEST-EFFORT so a full scratch
             # directory degrades the store instead of killing the run.
@@ -210,13 +193,12 @@ def _simulate_uncached(
                 config,
                 traces,
                 path=default_checkpoint_path(
-                    policy.directory, run_config, traces, start_cycles
+                    policy.directory, config, traces, start_cycles
                 ),
                 every_slots=policy.every_slots,
                 every_secs=policy.every_secs,
                 start_cycles=start_cycles,
                 event_sink=event_sink,
-                engine=engine,
                 durability=Durability.BEST_EFFORT,
                 site="auto-checkpoint",
             )
@@ -240,6 +222,5 @@ def _simulate_uncached(
             every_secs=checkpoint_every_secs,
             start_cycles=start_cycles,
             event_sink=event_sink,
-            engine=engine,
         )
-    return Simulator(config, traces, start_cycles, event_sink, engine).run()
+    return Simulator(config, traces, start_cycles, event_sink).run()

@@ -220,7 +220,9 @@ def test_restore_refuses_mismatched_config_and_traces(tmp_path):
     with pytest.raises(CheckpointError, match="different configuration"):
         Simulator.restore(path, dataclasses.replace(config, seed=2), traces)
     with pytest.raises(CheckpointError, match="engine choice"):
-        Simulator.restore(path, config, traces, engine="reference")
+        Simulator.restore(
+            path, dataclasses.replace(config, engine="reference"), traces
+        )
     with pytest.raises(CheckpointError, match="different workload traces"):
         Simulator.restore(path, config, _workload(seed=99))
 

@@ -369,12 +369,3 @@ class TestStaticGating:
         )
         traces = {0: write_trace_of([0, 1]), 1: write_trace_of([10])}
         assert not Simulator(config, traces).engine._fast_ok
-
-    def test_simulate_engine_override(self):
-        config = small_config(num_cores=2, record_events=False)
-        traces = {0: write_trace_of([0, 1]), 1: write_trace_of([10])}
-        assert Simulator(config, traces, engine="fast").config.engine == "fast"
-        assert (
-            Simulator(config, traces, engine="reference").config.engine
-            == "reference"
-        )

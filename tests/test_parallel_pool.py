@@ -204,7 +204,6 @@ def test_timeouts_are_never_retried():
         jobs=1,
         timeout=0.2,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        is_transient=lambda exc: True,
     ).run([("hang", hang)])
     assert results[0].status == "timeout"
     assert results[0].attempts == 1
@@ -227,7 +226,6 @@ def test_transient_failure_is_retried_until_success(tmp_path):
     results = TaskPool(
         jobs=1,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("flaky", flaky)])
     assert results[0].ok
     assert results[0].value == "recovered"
@@ -245,7 +243,6 @@ def test_non_transient_failure_is_not_retried(tmp_path):
     results = TaskPool(
         jobs=1,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("fails", fails)])
     assert results[0].status == "error"
     assert results[0].attempts == 1
@@ -263,7 +260,6 @@ def test_retry_attempts_bound_is_respected(tmp_path):
     results = TaskPool(
         jobs=1,
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-        is_transient=lambda exc: isinstance(exc, OSError),
     ).run([("t", always_transient)])
     assert results[0].status == "error"
     assert results[0].attempts == 2

@@ -10,6 +10,7 @@ is installed — that composition is exercised at the end.
 
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -36,7 +37,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _hang_forever():
+def _hang_forever(seconds=60):
     """Simulated deadlock: stop heartbeating, then block.
 
     Runs in a forked child, so flipping the module global only silences
@@ -44,7 +45,7 @@ def _hang_forever():
     while the process is still alive.
     """
     parallel._HEARTBEATS_DISABLED = True
-    time.sleep(60)
+    time.sleep(seconds)
     return "never"
 
 
@@ -60,13 +61,9 @@ def test_pool_rejects_bad_supervision_parameters():
     with pytest.raises(ConfigurationError):
         TaskPool(jobs=2, hung_after=0)
     with pytest.raises(ConfigurationError):
-        TaskPool(jobs=2, hung_after=1.0, heartbeat_interval=0)
-    with pytest.raises(ConfigurationError):
         TaskPool(jobs=2, max_restarts=-1)
     with pytest.raises(ConfigurationError):
         TaskPool(jobs=2, rss_limit_bytes=0)
-    with pytest.raises(ConfigurationError):
-        TaskPool(jobs=2, kill_grace=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -203,24 +200,28 @@ def test_rss_guard_leaves_small_workers_alone():
 # Campaign integration: quarantine signatures and checkpoint restarts
 # ----------------------------------------------------------------------
 def test_campaign_quarantines_hung_task_with_typed_signature(tmp_path):
-    manifest_path = tmp_path / "manifest.json"
-    runner = CampaignRunner(
-        manifest_path=manifest_path, jobs=2, hung_after=0.6
-    )
-    result = runner.run(
-        [("stuck", _hang_forever), ("fine", lambda: "ok")]
-    )
-    by_name = {o.name: o for o in result.outcomes}
-    assert by_name["fine"].status == "done"
-    assert by_name["stuck"].status == "quarantined"
-    assert by_name["stuck"].error_type == "TaskHungError"
-
-    # The quarantine signature is durable: a resumed campaign sees it.
     from repro.robustness.runner import RunManifest
 
-    entry = RunManifest.load(manifest_path).entry("stuck")
-    assert entry["status"] == "quarantined"
-    assert entry["error_type"] == "TaskHungError"
+    # Supervision holds serially too: jobs=1 runs each task in a worker.
+    # The stuck task gives up after 5 s, so a missed hang fails the test
+    # instead of stalling it.
+    for jobs in (1, 2):
+        manifest_path = tmp_path / f"manifest-{jobs}.json"
+        runner = CampaignRunner(
+            manifest_path=manifest_path, jobs=jobs, hung_after=0.6
+        )
+        result = runner.run(
+            [("stuck", partial(_hang_forever, 5)), ("fine", lambda: "ok")]
+        )
+        by_name = {o.name: o for o in result.outcomes}
+        assert by_name["fine"].status == "done"
+        assert by_name["stuck"].status == "quarantined"
+        assert by_name["stuck"].error_type == "TaskHungError"
+
+        # The quarantine signature is durable: a resumed campaign sees it.
+        entry = RunManifest.load(manifest_path).entry("stuck")
+        assert entry["status"] == "quarantined"
+        assert entry["error_type"] == "TaskHungError"
 
 
 def _checkpointed_then_hang(config, traces, flag, ckpt_path):

@@ -1,6 +1,7 @@
 """Fuzz campaigns: generator determinism, resume, chaos accounting, CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -189,6 +190,30 @@ class TestCli:
         )
         assert status == 0
         assert "fuzz_cases_total" in metrics.read_text()
+
+    @pytest.mark.skipif(
+        not parallel_available(), reason="fork start method unavailable"
+    )
+    def test_fuzz_metrics_export_ignores_jobs_and_supervision(
+        self, tmp_path, monkeypatch
+    ):
+        args = ["fuzz", "--budget", "5", "--seed", "0", "--metrics"]
+        serial = tmp_path / "serial.jsonl"
+        assert main(args + [str(serial)]) == 0
+        # Each case outlasts a few heartbeat intervals, so the pool has
+        # heartbeat gaps it could record.
+        run_case = fuzz_mod.run_fuzz_case
+
+        def slow_case(case):
+            time.sleep(0.6)
+            return run_case(case)
+
+        monkeypatch.setattr(fuzz_mod, "run_fuzz_case", slow_case)
+        supervised = tmp_path / "supervised.jsonl"
+        assert main(
+            args + [str(supervised), "--jobs", "2", "--hung-after", "1.0"]
+        ) == 0
+        assert supervised.read_bytes() == serial.read_bytes()
 
     def test_repro_cli_rejects_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

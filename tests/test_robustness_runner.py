@@ -125,10 +125,13 @@ class TestRetryAndQuarantine:
 
 class TestTimeout:
     def test_hung_task_is_quarantined_not_retried(self, tmp_path):
-        attempts = []
+        # The task runs in a worker process, so it counts its attempts
+        # in a file the parent can read.
+        attempts = tmp_path / "attempts"
 
         def hang():
-            attempts.append(1)
+            with open(attempts, "a") as handle:
+                handle.write("x")
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 pass
@@ -141,7 +144,7 @@ class TestTimeout:
         started = time.monotonic()
         result = runner.run([("hang", hang), ("after", lambda: "ran")])
         assert time.monotonic() - started < 4.0
-        assert len(attempts) == 1
+        assert attempts.read_text() == "x"
         assert result.outcomes[0].status == "quarantined"
         assert result.outcomes[0].error_type == "TaskTimeoutError"
         assert result.outcomes[1].status == "done"
@@ -728,59 +731,50 @@ class TestSealedManifest:
             assert RunManifest.load(path).tasks == manifest.tasks
 
 
-class TestTimeoutUnenforceable:
-    def test_off_main_thread_warns_once_and_flags_entries(self, tmp_path):
-        import threading
-        import warnings
+class TestTimeoutEverywhere:
+    """A timeout or supervision setting always runs tasks in a worker the
+    parent can kill, so it holds at ``jobs=1`` and off the main thread."""
 
-        path = tmp_path / "m.json"
-        captured = []
+    def test_busy_task_off_main_thread_is_quarantined(self, tmp_path):
+        import threading
+
+        def busy():
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                pass
+            return "finished"
+
+        results = []
 
         def work():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                runner = CampaignRunner(manifest_path=path, timeout=5.0)
-                runner.run([("a", lambda: 1), ("b", lambda: 2)])
-                captured.extend(caught)
+            runner = CampaignRunner(
+                manifest_path=tmp_path / "m.json", timeout=0.3
+            )
+            started = time.monotonic()
+            result = runner.run([("busy", busy)])
+            results.append((result, time.monotonic() - started))
 
         thread = threading.Thread(target=work)
         thread.start()
-        thread.join()
-        loud = [w for w in captured if issubclass(w.category, RuntimeWarning)]
-        # One loud warning per runner, not one per task.
-        assert len(loud) == 1
-        assert "cannot be enforced" in str(loud[0].message)
-        manifest = RunManifest.load(path)
-        assert manifest.tasks["a"]["timeout_enforced"] is False
-        assert manifest.tasks["b"]["timeout_enforced"] is False
-        # The tasks still ran (untimed) to completion.
-        assert manifest.is_done("a") and manifest.is_done("b")
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        result, elapsed = results[0]
+        assert result.outcomes[0].status == "quarantined"
+        assert result.outcomes[0].error_type == "TaskTimeoutError"
+        assert elapsed < 2.5, "the worker must be killed within its budget"
 
-    def test_main_thread_entries_carry_no_flag(self, tmp_path):
-        path = tmp_path / "m.json"
-        CampaignRunner(manifest_path=path, timeout=5.0).run([("a", lambda: 1)])
-        assert "timeout_enforced" not in RunManifest.load(path).tasks["a"]
+    def test_bounded_campaign_needs_fork(self, monkeypatch):
+        from repro.robustness import runner as runner_mod
 
-    def test_no_timeout_means_no_warning_off_main_thread(self, tmp_path):
-        import threading
-        import warnings
-
-        captured = []
-
-        def work():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                CampaignRunner(manifest_path=tmp_path / "m.json").run(
-                    [("a", lambda: 1)]
-                )
-                captured.extend(caught)
-
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join()
-        assert not [
-            w for w in captured if issubclass(w.category, RuntimeWarning)
-        ]
+        monkeypatch.setattr(runner_mod, "parallel_available", lambda: False)
+        for setting in (
+            {"timeout": 5.0},
+            {"hung_after": 1.0},
+            {"rss_limit_bytes": 1 << 30},
+        ):
+            with pytest.raises(ConfigurationError, match="fork"):
+                CampaignRunner(**setting)
+        CampaignRunner(jobs=2)  # an untimed campaign still runs serially
 
 
 class TestParallelKeyboardInterrupt:

@@ -269,7 +269,9 @@ def test_engine_override_is_part_of_the_key(tmp_path):
     cache = SimResultCache(tmp_path)
     with run_context(result_cache=cache):
         fast = simulate(config, traces)
-        reference = simulate(config, traces, engine="reference")
+        reference = simulate(
+            dataclasses.replace(config, engine="reference"), traces
+        )
     assert _counter(cache, "misses") == 2, (
         "an engine override must key (and simulate) separately"
     )
