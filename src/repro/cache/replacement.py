@@ -337,7 +337,7 @@ class OraclePolicy(ReplacementPolicy):
         if self._chooser is None:
             return candidates[0]
         way = self._chooser(candidates, self._set_index)
-        if way not in set(candidates):
+        if way not in candidates:
             raise ValueError(
                 f"oracle chooser returned way {way}, not in candidates {list(candidates)}"
             )

@@ -205,9 +205,8 @@ class PrivateStack:
         return result
 
     def _fill_l1(self, l1: SetAssociativeCache, block: BlockAddress, dirty: bool) -> None:
-        if l1.contains(block):
-            l1.access(block, dirty)
-            return
+        # ``block`` is never in ``l1`` here: it either just missed there
+        # or was not in the L2, which holds every L1 line.
         victim = l1.fill(block, dirty)
         if victim is not None and victim.dirty:
             # Inclusive: the victim must still be in L2; push dirtiness down.
@@ -239,27 +238,14 @@ class PrivateStack:
         """Evict ``block`` everywhere (LLC chose it as a victim).
 
         Returns the removed line with merged dirtiness, or ``None`` if
-        the stack no longer held it.
+        the stack no longer held it.  The L2 holds every L1 line, so a
+        block it lacks is nowhere in the stack and the L1s are skipped.
         """
-        dirty = False
-        present = False
-        for l1 in (self.l1i, self.l1d):
-            if l1 is None:
-                continue
-            removed = l1.invalidate(block)
-            if removed is not None:
-                present = True
-                dirty = dirty or removed.dirty
         removed_l2 = self.l2.invalidate(block)
-        if removed_l2 is not None:
-            present = True
-            dirty = dirty or removed_l2.dirty
-        if not present:
+        if removed_l2 is None:
             return None
         self.version += 1
-        if removed_l2 is not None and removed_l2.dirty == dirty:
-            return removed_l2
-        return EvictedLine(block=block, dirty=dirty)
+        return self._back_invalidate_l1(removed_l2)
 
     # ------------------------------------------------------------------
     # Cloning (next-miss prediction)

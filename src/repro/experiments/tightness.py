@@ -86,36 +86,47 @@ class TightnessResult:
 
 
 def install_adversarial_replacement(sim: Simulator) -> None:
-    """Point every set's oracle policy at the max-distance chooser."""
+    """Point every set's oracle policy at the max-distance chooser.
+
+    A candidate line's badness for the requester on the bus is ``2 + d``
+    when a foreign core at distance ``d`` from the requester owns it
+    (the farthest one counts): that owner must donate a bus slot before
+    the entry frees.  A line owned only by the requester frees at once
+    through the in-slot self write-back (badness 0, so the adversary
+    avoids it); an unowned line frees at once too but destroys state
+    (1).  The first candidate of highest badness is the victim.  The
+    requester × owner badness table is built here, once per run.
+    """
     llc = sim.system.llc
     schedule = sim.system.schedule
     engine = sim.engine
+    owners_of = llc.directory.owners_of
+    rows = [
+        [llc.entry(set_index, way) for way in range(llc.num_ways)]
+        for set_index in range(llc.num_sets)
+    ]
+    cores = schedule.cores
+    badness_for = {
+        requester: {
+            owner: 2 + distance(schedule, owner, requester) if owner != requester else 0
+            for owner in cores
+        }
+        for requester in cores
+    }
 
     def chooser(candidates, set_index):
-        requester = schedule.owner_of_slot(engine._slot)
-        row = [llc.entry(set_index, way) for way in candidates]
-
-        def badness(entry) -> int:
-            if entry.block is None:
-                return 0
-            owners = llc.directory.owners_of(entry.block)
-            foreign = [owner for owner in owners if owner != requester]
-            if foreign:
-                # The expensive case: a far-away owner must donate a
-                # bus slot before the entry frees.
-                return 2 + max(
-                    distance(schedule, owner, requester) for owner in foreign
-                )
-            if owners:
-                # Owned only by the requester: with the in-slot self
-                # write-back this frees immediately — cheapest victim,
-                # so the adversary avoids it.
-                return 0
-            # Unowned: frees instantly too, but at least destroys state.
-            return 1
-
-        worst = max(row, key=badness)
-        return worst.way
+        badness = badness_for[schedule.owner_of_slot(engine._slot)]
+        row = rows[set_index]
+        worst_way, worst = candidates[0], -1
+        for way in candidates:
+            owners = owners_of(row[way].block)
+            score = 0 if owners else 1
+            for owner in owners:
+                if badness[owner] > score:
+                    score = badness[owner]
+            if score > worst:
+                worst_way, worst = way, score
+        return worst_way
 
     for set_index in range(llc.num_sets):
         llc.oracle_policy(set_index).set_chooser(chooser)

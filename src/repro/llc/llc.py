@@ -30,6 +30,13 @@ from repro.common.validation import require_positive
 from repro.llc.directory import OwnerDirectory
 from repro.llc.partition import PartitionMap, PartitionSpec
 
+# The entry states as module constants: on CPython 3.11, reading an
+# enum member off its class costs about ten global reads, and the miss
+# chain's way scans compare states dozens of times per request.
+_FREE = EntryState.FREE
+_VALID = EntryState.VALID
+_PENDING_EVICT = EntryState.PENDING_EVICT
+
 
 @dataclass
 class LlcEntry:
@@ -61,15 +68,17 @@ class LlcEntry:
 
     @property
     def is_free(self) -> bool:
-        return self.state is EntryState.FREE
+        # No model caller; perf/layers.py counts its calls per slot step
+        # (``llc.is_free_per_step``), so it stays while that metric does.
+        return self.state is _FREE
 
     @property
     def is_valid(self) -> bool:
-        return self.state is EntryState.VALID
+        return self.state is _VALID
 
     @property
     def is_pending(self) -> bool:
-        return self.state is EntryState.PENDING_EVICT
+        return self.state is _PENDING_EVICT
 
 
 @dataclass(eq=False)
@@ -272,21 +281,18 @@ class PartitionedLlc:
         return None
 
     def free_entry(self, region: LlcRegion) -> Optional[LlcEntry]:
-        """The lowest-way ``FREE`` entry of ``region``, if any."""
+        """The lowest-way ``FREE`` entry of ``region``, if any.
+
+        ``None`` at once when the region's ``free`` count is zero;
+        otherwise the entry states decide, so a count that drifted from
+        them never yields an entry :meth:`allocate` would refuse.
+        """
         if not region.free:
             return None
         for entry in region.entries:
-            if entry.state is EntryState.FREE:
+            if entry.state is _FREE:
                 return entry
         return None
-
-    def region_availability(self, region: LlcRegion) -> Tuple[int, int]:
-        """``(free, pending)`` entry counts of ``region``.
-
-        The engine compares their sum against the number of waiting
-        requesters to decide whether another eviction is warranted.
-        """
-        return region.free, region.pending
 
     def pending_entry(self, block: BlockAddress) -> Optional[LlcEntry]:
         """The ``PENDING_EVICT`` entry holding ``block``, if any."""
@@ -313,15 +319,20 @@ class PartitionedLlc:
     # Allocation
     # ------------------------------------------------------------------
     def allocate(
-        self, region: LlcRegion, core: CoreId, block: BlockAddress
+        self,
+        region: LlcRegion,
+        entry: LlcEntry,
+        core: CoreId,
+        block: BlockAddress,
     ) -> LlcEntry:
-        """Install ``block`` into the lowest-way free entry of ``region``.
+        """Install ``block`` into ``entry``, a ``FREE`` entry of ``region``.
 
-        ``region`` is ``core``'s region for ``block``.  The caller must
-        have verified a free entry exists (and, under SS, that ``core``
-        is at the head of the set's sequencer queue).  The new line is
-        clean at the LLC (just fetched from DRAM) and ``core`` becomes
-        its private owner.
+        ``region`` is ``core``'s region for ``block`` and ``entry`` is
+        what :meth:`free_entry` returned for it; the caller resolves it
+        once (and, under SS, checks that ``core`` is at the head of the
+        set's sequencer queue) before installing.  The new line is clean
+        at the LLC (just fetched from DRAM) and ``core`` becomes its
+        private owner.
         """
         existing = self._valid_index.get(block) or self._pending_index.get(block)
         if existing is not None:
@@ -330,14 +341,14 @@ class PartitionedLlc:
                 f"way {existing.way} ({existing.state.value}); workloads must "
                 "keep partition address ranges disjoint"
             )
-        entry = self.free_entry(region)
-        if entry is None:
+        if entry.state is not _FREE:
             raise SimulationError(
-                f"allocate for core {core} block {block:#x}: no free entry "
-                f"in partition {region.partition.name!r} set {region.set_index}"
+                f"allocate for core {core} block {block:#x}: entry at set "
+                f"{entry.set_index} way {entry.way} is {entry.state.value}, "
+                f"not free, in partition {region.partition.name!r}"
             )
         region.free -= 1
-        entry.state = EntryState.VALID
+        entry.state = _VALID
         entry.block = block
         entry.dirty = False
         entry.pending_writers.clear()
@@ -380,7 +391,7 @@ class PartitionedLlc:
         candidates = [
             entry.way
             for entry in region.entries
-            if entry.state is EntryState.VALID
+            if entry.state is _VALID
         ]
         if not candidates:
             return None
@@ -413,7 +424,7 @@ class PartitionedLlc:
         the LLC↔DRAM interface does not use the TDM bus.
         """
         entry = self._entries[victim.set_index][victim.way]
-        if entry.state is not EntryState.VALID or entry.block != victim.block:
+        if entry.state is not _VALID or entry.block != victim.block:
             raise SimulationError(
                 f"begin_eviction on stale victim: entry holds "
                 f"{entry.block!r} ({entry.state.value}), victim was {victim.block:#x}"
@@ -425,7 +436,7 @@ class PartitionedLlc:
         self.directory.drop_block(victim.block)
         self._policies[victim.set_index].on_invalidate(victim.way)
         if writers:
-            entry.state = EntryState.PENDING_EVICT
+            entry.state = _PENDING_EVICT
             entry.pending_writers = writers
             entry.region.pending += 1
             self._pending_index[victim.block] = entry
@@ -486,7 +497,7 @@ class PartitionedLlc:
         return entry
 
     def _free_entry(self, entry: LlcEntry) -> None:
-        entry.state = EntryState.FREE
+        entry.state = _FREE
         entry.block = None
         entry.dirty = False
         entry.pending_writers.clear()
@@ -503,9 +514,9 @@ class PartitionedLlc:
         self._pending_index = {}
         for row in self._entries:
             for entry in row:
-                if entry.state is EntryState.VALID:
+                if entry.state is _VALID:
                     self._valid_index[entry.block] = entry
-                elif entry.state is EntryState.PENDING_EVICT:
+                elif entry.state is _PENDING_EVICT:
                     self._pending_index[entry.block] = entry
         for region in self.regions():
             region.free, region.pending = _scan_counts(region)
@@ -631,8 +642,8 @@ def _scan_counts(region: LlcRegion) -> Tuple[int, int]:
     """``(free, pending)`` of ``region`` counted from its entries."""
     free = pending = 0
     for entry in region.entries:
-        if entry.state is EntryState.FREE:
+        if entry.state is _FREE:
             free += 1
-        elif entry.state is EntryState.PENDING_EVICT:
+        elif entry.state is _PENDING_EVICT:
             pending += 1
     return free, pending

@@ -690,7 +690,8 @@ class SlotEngine:
     ) -> bool:
         """Claim a free entry if one exists and the sequencer allows it."""
         llc = self.system.llc
-        if llc.free_entry(region) is None:
+        entry = llc.free_entry(region)
+        if entry is None:
             return False
         set_index = region.set_index
         if sequencer is not None and not sequencer.may_claim(core, set_index):
@@ -706,7 +707,7 @@ class SlotEngine:
                 )
             )
             return False
-        entry = llc.allocate(region, core, request.block)
+        llc.allocate(region, entry, core, request.block)
         self.system.dram.fetch(request.block, slot_start)
         if sequencer is not None:
             sequencer.complete(core, set_index)
@@ -764,8 +765,7 @@ class SlotEngine:
         complete within this slot (Lemma 4.4's completion rule).
         """
         llc = self.system.llc
-        free, pending = llc.region_availability(region)
-        if free + pending >= self._region_waiters(core, region):
+        if region.free + region.pending >= self._region_waiters(core, region):
             return False
         victim = llc.choose_victim(region)
         if victim is None:

@@ -185,23 +185,24 @@ def build_report(
 ) -> SimReport:
     """Assemble the report from a finished (or stopped) engine run."""
     records: List[RequestRecord] = []
+    by_core: Dict[CoreId, List[RequestRecord]] = {core: [] for core in system.cores}
     for request in completed:
         if request.completed_at is None or request.first_on_bus_at is None:
             raise SimulationError("completed list holds an unfinished request")
-        records.append(
-            RequestRecord(
-                core=request.core,
-                block=request.block,
-                enqueued_at=request.enqueued_at,
-                first_on_bus_at=request.first_on_bus_at,
-                completed_at=request.completed_at,
-                bus_attempts=request.bus_attempts,
-                served_by_hit=request.served_by_hit,
-            )
+        record = RequestRecord(
+            core=request.core,
+            block=request.block,
+            enqueued_at=request.enqueued_at,
+            first_on_bus_at=request.first_on_bus_at,
+            completed_at=request.completed_at,
+            bus_attempts=request.bus_attempts,
+            served_by_hit=request.served_by_hit,
         )
+        records.append(record)
+        by_core[record.core].append(record)
     core_reports: Dict[CoreId, CoreReport] = {}
     for core_id, core in system.cores.items():
-        core_records = [record for record in records if record.core == core_id]
+        core_records = by_core[core_id]
         latencies = [record.latency for record in core_records]
         bus_latencies = [record.bus_latency for record in core_records]
         outstanding = system.prbs[core_id].entry

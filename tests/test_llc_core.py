@@ -18,8 +18,9 @@ def make_llc(num_sets=2, num_ways=2, cores=(0, 1), policy="lru"):
 
 
 def allocate(llc, core, block):
-    """Allocate ``block`` into ``core``'s region for it."""
-    return llc.allocate(llc.region(core, block), core, block)
+    """Allocate ``block`` into the free entry of ``core``'s region for it."""
+    region = llc.region(core, block)
+    return llc.allocate(region, llc.free_entry(region), core, block)
 
 
 class TestOwnerDirectory:
@@ -80,9 +81,11 @@ class TestLlcLookupAndAllocate:
 
     def test_allocate_without_free_entry_rejected(self):
         llc = make_llc(num_sets=1, num_ways=1)
-        allocate(llc, 0, 0)
-        with pytest.raises(SimulationError):
-            allocate(llc, 0, 1)
+        entry = allocate(llc, 0, 0)
+        region = llc.region(0, 1)
+        assert llc.free_entry(region) is None
+        with pytest.raises(SimulationError, match="not free"):
+            llc.allocate(region, entry, 0, 1)
 
     def test_double_allocate_rejected(self):
         llc = make_llc()
@@ -188,18 +191,46 @@ class TestEvictionLifecycle:
 
     def test_region_availability(self):
         llc = make_llc(num_sets=1, num_ways=2)
-        assert llc.region_availability(llc.region(0, 0)) == (2, 0)
+        region = llc.region(0, 0)
+        assert (region.free, region.pending) == (2, 0)
         allocate(llc, 0, 0)
         allocate(llc, 1, 1)
-        assert llc.region_availability(llc.region(0, 0)) == (0, 0)
+        assert (region.free, region.pending) == (0, 0)
         llc.begin_eviction(llc.choose_victim(llc.region(0, 2)), dirty_owners=[0])
-        assert llc.region_availability(llc.region(0, 0)) == (0, 1)
+        assert (region.free, region.pending) == (0, 1)
 
     def test_note_private_drop_clears_ownership(self):
         llc = make_llc()
         allocate(llc, 0, 10)
         llc.note_private_drop(0, 10)
         assert not llc.directory.is_owner(0, 10)
+
+
+class TestStaleRegionCounts:
+    """Counts that drifted from the entry states never hand out a
+    non-``FREE`` entry, and a state flipped behind the counts' back
+    (the corrupted-line fault) is neither allocated nor victimised."""
+
+    def full_region(self):
+        llc = make_llc(num_sets=1, num_ways=2)
+        allocate(llc, 0, 0)
+        allocate(llc, 1, 1)
+        return llc, llc.region(0, 0)
+
+    def test_state_flipped_to_free_is_not_handed_out(self):
+        llc, region = self.full_region()
+        # Way 0 is the LRU line, the victim an intact region would give.
+        assert llc.choose_victim(region).way == 0
+        llc.entry(0, 0).state = EntryState.FREE
+        assert region.free == 0
+        assert llc.free_entry(region) is None
+        victim = llc.choose_victim(region)
+        assert victim.way == 1 and victim.block == 1
+
+    def test_inflated_free_count_finds_no_entry(self):
+        llc, region = self.full_region()
+        region.free += 1
+        assert llc.free_entry(region) is None
 
 
 class TestWayPartitionIsolation:
@@ -253,7 +284,8 @@ class TestInvariantsAndValidation:
         assert entry.state is EntryState.FREE
         assert llc.valid_entry(0) is None
         assert not llc.directory.has_owner(0)
-        assert llc.region_availability(llc.region(0, 0)) == (2, 0)
+        region = llc.region(0, 0)
+        assert (region.free, region.pending) == (2, 0)
         llc.validate()
 
     def test_region_is_resolved_per_core_partition(self):

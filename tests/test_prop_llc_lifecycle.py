@@ -113,8 +113,9 @@ def test_lifecycle_matches_mirror(ops):
                     del mirror.home[victim.block]
                     mirror.free[key] += 1
             if mirror.free[key] > 0:
-                assert llc.free_entry(region).way == lowest_free_way(region)
-                entry = llc.allocate(region, core, block)
+                entry = llc.free_entry(region)
+                assert entry.way == lowest_free_way(region)
+                assert llc.allocate(region, entry, core, block) is entry
                 assert entry.region is region
                 mirror.valid[block] = {core}
                 mirror.home[block] = key
@@ -143,7 +144,7 @@ def test_lifecycle_matches_mirror(ops):
             assert llc.directory.owners_of(resident) == frozenset(owners)
         for region in llc.regions():
             region_id = (region.partition.name, region.set_index)
-            assert llc.region_availability(region) == (
+            assert (region.free, region.pending) == (
                 mirror.free[region_id],
                 mirror.pending_in(region_id),
             )
@@ -164,8 +165,9 @@ def test_states_partition_the_ways(ops):
                 victim = llc.choose_victim(region)
                 if victim is not None:
                     llc.begin_eviction(victim, dirty_owners=set(victim.owners))
-            if llc.free_entry(region) is not None:
-                llc.allocate(region, core, block)
+            entry = llc.free_entry(region)
+            if entry is not None:
+                llc.allocate(region, entry, core, block)
         elif op == "writeback":
             llc.complete_writeback(core, block)
         states = [entry.state for r in llc.regions() for entry in r.entries]

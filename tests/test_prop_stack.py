@@ -36,8 +36,14 @@ def drive(stack: PrivateStack, ops) -> None:
                 stack.fill_from_llc(block, access)
             else:
                 stack.access(block, access)
-        else:
+        elif stack.l2.contains(block):
             stack.invalidate_block(block)
+        else:
+            # Absent from the L2, hence (inclusion) from the whole stack.
+            version = stack.version
+            assert stack.invalidate_block(block) is None
+            assert stack.version == version
+        stack.check_l1_inclusion()
 
 
 @given(ops=operations, config_index=st.integers(0, len(CONFIGS) - 1))
@@ -66,6 +72,21 @@ def test_invalidate_removes_everywhere(ops):
         removed = stack.invalidate_block(block)
         assert removed is not None
         assert not stack.contains(block)
+
+
+@given(ops=operations, config_index=st.integers(0, len(CONFIGS) - 1))
+@settings(max_examples=80)
+def test_invalidating_an_absent_block_changes_nothing(ops, config_index):
+    stack = PrivateStack(0, CONFIGS[config_index])
+    drive(stack, ops)
+    before = contents(stack)
+    version = stack.version
+    for block in range(32):
+        if not stack.l2.contains(block):
+            assert stack.invalidate_block(block) is None
+    assert stack.version == version
+    assert contents(stack) == before
+    stack.check_l1_inclusion()
 
 
 @given(ops=operations)

@@ -110,7 +110,8 @@ class TestLlcExtraStats:
 
         partition = PartitionSpec("p", [0], (0, 1), (0, 1))
         llc = PartitionedLlc(1, 1, PartitionMap([partition], 1, 1))
-        llc.allocate(llc.region(0, 0), 0, 0)
+        region = llc.region(0, 0)
+        llc.allocate(region, llc.free_entry(region), 0, 0)
         victim = llc.choose_victim(llc.region(1, 3))
         # Owner 0's copy is clean from the LLC's viewpoint: freeing now
         # with no dirty owners is a silent back-invalidation.

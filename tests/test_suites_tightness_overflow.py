@@ -4,8 +4,15 @@ import dataclasses
 
 import pytest
 
+from repro.bus.arbiter import ArbitrationPolicy
+from repro.bus.schedule import distance
 from repro.common.errors import ConfigurationError
-from repro.experiments.tightness import TightnessRow, run_tightness
+from repro.experiments.configs import build_system_for_notation
+from repro.experiments.tightness import (
+    TightnessRow,
+    install_adversarial_replacement,
+    run_tightness,
+)
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.adversarial import conflict_storm_traces
 from repro.workloads.suites import SuiteSpec, get_suite, register_suite, suite_names
@@ -149,3 +156,71 @@ class TestTightness:
     def test_missing_row_lookup_rejected(self, result):
         with pytest.raises(KeyError):
             result.row("P(1,16)", True)
+
+
+def install_per_call_adversary(sim):
+    """The max-distance chooser as first written: every victim choice
+    recomputes each candidate's badness from ``distance``."""
+    llc = sim.system.llc
+    schedule = sim.system.schedule
+    engine = sim.engine
+
+    def chooser(candidates, set_index):
+        requester = schedule.owner_of_slot(engine._slot)
+        row = [llc.entry(set_index, way) for way in candidates]
+
+        def badness(entry) -> int:
+            if entry.block is None:
+                return 0
+            owners = llc.directory.owners_of(entry.block)
+            foreign = [owner for owner in owners if owner != requester]
+            if foreign:
+                # The expensive case: a far-away owner must donate a
+                # bus slot before the entry frees.
+                return 2 + max(
+                    distance(schedule, owner, requester) for owner in foreign
+                )
+            if owners:
+                # Owned only by the requester: with the in-slot self
+                # write-back this frees immediately — cheapest victim,
+                # so the adversary avoids it.
+                return 0
+            # Unowned: frees instantly too, but at least destroys state.
+            return 1
+
+        worst = max(row, key=badness)
+        return worst.way
+
+    for set_index in range(llc.num_sets):
+        llc.oracle_policy(set_index).set_chooser(chooser)
+
+
+class TestAdversarialChooser:
+    """The table-driven chooser picks exactly the per-call one's victims."""
+
+    @staticmethod
+    def steered_run(notation, install):
+        config = build_system_for_notation(
+            notation, num_cores=4, llc_policy="oracle", max_slots=3_000_000
+        )
+        config = dataclasses.replace(
+            config, arbitration=ArbitrationPolicy.WRITEBACK_FIRST, checked=True
+        )
+        traces = conflict_storm_traces(
+            cores=[0, 1, 2, 3], partition_sets=1, lines_per_core=24, repeats=10
+        )
+        sim = Simulator(config, traces)
+        install(sim)
+        return sim.run()
+
+    @pytest.mark.parametrize("notation", ["SS(1,16,4)", "NSS(1,16,4)"])
+    def test_table_chooser_matches_the_per_call_reference(self, notation):
+        expected = self.steered_run(notation, install_per_call_adversary)
+        actual = self.steered_run(notation, install_adversarial_replacement)
+        assert not expected.timed_out
+        # Foreign dirty owners were back-invalidated: victims were chosen
+        # among lines the requester does not own.
+        assert expected.llc_back_invalidations > 0
+        assert actual.requests == expected.requests
+        assert actual.llc_stats == expected.llc_stats
+        assert actual.slot_usage == expected.slot_usage
