@@ -134,26 +134,39 @@ class SetAssociativeCache:
         """The resident line record for ``block``, if any."""
         return self._sets[block & self._mask].find(block)
 
-    def clone(self) -> "SetAssociativeCache":
-        """An independent copy with identical contents, policy state and
-        stats — orders of magnitude cheaper than ``copy.deepcopy``,
-        which is what makes the fast-forward engine's next-miss
-        prediction affordable."""
-        dup = SetAssociativeCache.__new__(SetAssociativeCache)
-        dup.name = self.name
-        dup.num_sets = self.num_sets
-        dup.ways = self.ways
-        dup.policy_name = self.policy_name
-        dup._mask = self._mask
-        dup.stats = CacheStats(
-            accesses=self.stats.accesses,
-            hits=self.stats.hits,
-            misses=self.stats.misses,
-            fills=self.stats.fills,
-            evictions=self.stats.evictions,
-            dirty_evictions=self.stats.dirty_evictions,
-            invalidations=self.stats.invalidations,
-            dirty_invalidations=self.stats.dirty_invalidations,
-        )
-        dup._sets = [cache_set.clone() for cache_set in self._sets]
-        return dup
+
+class PredictionView:
+    """Copy-on-write stand-in for a live cache during prediction replay.
+
+    Shares the live cache's sets and clones one set the first time a
+    hit or a fill lands in it; a miss reads the live set and copies
+    nothing.  The view keeps no stats.  It is valid only while the live
+    cache does not change — next-miss prediction swaps it in, replays,
+    and discards it before the live stack moves again — so a set the
+    view never wrote still holds exactly what the view would have.
+    """
+
+    __slots__ = ("_shared", "_sets", "_mask")
+
+    def __init__(self, live: SetAssociativeCache) -> None:
+        # ``_sets`` starts as the live list's sets; an entry that is
+        # still ``_shared[index]`` has not been cloned yet.
+        self._shared = live._sets
+        self._sets = list(live._sets)
+        self._mask = live._mask
+
+    def _own(self, index: int) -> CacheSet:
+        """The view's private copy of set ``index``, cloned on demand."""
+        cache_set = self._sets[index]
+        if cache_set is self._shared[index]:
+            cache_set = self._sets[index] = cache_set.clone()
+        return cache_set
+
+    def access(self, block: BlockAddress, is_write: bool) -> bool:
+        index = block & self._mask
+        if block not in self._sets[index]._index:
+            return False
+        return self._own(index).touch(block, is_write)
+
+    def fill(self, block: BlockAddress, dirty: bool) -> Optional[EvictedLine]:
+        return self._own(block & self._mask).fill(block, dirty)

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import GeometryError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.types import AccessType, BlockAddress, CoreId, Cycle
 from repro.cpu.private_stack import PrivateStack
 from repro.mem.address import AddressGeometry
@@ -132,10 +132,8 @@ class TraceDrivenCore:
                     # so a long computation does not overshoot it.
                     self.time += record.compute_cycles
                     continue
-            address = record.address
-            if address < 0:
-                raise GeometryError(f"address must be non-negative, got {address}")
-            block = address >> offset_bits
+            # TraceRecord rejects negative addresses at construction.
+            block = record.address >> offset_bits
             result = stack.access(block, record.access)
             if result.hit_level is not None:
                 self.private_hits += 1
@@ -180,8 +178,9 @@ class TraceDrivenCore:
     def predict_next_bus_event(self) -> CorePrediction:
         """Predict the core's next bus-visible event without side effects.
 
-        Replays the remaining trace against a *clone* of the private
-        stack through the real :meth:`advance` code path (so hit/miss
+        Replays the remaining trace against a copy-on-write view of the
+        private stack (:meth:`PrivateStack.clone_for_prediction`)
+        through the real :meth:`advance` code path (so hit/miss
         decisions, compute-gap handling and latency accounting cannot
         diverge from the live replay), then restores the core's state.
         Returns the cycle of the next L2 miss, or the finish time when
@@ -198,7 +197,7 @@ class TraceDrivenCore:
 
         Only valid for deterministic replacement policies: a ``random``
         private stack shares its RNG stream with the rest of the
-        system, and the clone's draws could not be kept in lock-step
+        system, and the view's draws could not be kept in lock-step
         (the engine forces the reference path in that case).
         """
         if self.state is CoreState.DONE:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.line import CacheLine, EvictedLine
-from repro.cache.sa_cache import SetAssociativeCache
+from repro.cache.sa_cache import PredictionView, SetAssociativeCache
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import AccessType, BlockAddress, CoreId
 from repro.common.validation import require_non_negative, require_positive
@@ -248,42 +248,28 @@ class PrivateStack:
         return self._back_invalidate_l1(removed_l2)
 
     # ------------------------------------------------------------------
-    # Cloning (next-miss prediction)
+    # Next-miss prediction
     # ------------------------------------------------------------------
-    def clone(self) -> "PrivateStack":
-        """An independent copy of the whole stack, identical in every
-        hit/miss-relevant way.
-
-        The fast-forward engine replays a core's remaining trace against
-        a clone to predict its next L2 miss without touching the live
-        stack.  ``config`` is a frozen dataclass and safely shared.
-        """
-        dup = self._clone_l1s()
-        dup.l2 = self.l2.clone()
-        return dup
-
     def clone_for_prediction(self) -> "PrivateStack":
         """A throwaway stack for next-miss prediction replay.
 
-        Like :meth:`clone`, but the L2 is a :class:`_FrozenL2View` over
-        the live cache instead of a copy: prediction only runs while the
-        L2's membership is frozen (see the view's docstring), and the
-        L1s — whose contents do evolve with the core's own accesses, and
-        whose hit level decides per-record latency — are small.  This is
-        what keeps each fresh prediction cheap enough for the fast-
-        forward engine to pay for itself.
+        Copies nothing up front: each L1 is a copy-on-write
+        :class:`PredictionView` that clones a set only when a hit or a
+        fill lands in it, and the L2 is a :class:`_FrozenL2View` over
+        the live cache (prediction only runs while the L2's membership
+        is frozen, see the view's docstring).  Both views read the live
+        caches, so the result is valid only while the live stack does
+        not change: :meth:`repro.cpu.core.TraceDrivenCore.
+        predict_next_bus_event` swaps it in, replays, and discards it.
         """
-        dup = self._clone_l1s()
-        dup.l2 = _FrozenL2View(self.l2)  # type: ignore[assignment]
-        return dup
-
-    def _clone_l1s(self) -> "PrivateStack":
-        """A copy with cloned L1s and everything but the L2 set."""
         dup = PrivateStack.__new__(PrivateStack)
         dup.core = self.core
         dup.config = self.config
-        dup.l1i = None if self.l1i is None else self.l1i.clone()
-        dup.l1d = None if self.l1d is None else self.l1d.clone()
+        # The views stand in for the caches they wrap (duck-typed).
+        l1i, l1d = self.l1i, self.l1d
+        dup.l1i = None if l1i is None else PredictionView(l1i)  # type: ignore
+        dup.l1d = None if l1d is None else PredictionView(l1d)  # type: ignore
+        dup.l2 = _FrozenL2View(self.l2)  # type: ignore[assignment]
         dup._l1_hit = self._l1_hit
         dup._l2_hit = self._l2_hit
         dup.version = self.version

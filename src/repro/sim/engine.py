@@ -253,13 +253,15 @@ class SlotEngine:
             # Advance through slot_start inclusive: a miss occurring
             # exactly at the boundary is in the PRB "at the beginning of
             # the core's slot" (Section 3) and may use this slot.
-            # Blocked cores are skipped: advancing one is a no-op.  So
-            # are done cores whose CORE_DONE is already accounted.
+            # Every skipped call would be a no-op: a blocked core, a
+            # running core already past slot_start, and a done core
+            # whose CORE_DONE is already accounted.
             for core_id, core in cores.items():
                 state = core.state
-                if state is running or (
-                    state is done and core_id not in self._finished_cores
-                ):
+                if state is running:
+                    if core.time <= slot_start:
+                        self._advance_core(core_id, slot_start + 1)
+                elif state is done and core_id not in self._finished_cores:
                     self._advance_core(core_id, slot_start + 1)
             self._do_slot(owner, slot_start)
             if self._post_slot_hooks:

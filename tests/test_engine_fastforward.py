@@ -18,7 +18,9 @@ import random
 
 import pytest
 
+from repro.cpu.core import CoreState
 from repro.cpu.private_stack import PrivateStack, PrivateStackConfig
+from repro.robustness.checkpoint import snapshot_simulator
 from repro.robustness.faults import FaultKind, FaultPlan, install_fault_plan
 from repro.robustness.fuzz import (
     config_from_dict,
@@ -26,6 +28,7 @@ from repro.robustness.fuzz import (
     traces_from_case,
 )
 from repro.robustness.oracle import ORACLE_CHECKS, check_run
+from repro.sim.codec import canonical_digest
 from repro.sim.engine import SlotEngine
 from repro.sim.export import report_to_dict
 from repro.sim.simulator import Simulator, simulate
@@ -34,7 +37,7 @@ from repro.workloads.synthetic import (
     generate_disjoint_workload,
 )
 from repro.workloads.trace import MemoryTrace, TraceRecord
-from sim_helpers import small_config, write_trace_of
+from sim_helpers import private_partitions, small_config, write_trace_of
 
 from repro.common.types import AccessType
 
@@ -247,20 +250,43 @@ class TestReferenceForcing:
         assert not report.timed_out
 
 
-class TestPredictionClones:
-    def test_clone_is_independent_and_identical(self):
-        stack = PrivateStack(0, PrivateStackConfig())
-        for block in range(40):
-            stack.access(block, AccessType.WRITE)
-            stack.fill_from_llc(block, AccessType.WRITE)
-        dup = stack.clone()
-        assert sorted(dup.resident_blocks()) == sorted(stack.resident_blocks())
-        assert dup.version == stack.version
-        # Mutating the clone must not leak into the live stack.
-        dup.fill_from_llc(1000, AccessType.WRITE)
-        assert not stack.contains(1000)
-        assert stack.version != dup.version
+#: Private policies the fast engine predicts through (``random`` and
+#: ``oracle`` force the reference path).
+DETERMINISTIC_POLICIES = ("lru", "mru", "nmru", "fifo", "round-robin", "plru")
 
+
+def _mixed_think_gap_run(policy: str, seed: int):
+    """Two cores of mixed R/W/I traffic over 24 blocks each, with think
+    gaps, through the default 8-line L1s and 64-line L2 and an 8-line
+    private LLC partition per core: L1 and L2 hits, L1 victims, LLC
+    misses and back-invalidations all land between the gaps the fast
+    engine jumps."""
+    config = dataclasses.replace(
+        small_config(
+            num_cores=2,
+            partitions=private_partitions(2, sets_per_core=2),
+            llc_sets=4,
+            record_events=False,
+        ),
+        stack=PrivateStackConfig(policy=policy),
+    )
+    rng = random.Random(seed)
+    kinds = (AccessType.READ, AccessType.WRITE, AccessType.INSTR)
+    traces = {}
+    for core in range(2):
+        records = [
+            TraceRecord(
+                (core * 1000 + rng.randrange(24)) * config.line_size,
+                rng.choice(kinds),
+                compute_cycles=rng.choice((0, 0, 0, rng.randrange(600, 3000))),
+            )
+            for _ in range(60)
+        ]
+        traces[core] = MemoryTrace(records, name=f"mixed{core}")
+    return config, traces
+
+
+class TestPredictionClones:
     def test_prediction_clone_answers_like_the_live_stack(self):
         stack = PrivateStack(0, PrivateStackConfig())
         for block in range(20):
@@ -305,6 +331,41 @@ class TestPredictionClones:
         assert before == after
         # Cached while the stack version is unchanged.
         assert core.predict_next_bus_event() is first
+
+    @pytest.mark.parametrize("policy", DETERMINISTIC_POLICIES)
+    def test_prediction_leaves_no_trace_on_the_simulator(self, policy):
+        """A fresh prediction at any pause changes no checkpointed byte
+        (L1 policy state included) and repeats a still-valid one."""
+        config, traces = _mixed_think_gap_run(policy, seed=5)
+        sim = Simulator(config, traces)
+        predictions = 0
+        stop = 0
+        while not sim.engine.run_complete():
+            stop += 3
+            sim.engine.advance(stop_at_slot=stop)
+            before = canonical_digest(snapshot_simulator(sim))
+            for core in sim.system.cores.values():
+                if core.state is not CoreState.RUNNING:
+                    continue
+                cached = None
+                if core._prediction_version == core.stack.version:
+                    cached = core._prediction
+                core._prediction = None
+                fresh = core.predict_next_bus_event()
+                predictions += 1
+                assert cached is None or fresh == cached
+            assert canonical_digest(snapshot_simulator(sim)) == before
+        assert predictions > 20
+
+    @pytest.mark.parametrize("policy", DETERMINISTIC_POLICIES)
+    def test_fast_equals_reference_through_l1s(self, policy):
+        """Prediction through the L1 views on mixed traffic: fast ≡
+        reference, and the fast path jumps."""
+        for seed in range(8):
+            config, traces = _mixed_think_gap_run(policy, seed)
+            fast, reference, jumps = _run_both(config, traces, count_jumps=True)
+            _assert_identical(fast, reference)
+            assert jumps > 0
 
 
 class TestOracleDifferential:

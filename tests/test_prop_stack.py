@@ -174,10 +174,16 @@ def test_access_matches_the_reference_path_and_survives_cloning(
         else:
             assert stack.invalidate_block(block) == twin.invalidate_block(block)
     assert contents(stack) == contents(twin)
-    # Clones answer exactly like the live stack from here on.
-    copies = [stack.clone(), stack.clone_for_prediction()]
+    # A prediction stack replays the tail exactly like the reference
+    # while the live stack stands still, and leaves no trace on it.
+    before = contents(stack)
+    prediction = stack.clone_for_prediction()
+    expected = []
     for block, access in tail:
-        expected = reference_access(twin, block, access)
-        assert stack.access(block, access) == expected
-        for copy in copies:
-            assert copy.access(block, access) == expected
+        expected.append(reference_access(twin, block, access))
+        assert prediction.access(block, access) == expected[-1]
+    assert contents(stack) == before
+    # The live stack then gives the same answers itself.
+    for (block, access), answer in zip(tail, expected):
+        assert stack.access(block, access) == answer
+    assert contents(stack) == contents(twin)
