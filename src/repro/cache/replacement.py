@@ -63,9 +63,14 @@ class ReplacementPolicy:
     def _check_candidates(self, candidates: Sequence[int]) -> None:
         if not candidates:
             raise ValueError("victim() called with no candidates")
-        for way in candidates:
-            if not 0 <= way < self.ways:
-                raise ValueError(f"candidate way {way} out of range 0..{self.ways - 1}")
+        # One builtin range test per victim call; the Python loop runs
+        # only to name the first offending way.
+        if min(candidates) < 0 or max(candidates) >= self.ways:
+            for way in candidates:
+                if not 0 <= way < self.ways:
+                    raise ValueError(
+                        f"candidate way {way} out of range 0..{self.ways - 1}"
+                    )
 
 
 class LruPolicy(ReplacementPolicy):

@@ -164,35 +164,33 @@ class PartitionMap:
         )
         seen_cells: Dict[Tuple[int, int], str] = {}
         by_core: Dict[CoreId, PartitionSpec] = {}
+        # Every check below runs per partition, cell or core, so each
+        # message is formatted only once its check has failed.
         for part in partitions:
-            require(
-                max(part.sets) < num_sets,
-                f"partition {part.name!r} references set {max(part.sets)} "
-                f"but the LLC has only {num_sets} sets",
-                PartitionError,
-            )
-            require(
-                part.way_range[1] <= num_ways,
-                f"partition {part.name!r} references way {part.way_range[1] - 1} "
-                f"but the LLC has only {num_ways} ways",
-                PartitionError,
-            )
+            if max(part.sets) >= num_sets:
+                raise PartitionError(
+                    f"partition {part.name!r} references set {max(part.sets)} "
+                    f"but the LLC has only {num_sets} sets"
+                )
+            if part.way_range[1] > num_ways:
+                raise PartitionError(
+                    f"partition {part.name!r} references way "
+                    f"{part.way_range[1] - 1} but the LLC has only {num_ways} ways"
+                )
             for cell in part.cells():
                 other = seen_cells.get(cell)
-                require(
-                    other is None,
-                    f"partitions {other!r} and {part.name!r} overlap at "
-                    f"(set {cell[0]}, way {cell[1]})",
-                    PartitionError,
-                )
+                if other is not None:
+                    raise PartitionError(
+                        f"partitions {other!r} and {part.name!r} overlap at "
+                        f"(set {cell[0]}, way {cell[1]})"
+                    )
                 seen_cells[cell] = part.name
             for core in part.cores:
-                require(
-                    core not in by_core,
-                    f"core {core} assigned to both {by_core.get(core) and by_core[core].name!r} "
-                    f"and {part.name!r}",
-                    PartitionError,
-                )
+                if core in by_core:
+                    raise PartitionError(
+                        f"core {core} assigned to both {by_core[core].name!r} "
+                        f"and {part.name!r}"
+                    )
                 by_core[core] = part
         self.partitions: Tuple[PartitionSpec, ...] = tuple(partitions)
         self.num_sets = num_sets

@@ -600,7 +600,7 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
             raise CheckpointError(
                 "checkpoint carries no event log but record_events is on"
             )
-        engine.events._events = load_events(state["events"])
+        engine.events.restore(load_events(state["events"]))
     for core_id, stored in state["cores"]:
         _load_core(system.cores[core_id], stored)
     for core_id, stored in state["stacks"]:

@@ -280,18 +280,21 @@ def _check_sequenced(
             if core in queue:
                 queue.remove(core)
 
+    register, blocked = EventKind.SEQ_REGISTER, EventKind.SEQ_BLOCKED
+    blocked_full = EventKind.BLOCKED_FULL
+    alloc, hit = EventKind.LLC_ALLOC, EventKind.LLC_HIT
     for event in events:
         core = event.core
         if core not in sequenced:
             continue
-        if event.kind is EventKind.SEQ_REGISTER or (
-            event.kind is EventKind.BLOCKED_FULL
-            and event.detail == "own-block-pending-evict"
+        kind = event.kind
+        if kind is register or (
+            kind is blocked_full and event.detail == "own-block-pending-evict"
         ):
             queue = queues.setdefault(event.set_index, [])
             if core not in queue:
                 queue.append(core)
-        elif event.kind is EventKind.SEQ_BLOCKED:
+        elif kind is blocked:
             queue = queues.get(event.set_index, [])
             if queue and queue[0] == core:
                 out.append(
@@ -306,7 +309,7 @@ def _check_sequenced(
                         core=core,
                     )
                 )
-        elif event.kind is EventKind.LLC_ALLOC:
+        elif kind is alloc:
             queue = queues.get(event.set_index, [])
             if core in queue and queue[0] != core:
                 out.append(
@@ -322,7 +325,7 @@ def _check_sequenced(
                     )
                 )
             remove_everywhere(core)
-        elif event.kind is EventKind.LLC_HIT:
+        elif kind is hit:
             # A sharer fetched the line while this core was queued: the
             # engine cancels the registration.
             remove_everywhere(core)
@@ -338,15 +341,18 @@ def _check_requests(
     derived: Dict[CoreId, List[Tuple[int, int, int]]] = {}
     in_flight: Dict[CoreId, Tuple[int, int]] = {}  # first broadcast, attempts
     service: Dict[CoreId, Tuple[EventKind, int, int]] = {}  # kind, slot, cycle
-    schedule = config.build_schedule()
+    width = config.slot_width
+    broadcast, response = EventKind.REQ_BROADCAST, EventKind.RESPONSE
+    hit, alloc = EventKind.LLC_HIT, EventKind.LLC_ALLOC
     for event in events:
         core = event.core
-        if event.kind is EventKind.REQ_BROADCAST:
+        kind = event.kind
+        if kind is broadcast:
             first, attempts = in_flight.get(core, (event.cycle, 0))
             in_flight[core] = (first, attempts + 1)
-        elif event.kind in (EventKind.LLC_HIT, EventKind.LLC_ALLOC):
-            service[core] = (event.kind, event.slot, event.cycle)
-        elif event.kind is EventKind.RESPONSE:
+        elif kind is hit or kind is alloc:
+            service[core] = (kind, event.slot, event.cycle)
+        elif kind is response:
             if core not in in_flight:
                 out.append(
                     OracleViolation(
@@ -375,20 +381,20 @@ def _check_requests(
                     )
                 )
             else:
-                kind, slot, cycle = served
+                served_kind, slot, cycle = served
                 latency = (
                     config.llc_hit_latency
-                    if kind is EventKind.LLC_HIT
+                    if served_kind is hit
                     else config.llc_miss_latency
                 )
-                expected = schedule.slot_start(slot) + latency
+                expected = slot * width + latency
                 if event.cycle != expected:
                     out.append(
                         OracleViolation(
                             check="response-latency",
                             detail=(
                                 f"core {core} response at cycle {event.cycle}"
-                                f", expected {expected} ({kind.value} + "
+                                f", expected {expected} ({served_kind.value} + "
                                 f"{latency})"
                             ),
                             slot=event.slot,
@@ -450,15 +456,18 @@ def _check_bounds(
     period = config.num_cores * config.slot_width
     #: core -> [first broadcast cycle, own write-backs inside the window]
     windows: Dict[CoreId, List[int]] = {}
+    broadcast, wb_sent = EventKind.REQ_BROADCAST, EventKind.WB_SENT
+    response = EventKind.RESPONSE
     for event in events:
         core = event.core
         if core is None:
             continue
-        if event.kind is EventKind.REQ_BROADCAST:
+        kind = event.kind
+        if kind is broadcast:
             windows.setdefault(core, [event.cycle, 0])
-        elif event.kind is EventKind.WB_SENT and core in windows:
+        elif kind is wb_sent and core in windows:
             windows[core][1] += 1
-        elif event.kind is EventKind.RESPONSE and core in windows:
+        elif kind is response and core in windows:
             start, own_writebacks = windows.pop(core)
             bound = bounds[core]
             if bound.cycles is None:
@@ -597,51 +606,59 @@ def check_run(
     schedule = config.build_schedule()
 
     # -- slot accounting / ownership / timing --------------------------
+    # The schedule's table, not owner_of_slot/slot_start/slot_end: the
+    # engine never records a negative slot, so their argument checks
+    # would only cost a call per event.
+    owners = schedule.slot_owners
+    period = len(owners)
+    width = schedule.slot_width
+    core_done = EventKind.CORE_DONE
+    response = EventKind.RESPONSE
     actions_per_slot: Dict[int, int] = {}
     for event in events:
-        if event.kind in _OWNER_ACTIONS:
-            actions_per_slot[event.slot] = actions_per_slot.get(event.slot, 0) + 1
-        if event.kind in _OWNER_ATTRIBUTED:
-            owner = schedule.owner_of_slot(event.slot)
-            if event.core != owner:
+        cycle, slot, kind, core = event.cycle, event.slot, event.kind, event.core
+        if kind in _OWNER_ACTIONS:
+            actions_per_slot[slot] = actions_per_slot.get(slot, 0) + 1
+        if kind in _OWNER_ATTRIBUTED:
+            owner = owners[slot % period]
+            if core != owner:
                 out.append(
                     OracleViolation(
                         check="slot-ownership",
                         detail=(
-                            f"{event.kind.value} by core {event.core} in "
-                            f"slot {event.slot}, owned by core {owner}"
+                            f"{kind.value} by core {core} in "
+                            f"slot {slot}, owned by core {owner}"
                         ),
-                        slot=event.slot,
-                        core=event.core,
+                        slot=slot,
+                        core=core,
                     )
                 )
-        if event.kind is EventKind.CORE_DONE:
+        if kind is core_done:
             continue
-        slot_start = schedule.slot_start(event.slot)
-        if event.kind is EventKind.RESPONSE:
-            if not slot_start <= event.cycle <= schedule.slot_end(event.slot):
+        slot_start = slot * width
+        if kind is response:
+            if not slot_start <= cycle <= slot_start + width:
                 out.append(
                     OracleViolation(
                         check="slot-timing",
                         detail=(
-                            f"response at cycle {event.cycle} outside slot "
-                            f"{event.slot} [{slot_start}, "
-                            f"{schedule.slot_end(event.slot)}]"
+                            f"response at cycle {cycle} outside slot "
+                            f"{slot} [{slot_start}, {slot_start + width}]"
                         ),
-                        slot=event.slot,
-                        core=event.core,
+                        slot=slot,
+                        core=core,
                     )
                 )
-        elif event.cycle != slot_start:
+        elif cycle != slot_start:
             out.append(
                 OracleViolation(
                     check="slot-timing",
                     detail=(
-                        f"{event.kind.value} at cycle {event.cycle}, but "
-                        f"slot {event.slot} starts at {slot_start}"
+                        f"{kind.value} at cycle {cycle}, but "
+                        f"slot {slot} starts at {slot_start}"
                     ),
-                    slot=event.slot,
-                    core=event.core,
+                    slot=slot,
+                    core=core,
                 )
             )
     for slot in range(report.total_slots):
@@ -674,19 +691,20 @@ def check_run(
 
     # -- LLC content model ---------------------------------------------
     model = _LlcModel(out)
+    alloc, hit = EventKind.LLC_ALLOC, EventKind.LLC_HIT
+    evict_start, entry_freed = EventKind.EVICT_START, EventKind.ENTRY_FREED
+    blocked_full = EventKind.BLOCKED_FULL
     for event in events:
-        if event.kind is EventKind.LLC_ALLOC:
+        kind = event.kind
+        if kind is alloc:
             model.on_alloc(event)
-        elif event.kind is EventKind.LLC_HIT:
+        elif kind is hit:
             model.on_hit(event)
-        elif event.kind is EventKind.EVICT_START:
+        elif kind is evict_start:
             model.on_evict_start(event)
-        elif event.kind is EventKind.ENTRY_FREED:
+        elif kind is entry_freed:
             model.on_entry_freed(event)
-        elif (
-            event.kind is EventKind.BLOCKED_FULL
-            and event.detail == "own-block-pending-evict"
-        ):
+        elif kind is blocked_full and event.detail == "own-block-pending-evict":
             model.on_blocked_pending(event)
 
     # -- sequencer FIFO -------------------------------------------------

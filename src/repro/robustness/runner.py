@@ -161,6 +161,10 @@ class RunManifest:
     def __init__(self, path: Optional[Union[str, Path]]) -> None:
         self.path = Path(path) if path is not None else None
         self.tasks: Dict[str, Dict[str, Any]] = {}
+        # Whether the journal is known to exist: set by the first
+        # append, cleared when save() unlinks the journal.  Until then
+        # _append stats it to decide whether to fsync the directory.
+        self._journal_exists = False
 
     @property
     def journal(self) -> Optional[Path]:
@@ -200,7 +204,10 @@ class RunManifest:
     def record(self, name: str, entry: Dict[str, Any]) -> None:
         """Record one task's outcome; durable on disk when this returns."""
         line = _seal_tasks({name: entry})
-        self.tasks.update(_unseal_tasks(line, self.path, f"entry {name!r}"))
+        # Hold the entry as load() will decode it: the sealed line is
+        # canonical JSON this process just wrote, so parsing it suffices
+        # and the digest load() verifies cannot differ.
+        self.tasks[name] = json.loads(line)["payload"]["tasks"][name]
         if self.path is None:
             return
         try:
@@ -214,7 +221,7 @@ class RunManifest:
 
     def _append(self, line: str) -> None:
         journal = self.journal
-        created = not journal.exists()
+        created = not self._journal_exists and not journal.exists()
         check_io("open", journal, "manifest")
         with open(journal, "a") as handle:
             guarded_write(handle, line, journal, "manifest")
@@ -222,6 +229,7 @@ class RunManifest:
             guarded_fsync(handle, journal, "manifest")
         if created:
             fsync_directory(journal.parent, site="manifest")
+        self._journal_exists = True
 
     def save(self) -> None:
         """Compact: atomically rewrite the snapshot, then drop the journal.
@@ -241,6 +249,7 @@ class RunManifest:
             site="manifest",
             durability=Durability.ESSENTIAL,
         )
+        self._journal_exists = False
         try:
             self.journal.unlink()
         except FileNotFoundError:

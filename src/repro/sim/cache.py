@@ -191,7 +191,7 @@ def load_report(state: Mapping[str, Any]) -> SimReport:
     ]
     events = EventLog(enabled=state["events"] is not None)
     if state["events"] is not None:
-        events._events = load_events(state["events"])
+        events.restore(load_events(state["events"]))
     metrics = None
     if state["metrics_rows"] is not None:
         from repro.obs.metrics import registry_from_rows

@@ -71,7 +71,7 @@ def config_document(value: Any) -> Any:
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         # fields() skips non-field memo slots (TdmSchedule._positions
-        # and ._one_slot),
+        # and ._one_slot, SystemConfig._partition_map and ._schedule),
         # which asdict-style __dict__ walks would drag into the key.
         return {
             f.name: config_document(getattr(value, f.name))
@@ -246,33 +246,15 @@ def event_states(events: Iterable[SimEvent]) -> List[List[Any]]:
     """Events as positional 8-element lists (field names would triple
     the stored size of long logs)."""
     return [
-        [
-            event.cycle,
-            event.slot,
-            event.kind.value,
-            event.core,
-            event.block,
-            event.set_index,
-            event.way,
-            event.detail,
-        ]
-        for event in events
+        [cycle, slot, kind.value, core, block, set_index, way, detail]
+        for cycle, slot, kind, core, block, set_index, way, detail in events
     ]
 
 
 def load_events(states: Iterable[List[Any]]) -> List[SimEvent]:
     """The inverse of :func:`event_states`."""
     return [
-        SimEvent(
-            cycle=cycle,
-            slot=slot,
-            kind=EventKind(kind),
-            core=core,
-            block=block,
-            set_index=set_index,
-            way=way,
-            detail=detail,
-        )
+        SimEvent(cycle, slot, EventKind(kind), core, block, set_index, way, detail)
         for cycle, slot, kind, core, block, set_index, way, detail in states
     ]
 

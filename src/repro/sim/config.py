@@ -133,29 +133,27 @@ class SystemConfig:
             require_positive(
                 self.sequencer_max_queues, "sequencer_max_queues", ConfigurationError
             )
-        require(
-            self.engine in ("fast", "reference"),
-            f"engine must be 'fast' or 'reference', got {self.engine!r}",
-            ConfigurationError,
-        )
-        require(
-            self.llc_hit_latency <= self.slot_width,
-            f"llc_hit_latency ({self.llc_hit_latency}) must fit in a slot "
-            f"({self.slot_width}): the LLC responds within the requester's slot",
-            ConfigurationError,
-        )
-        require(
-            self.llc_miss_latency <= self.slot_width,
-            f"llc_miss_latency ({self.llc_miss_latency}) must fit in a slot "
-            f"({self.slot_width}): the LLC responds within the requester's slot",
-            ConfigurationError,
-        )
-        require(
-            self.dram.fetch_latency <= self.llc_miss_latency,
-            f"llc_miss_latency ({self.llc_miss_latency}) must cover the DRAM "
-            f"fetch ({self.dram.fetch_latency})",
-            ConfigurationError,
-        )
+        # The checks below run once per config built, which a fuzz case
+        # does three times: each message is formatted only on failure.
+        if self.engine not in ("fast", "reference"):
+            raise ConfigurationError(
+                f"engine must be 'fast' or 'reference', got {self.engine!r}"
+            )
+        if self.llc_hit_latency > self.slot_width:
+            raise ConfigurationError(
+                f"llc_hit_latency ({self.llc_hit_latency}) must fit in a slot "
+                f"({self.slot_width}): the LLC responds within the requester's slot"
+            )
+        if self.llc_miss_latency > self.slot_width:
+            raise ConfigurationError(
+                f"llc_miss_latency ({self.llc_miss_latency}) must fit in a slot "
+                f"({self.slot_width}): the LLC responds within the requester's slot"
+            )
+        if self.dram.fetch_latency > self.llc_miss_latency:
+            raise ConfigurationError(
+                f"llc_miss_latency ({self.llc_miss_latency}) must cover the DRAM "
+                f"fetch ({self.dram.fetch_latency})"
+            )
         require(
             bool(self.partitions),
             "SystemConfig needs at least one partition",
@@ -166,39 +164,54 @@ class SystemConfig:
             "give either schedule or schedule_order, not both",
             ConfigurationError,
         )
-        # Validate the carving and core coverage eagerly.
-        partition_map = self.build_partition_map()
-        covered = set(partition_map.cores)
+        # Validate the carving and core coverage eagerly, and keep both
+        # validated objects as non-field memo slots (the
+        # TdmSchedule._positions idiom): fields() skips them, so
+        # equality, repr and run keys see only the declared fields.
+        partition_map = PartitionMap(list(self.partitions), self.llc_sets, self.llc_ways)
         expected = set(range(self.num_cores))
-        require(
-            covered == expected,
-            f"partitions must cover exactly cores {sorted(expected)}, "
-            f"got {sorted(covered)}",
-            ConfigurationError,
-        )
-        schedule = self.build_schedule()
-        require(
-            set(schedule.cores) == expected,
-            f"schedule must cover exactly cores {sorted(expected)}, "
-            f"got {sorted(schedule.cores)}",
-            ConfigurationError,
-        )
-        require(
-            schedule.slot_width == self.slot_width,
-            f"schedule slot width {schedule.slot_width} != config slot_width "
-            f"{self.slot_width}",
-            ConfigurationError,
-        )
+        if set(partition_map.cores) != expected:
+            raise ConfigurationError(
+                f"partitions must cover exactly cores {sorted(expected)}, "
+                f"got {sorted(partition_map.cores)}"
+            )
+        if self.schedule is not None:
+            schedule = self.schedule
+        else:
+            schedule = one_slot_tdm(self.num_cores, self.slot_width, self.schedule_order)
+        if set(schedule.cores) != expected:
+            raise ConfigurationError(
+                f"schedule must cover exactly cores {sorted(expected)}, "
+                f"got {sorted(schedule.cores)}"
+            )
+        if schedule.slot_width != self.slot_width:
+            raise ConfigurationError(
+                f"schedule slot width {schedule.slot_width} != config slot_width "
+                f"{self.slot_width}"
+            )
+        object.__setattr__(self, "_partition_map", partition_map)
+        object.__setattr__(self, "_schedule", schedule)
 
     def build_partition_map(self) -> PartitionMap:
-        """Validate and return the LLC carving."""
-        return PartitionMap(list(self.partitions), self.llc_sets, self.llc_ways)
+        """The validated LLC carving, built once by ``__post_init__``.
+
+        Every call returns the same :class:`PartitionMap`, so a
+        :class:`~repro.sim.system.System`, the oracle and
+        :func:`~repro.analysis.verification.derive_core_bounds` share one
+        object instead of re-validating the carving.  Nothing mutates a
+        partition map after construction.  ``dataclasses.replace``
+        builds a new config and so validates its carving afresh.
+        """
+        return self._partition_map
 
     def build_schedule(self) -> TdmSchedule:
-        """The TDM schedule the bus will follow."""
-        if self.schedule is not None:
-            return self.schedule
-        return one_slot_tdm(self.num_cores, self.slot_width, self.schedule_order)
+        """The validated TDM schedule the bus will follow.
+
+        ``schedule`` when given, otherwise the 1S-TDM schedule over
+        ``num_cores`` in ``schedule_order``; built and checked once by
+        ``__post_init__``, and the same object on every call.
+        """
+        return self._schedule
 
     @property
     def period_cycles(self) -> int:

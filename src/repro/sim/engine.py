@@ -84,7 +84,10 @@ class SlotEngine:
         # Event emission sites are guarded with
         # ``self._events_on and self.events.append(SimEvent(...))`` so
         # the (hot-path) SimEvent construction is skipped entirely when
-        # recording is off — the log would drop it anyway.
+        # recording is off — the log would drop it anyway.  Events are
+        # built positionally, in SimEvent's field order (cycle, slot,
+        # kind, core, block, set_index, way, detail): a recorded run
+        # builds one per action, and keywords cost more than the tuple.
         self._events_on = self.config.record_events
         # Per-slot occupancy sampler; lazily imported so repro.sim has
         # no hard dependency on repro.obs (which imports sim.report).
@@ -508,10 +511,10 @@ class SlotEngine:
             # finish (an empty trace) the same as a missing finish time.
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=core.finish_time if core.finish_time is not None else 0,
-                    slot=self._slot,
-                    kind=EventKind.CORE_DONE,
-                    core=core_id,
+                    core.finish_time if core.finish_time is not None else 0,
+                    self._slot,
+                    EventKind.CORE_DONE,
+                    core_id,
                 )
             )
 
@@ -529,7 +532,7 @@ class SlotEngine:
         if kind is None:
             self._slot_usage[owner]["idle"] += 1
             self._events_on and self.events.append(
-                SimEvent(slot_start, self._slot, EventKind.SLOT_IDLE, core=owner)
+                SimEvent(slot_start, self._slot, EventKind.SLOT_IDLE, owner)
             )
             return
         if kind is TransactionKind.WRITE_BACK:
@@ -557,25 +560,27 @@ class SlotEngine:
             self.system.dram.write_back(entry.block, slot_start)
         self._events_on and self.events.append(
             SimEvent(
-                cycle=slot_start,
-                slot=self._slot,
-                kind=EventKind.WB_SENT,
-                core=core,
-                block=entry.block,
-                detail=f"{entry.reason.value}->{outcome.value}",
+                slot_start,
+                self._slot,
+                EventKind.WB_SENT,
+                core,
+                entry.block,
+                None,
+                None,
+                f"{entry.reason.value}->{outcome.value}",
             )
         )
         if outcome is WritebackOutcome.FREED:
             assert pending is not None
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.ENTRY_FREED,
-                    core=core,
-                    block=entry.block,
-                    set_index=pending.set_index,
-                    way=pending.way,
+                    slot_start,
+                    self._slot,
+                    EventKind.ENTRY_FREED,
+                    core,
+                    entry.block,
+                    pending.set_index,
+                    pending.way,
                 )
             )
 
@@ -588,11 +593,7 @@ class SlotEngine:
             request.first_on_bus_at = slot_start
         self._events_on and self.events.append(
             SimEvent(
-                cycle=slot_start,
-                slot=self._slot,
-                kind=EventKind.REQ_BROADCAST,
-                core=core,
-                block=request.block,
+                slot_start, self._slot, EventKind.REQ_BROADCAST, core, request.block
             )
         )
         sequencer = self._sequencers[core]
@@ -608,13 +609,13 @@ class SlotEngine:
                 sequencer.cancel(core)
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.LLC_HIT,
-                    core=core,
-                    block=request.block,
-                    set_index=hit.set_index,
-                    way=hit.way,
+                    slot_start,
+                    self._slot,
+                    EventKind.LLC_HIT,
+                    core,
+                    request.block,
+                    hit.set_index,
+                    hit.way,
                 )
             )
             self._complete_request(
@@ -630,13 +631,14 @@ class SlotEngine:
                 sequencer.register(core, set_index)
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.BLOCKED_FULL,
-                    core=core,
-                    block=request.block,
-                    set_index=set_index,
-                    detail="own-block-pending-evict",
+                    slot_start,
+                    self._slot,
+                    EventKind.BLOCKED_FULL,
+                    core,
+                    request.block,
+                    set_index,
+                    None,
+                    "own-block-pending-evict",
                 )
             )
             return
@@ -651,13 +653,14 @@ class SlotEngine:
             sequencer.register(core, set_index)
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.SEQ_REGISTER,
-                    core=core,
-                    block=request.block,
-                    set_index=set_index,
-                    detail=f"queue={sequencer.queue_snapshot(set_index)}",
+                    slot_start,
+                    self._slot,
+                    EventKind.SEQ_REGISTER,
+                    core,
+                    request.block,
+                    set_index,
+                    None,
+                    f"queue={sequencer.queue_snapshot(set_index)}",
                 )
             )
 
@@ -670,12 +673,12 @@ class SlotEngine:
         llc.extra.blocked_no_free_entry += 1
         self._events_on and self.events.append(
             SimEvent(
-                cycle=slot_start,
-                slot=self._slot,
-                kind=EventKind.BLOCKED_FULL,
-                core=core,
-                block=request.block,
-                set_index=set_index,
+                slot_start,
+                self._slot,
+                EventKind.BLOCKED_FULL,
+                core,
+                request.block,
+                set_index,
             )
         )
 
@@ -699,13 +702,14 @@ class SlotEngine:
         if sequencer is not None and not sequencer.may_claim(core, set_index):
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.SEQ_BLOCKED,
-                    core=core,
-                    block=request.block,
-                    set_index=set_index,
-                    detail=f"head={sequencer.queue_snapshot(set_index)[:1]}",
+                    slot_start,
+                    self._slot,
+                    EventKind.SEQ_BLOCKED,
+                    core,
+                    request.block,
+                    set_index,
+                    None,
+                    f"head={sequencer.queue_snapshot(set_index)[:1]}",
                 )
             )
             return False
@@ -715,13 +719,13 @@ class SlotEngine:
             sequencer.complete(core, set_index)
         self._events_on and self.events.append(
             SimEvent(
-                cycle=slot_start,
-                slot=self._slot,
-                kind=EventKind.LLC_ALLOC,
-                core=core,
-                block=request.block,
-                set_index=set_index,
-                way=entry.way,
+                slot_start,
+                self._slot,
+                EventKind.LLC_ALLOC,
+                core,
+                request.block,
+                set_index,
+                entry.way,
             )
         )
         self._complete_request(
@@ -776,14 +780,14 @@ class SlotEngine:
             return False
         self._events_on and self.events.append(
             SimEvent(
-                cycle=slot_start,
-                slot=self._slot,
-                kind=EventKind.EVICT_START,
-                core=core,
-                block=victim.block,
-                set_index=victim.set_index,
-                way=victim.way,
-                detail=f"owners={sorted(victim.owners)}",
+                slot_start,
+                self._slot,
+                EventKind.EVICT_START,
+                core,
+                victim.block,
+                victim.set_index,
+                victim.way,
+                f"owners={sorted(victim.owners)}",
             )
         )
         dirty_owners = self._back_invalidate(victim, core, slot_start)
@@ -793,14 +797,14 @@ class SlotEngine:
                 self.system.dram.write_back(victim.block, slot_start)
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.ENTRY_FREED,
-                    core=core,
-                    block=victim.block,
-                    set_index=victim.set_index,
-                    way=victim.way,
-                    detail="clean-eviction",
+                    slot_start,
+                    self._slot,
+                    EventKind.ENTRY_FREED,
+                    core,
+                    victim.block,
+                    victim.set_index,
+                    victim.way,
+                    "clean-eviction",
                 )
             )
         return freed_now
@@ -842,14 +846,14 @@ class SlotEngine:
                 detail = "clean"
             self._events_on and self.events.append(
                 SimEvent(
-                    cycle=slot_start,
-                    slot=self._slot,
-                    kind=EventKind.BACK_INVALIDATE,
-                    core=owner,
-                    block=victim.block,
-                    set_index=victim.set_index,
-                    way=victim.way,
-                    detail=detail,
+                    slot_start,
+                    self._slot,
+                    EventKind.BACK_INVALIDATE,
+                    owner,
+                    victim.block,
+                    victim.set_index,
+                    victim.way,
+                    detail,
                 )
             )
         return dirty_owners
@@ -884,12 +888,14 @@ class SlotEngine:
                 )
         self._events_on and self.events.append(
             SimEvent(
-                cycle=response_cycle,
-                slot=self._slot,
-                kind=EventKind.RESPONSE,
-                core=core,
-                block=request.block,
-                detail=f"latency={request.completed_at - request.enqueued_at}",
+                response_cycle,
+                self._slot,
+                EventKind.RESPONSE,
+                core,
+                request.block,
+                None,
+                None,
+                f"latency={request.completed_at - request.enqueued_at}",
             )
         )
         finishing = self.system.cores[core]

@@ -10,8 +10,7 @@ exact slot-by-slot sequence of evictions, write-backs and responses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 from repro.common.types import BlockAddress, CoreId, Cycle, SlotIndex
 
@@ -34,9 +33,17 @@ class EventKind(enum.Enum):
     CORE_DONE = "core-done"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One engine action, time-stamped by cycle and bus slot."""
+class SimEvent(NamedTuple):
+    """One engine action, time-stamped by cycle and bus slot.
+
+    A :class:`~typing.NamedTuple` rather than a frozen dataclass: a
+    recorded run builds one event per action, and a tuple is built for
+    well under half the cost of a frozen dataclass's eight
+    ``object.__setattr__`` calls.  It stays immutable, hashable and
+    equal by value (a plain tuple of the same eight values compares
+    equal too).  Field order is the positional order of
+    :func:`repro.sim.codec.event_states`.
+    """
 
     cycle: Cycle
     slot: SlotIndex
@@ -77,6 +84,30 @@ class EventLog:
         self.enabled = enabled
         self._events: List[SimEvent] = []
         self._sinks: List[Callable[[SimEvent], None]] = []
+        self._bind_append()
+
+    def _bind_append(self) -> None:
+        """Make an enabled, sink-free log's ``append`` the list's own.
+
+        The engine appends once per action; binding the list method on
+        the instance skips a Python frame per event.  The binding holds
+        the list object, so the log never rebinds ``_events`` — see
+        :meth:`restore`.
+        """
+        self.__dict__.pop("append", None)
+        if self.enabled and not self._sinks:
+            self.append = self._events.append  # type: ignore[method-assign]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # deepcopy treats a bound builtin method as atomic, so a copy
+        # would keep appending to the original list: rebind on the copy.
+        state = self.__dict__.copy()
+        state.pop("append", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._bind_append()
 
     def __len__(self) -> int:
         return len(self._events)
@@ -92,6 +123,12 @@ class EventLog:
     def attach_sink(self, sink: Callable[[SimEvent], None]) -> None:
         """Stream every future event to ``sink`` (storage unaffected)."""
         self._sinks.append(sink)
+        self._bind_append()
+
+    def restore(self, events: Iterable[SimEvent]) -> None:
+        """Replace the recorded events in place (checkpoint restore,
+        cached-report rebuild), keeping a bound ``append`` live."""
+        self._events[:] = events
 
     def append(self, event: SimEvent) -> None:
         """Record an event (no-op when disabled and no sink attached)."""
