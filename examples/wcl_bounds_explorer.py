@@ -9,11 +9,8 @@ set sequencer makes the WCL independent of cache and partition size.
 Run:  python examples/wcl_bounds_explorer.py
 """
 
-from repro.analysis.sensitivity import (
-    sweep_partition_lines,
-    sweep_sharers,
-    sweep_ways,
-)
+from dataclasses import replace
+
 from repro.analysis.wcl import (
     SharedPartitionParams,
     wcl_nss_breakdown,
@@ -61,26 +58,38 @@ def show_breakdown() -> None:
 
 def show_sweeps() -> None:
     base = paper_params(partition_lines=32)
-
-    def table(points, label):
+    sets = base.partition_lines // base.ways
+    sweeps = [
+        (
+            "sharers n",
+            [(n, replace(base, sharers=n, total_cores=max(base.total_cores, n)))
+             for n in (2, 3, 4, 6, 8)],
+        ),
+        # Same set count: a way-partitioned LLC grows M with w.
+        (
+            "ways w",
+            [(w, replace(base, ways=w, partition_lines=sets * w))
+             for w in (2, 4, 8, 16)],
+        ),
+        (
+            "partition lines M",
+            [(m, replace(base, partition_lines=m))
+             for m in (16, 32, 64, 128, 256)],
+        ),
+    ]
+    for label, points in sweeps:
+        rows = []
+        for value, params in points:
+            nss, ss = wcl_nss_cycles(params), wcl_ss_cycles(params)
+            rows.append([value, nss, ss, f"{nss / ss:.0f}x"])
         print(
             render_table(
                 [label, "NSS bound (cycles)", "SS bound (cycles)", "reduction"],
-                [
-                    [p.value, p.nss_cycles, p.ss_cycles, f"{p.reduction:.0f}x"]
-                    for p in points
-                ],
+                rows,
                 title=f"Bound sensitivity: {label}",
             )
         )
         print()
-
-    table(sweep_sharers(base, [2, 3, 4, 6, 8]), "sharers n")
-    table(sweep_ways(base, [2, 4, 8, 16]), "ways w")
-    table(
-        sweep_partition_lines(base, [16, 32, 64, 128, 256]),
-        "partition lines M",
-    )
     print(
         "Note how the SS column is flat across ways and partition size:\n"
         "Theorem 4.8 depends only on the sharer count and the TDM period."

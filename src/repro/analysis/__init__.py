@@ -9,7 +9,5 @@ the simulator:
   (1S-TDM without set sequencer), Theorem 4.8 (with set sequencer), and
   the private-partition bound;
 * :mod:`repro.analysis.unbounded` — a constructive witness of the
-  Section 4.1 unbounded-latency scenario under multi-slot TDM;
-* :mod:`repro.analysis.sensitivity` — parameter sweeps of the bounds
-  (how WCL scales with sharers, ways, partition size).
+  Section 4.1 unbounded-latency scenario under multi-slot TDM.
 """

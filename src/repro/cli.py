@@ -56,23 +56,17 @@ from repro.llc.partition import PartitionNotation
 from repro.sim.config import PAPER_SLOT_WIDTH
 
 
-def _export_metrics(registry, path: str) -> int:
+def _export_metrics(registry, path: str) -> None:
     """Write ``registry`` to ``path`` (suffix picks the format).
 
-    Returns 0 on success, 2 on a bad path / unsupported suffix — the
-    argparse "usage error" exit code, with a clean one-line message
-    instead of a traceback.
+    A bad path or an unsupported suffix raises
+    :class:`~repro.common.errors.ObservabilityError`, which :func:`main`
+    turns into one ``error:`` line and exit 2.
     """
-    from repro.common.errors import ObservabilityError
     from repro.obs.exporters import write_metrics
 
-    try:
-        write_metrics(registry, path)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    write_metrics(registry, path)
     print(f"metrics written to {path}")
-    return 0
 
 
 def _io_fault_spec(text: str):
@@ -171,9 +165,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     )
     print(result.render())
     if args.metrics:
-        status = _export_metrics(result.metrics, args.metrics)
-        if status != 0:
-            return status
+        _export_metrics(result.metrics, args.metrics)
     if not result.all_complete():
         print(
             "ERROR: a simulation timed out or starved; its rows carry "
@@ -202,7 +194,7 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
         f"\naverage SS speedup vs NSS: {result.average_speedup_vs_nss():.2f}x"
     )
     if args.metrics:
-        return _export_metrics(result.metrics, args.metrics)
+        _export_metrics(result.metrics, args.metrics)
     return 0
 
 
@@ -340,11 +332,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.metrics:
         from repro.obs.collect import collect_metrics
 
-        status = _export_metrics(
+        _export_metrics(
             collect_metrics(report, config.slot_width), args.metrics
         )
-        if status != 0:
-            return status
     if report.timed_out:
         print("WARNING: simulation hit the slot cap", file=sys.stderr)
         return 1
@@ -386,7 +376,7 @@ def _simulate_sweep(args: argparse.Namespace, config, suite) -> int:
         f"\nWCL spread:       {result.wcl_spread} cycles"
     )
     if args.metrics:
-        return _export_metrics(result.metrics, args.metrics)
+        _export_metrics(result.metrics, args.metrics)
     return 0
 
 
@@ -509,7 +499,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"\n{sink.emitted} events traced to {args.trace}")
     if args.metrics:
-        return _export_metrics(registry, args.metrics)
+        _export_metrics(registry, args.metrics)
     return 0
 
 
@@ -533,7 +523,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"lowest observed WCL: {result.lowest_wcl().notation}"
     )
     if args.metrics:
-        return _export_metrics(result.metrics, args.metrics)
+        _export_metrics(result.metrics, args.metrics)
     return 0
 
 
@@ -569,9 +559,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
             # along in the requested export; a clean run has no io.*
             # rows, so the bytes of undegraded runs are unchanged.
             registry = registry.merged(io_metrics())
-        status = _export_metrics(registry, args.metrics)
-        if status != 0:
-            return status
+        _export_metrics(registry, args.metrics)
     if result.quarantined:
         names = ", ".join(outcome.name for outcome in result.quarantined)
         print(f"ERROR: quarantined tasks: {names}", file=sys.stderr)
@@ -604,9 +592,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.out:
         print(f"report written to {args.out}/fuzz-report.json")
     if args.metrics:
-        status = _export_metrics(registry, args.metrics)
-        if status != 0:
-            return status
+        _export_metrics(registry, args.metrics)
     return 0 if report.ok else 1
 
 
@@ -1160,8 +1146,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CampaignError, CheckpointError, FuzzError, ObservabilityError) as exc:
-        # e.g. a trace sink that failed mid-run or a corrupt manifest:
-        # loud failure with the offending path, usage-error exit code.
+        # e.g. a trace sink that failed mid-run, an unwritable metrics
+        # export or a corrupt manifest: loud failure with the offending
+        # path, usage-error exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -1,10 +1,11 @@
-"""One-shot reproduction runner: every experiment, one results directory.
+"""One-shot reproduction runner: every experiment as one artifact list.
 
 ``run_all`` executes the full evaluation — Figure 7, Figures 8a–8d, the
 Section 4.1 witness, the analytical constants and the tightness probe —
-and writes each artifact as a text table (plus a machine-readable
-summary) under an output directory.  The CLI exposes it as
-``repro-llc all --out results/``.
+and returns each artifact's text table and checks.  The CLI's
+``repro-llc all --out results/`` runs the same :func:`artifact_steps`
+through :func:`repro.robustness.runner.run_all_robust`, which writes
+the tables and summaries under the output directory.
 
 With a result cache installed (``repro-llc all --cache DIR``), the
 simulation-backed artifacts (Figure 7's non-steered rows, Figures
@@ -15,16 +16,13 @@ recomputed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
 
 from repro.analysis.unbounded import starvation_witness
-from repro.common.fileio import Durability, persist_text
 from repro.analysis.wcl import (
     SharedPartitionParams,
     wcl_nss_cycles,
@@ -298,55 +296,25 @@ def artifact_steps(
 
 
 def run_all(
-    out_dir: Optional[Union[str, Path]] = None,
     num_requests: int = 300,
     tightness_repeats: int = 25,
     jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
     with_metrics: bool = False,
     engine: Optional[str] = None,
 ) -> RunAllResult:
-    """Regenerate every artifact; optionally write them to ``out_dir``.
+    """Regenerate every artifact, in memory.
 
     This is the straight-line runner: one failure aborts everything
     after it.  ``repro-llc all`` uses the crash-tolerant wrapper
     (:func:`repro.robustness.runner.run_all_robust`) which adds
-    timeouts, retries, quarantine and manifest-based resume on top of
-    the same steps.  ``jobs`` parallelises the figure grids inside each
-    artifact (the artifacts themselves run in order).
+    timeouts, retries, quarantine, manifest-based resume and the
+    result files on top of the same steps.  ``jobs`` parallelises the
+    figure grids inside each artifact (the artifacts themselves run in
+    order).
     """
     result = RunAllResult()
     for _, step in artifact_steps(
         num_requests, tightness_repeats, jobs, with_metrics, engine
     ):
-        artifact = step()
-        if progress is not None:
-            progress(f"{artifact.name}: {'PASS' if artifact.passed else 'FAIL'}")
-        result.artifacts.append(artifact)
-
-    if out_dir is not None:
-        target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        for artifact in result.artifacts:
-            persist_text(
-                target / f"{artifact.name}.txt",
-                artifact.table + "\n",
-                site="artifact-table",
-                durability=Durability.ESSENTIAL,
-            )
-        summary = {
-            artifact.name: artifact.checks for artifact in result.artifacts
-        }
-        persist_text(
-            target / "summary.json",
-            json.dumps(summary, indent=2) + "\n",
-            site="campaign-summary",
-            durability=Durability.ESSENTIAL,
-        )
-        persist_text(
-            target / "SUMMARY.txt",
-            result.summary() + "\n",
-            site="campaign-summary",
-            durability=Durability.ESSENTIAL,
-        )
+        result.artifacts.append(step())
     return result

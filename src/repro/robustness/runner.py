@@ -684,8 +684,9 @@ def run_all_robust(
 ) -> CampaignResult:
     """Crash-tolerant ``run_all``: every artifact as a quarantinable task.
 
-    Artifact tables and the summary files land in ``out_dir`` exactly as
-    with :func:`repro.experiments.runner.run_all`; additionally a
+    Each artifact's table lands in ``out_dir`` as ``<name>.txt`` and the
+    checks in ``summary.json`` and ``SUMMARY.txt``
+    (:func:`write_campaign_summaries`); additionally a
     ``manifest.json`` (or ``manifest_path``) checkpoints progress after
     every artifact so an interrupted ``repro-llc all`` resumes instead
     of restarting.  The summary files are rebuilt from the manifest, so

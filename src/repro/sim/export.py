@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Union
 from repro.common.errors import ReproError
 from repro.common.fileio import Durability, persist_text
 from repro.common.types import CoreId, Cycle
-from repro.obs.tracing import event_to_dict
+from repro.obs.tracing import trace_to_jsonl_bytes
 from repro.sim.report import SimReport
 
 
@@ -172,6 +172,9 @@ def write_requests_csv(report: SimReport, path: Union[str, Path]) -> None:
 def write_events_jsonl(report: SimReport, path: Union[str, Path]) -> None:
     """Write the event log as JSON Lines (one event per line).
 
+    The bytes are the canonical trace encoding
+    (:func:`repro.obs.tracing.trace_to_jsonl_bytes`), the same lines a
+    :class:`~repro.obs.tracing.JsonlTraceSink` streams during the run.
     Requires the run to have used ``record_events=True``; raises
     :class:`ReproError` on an empty log so silent no-op exports cannot
     masquerade as traces.
@@ -180,10 +183,9 @@ def write_events_jsonl(report: SimReport, path: Union[str, Path]) -> None:
         raise ReproError(
             "event log is empty; run the simulation with record_events=True"
         )
-    lines = [json.dumps(event_to_dict(event)) for event in report.events]
     persist_text(
         Path(path),
-        "\n".join(lines) + "\n",
+        trace_to_jsonl_bytes(report.events).decode(),
         site="report-export",
         durability=Durability.ESSENTIAL,
     )

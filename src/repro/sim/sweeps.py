@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Mapping,
     Optional,
     Sequence,
@@ -178,46 +177,3 @@ def sweep_seeds(
         )
     return SweepResult.from_reports(seeds, reports, metrics)
 
-
-def compare_configs(
-    configs: Mapping[str, SystemConfig],
-    trace_factory: TraceFactory,
-    seeds: Sequence[int],
-    jobs: int = 1,
-) -> Dict[str, SweepResult]:
-    """Sweep several configurations over the *same* seeded workloads.
-
-    The factory receives only the seed, so every configuration replays
-    identical traces — the paper's "same memory addresses across
-    different partitioned configurations" requirement, now across a
-    whole distribution.
-
-    The whole configuration × seed grid is one task list for
-    :func:`repro.sim.parallel.run_parallel` (inline, or on worker
-    processes with ``jobs > 1``), re-aggregated per configuration in
-    canonical (insertion, seed) order — identical either way.
-    """
-    from repro.sim.parallel import run_parallel
-
-    require(bool(seeds), "sweep needs at least one seed", ConfigurationError)
-    names = list(configs)
-    reports = run_parallel(
-        [
-            (
-                f"{name}/seed-{seed}",
-                lambda name=name, seed=seed: run_seed(
-                    configs[name], trace_factory, seed
-                ),
-            )
-            for name in names
-            for seed in seeds
-        ],
-        jobs,
-    )
-    width = len(seeds)
-    return {
-        name: SweepResult.from_reports(
-            seeds, reports[i * width : (i + 1) * width]
-        )
-        for i, name in enumerate(names)
-    }

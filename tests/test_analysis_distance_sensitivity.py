@@ -1,14 +1,17 @@
-"""Unit tests for the distance tracker and the bound sensitivity sweeps."""
+"""Unit tests for the distance tracker and the bounds' sensitivity to
+the sharer count, the way count and the partition size."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.distance import DistanceTracker, line_distance
-from repro.analysis.sensitivity import (
-    sweep_partition_lines,
-    sweep_sharers,
-    sweep_ways,
+from repro.analysis.wcl import (
+    SharedPartitionParams,
+    wcl_nss_cycles,
+    wcl_reduction_factor,
+    wcl_ss_cycles,
 )
-from repro.analysis.wcl import SharedPartitionParams
 from repro.bus.schedule import TdmSchedule, one_slot_tdm
 from repro.common.errors import AnalysisError
 
@@ -83,36 +86,43 @@ class TestDistanceTracker:
             DistanceTracker(schedule=one_slot_tdm(2, 50), observer=5)
 
 
-class TestSensitivitySweeps:
-    def test_sweep_sharers_monotone_nss(self):
-        points = sweep_sharers(base_params(), [2, 3, 4])
-        nss = [point.nss_cycles for point in points]
-        assert nss == sorted(nss)
-        assert nss[0] < nss[-1]
+def vary(parameter, value):
+    """``base_params()`` with n, w or M set to ``value``.
 
-    def test_sweep_sharers_labels(self):
-        points = sweep_sharers(base_params(), [2, 3])
-        assert [point.value for point in points] == [2, 3]
-        assert all(point.parameter == "sharers" for point in points)
+    More sharers than cores raise the core count; a new way count keeps
+    the set count, as a way-partitioned LLC does.
+    """
+    base = base_params()
+    if parameter == "sharers":
+        return replace(base, sharers=value, total_cores=max(base.total_cores, value))
+    if parameter == "ways":
+        sets = base.partition_lines // base.ways
+        return replace(base, ways=value, partition_lines=sets * value)
+    return replace(base, partition_lines=value)
 
-    def test_sweep_ways_ss_flat(self):
-        points = sweep_ways(base_params(), [2, 4, 8, 16])
-        ss = {point.ss_cycles for point in points}
-        assert len(ss) == 1  # Theorem 4.8 is way-independent
 
-    def test_sweep_ways_nss_grows(self):
-        points = sweep_ways(base_params(), [2, 4, 8])
-        nss = [point.nss_cycles for point in points]
+SWEEPS = {
+    "sharers": (2, 3, 4),
+    "ways": (2, 4, 8, 16),
+    "partition_lines": (16, 32, 64),
+}
+
+
+class TestBoundSensitivity:
+    @pytest.mark.parametrize("parameter", ["sharers", "ways", "partition_lines"])
+    def test_nss_grows(self, parameter):
+        nss = [wcl_nss_cycles(vary(parameter, value)) for value in SWEEPS[parameter]]
         assert nss == sorted(nss) and nss[0] < nss[-1]
 
-    def test_sweep_partition_lines_ss_flat_nss_grows(self):
-        points = sweep_partition_lines(base_params(), [16, 32, 64])
-        assert len({point.ss_cycles for point in points}) == 1
-        nss = [point.nss_cycles for point in points]
-        assert nss[0] < nss[-1]
+    @pytest.mark.parametrize("parameter", ["ways", "partition_lines"])
+    def test_ss_flat(self, parameter):
+        # Theorem 4.8 depends on neither the way count nor the partition size.
+        ss = {wcl_ss_cycles(vary(parameter, value)) for value in SWEEPS[parameter]}
+        assert len(ss) == 1
 
-    def test_reduction_property(self):
-        point = sweep_partition_lines(base_params(), [32])[0]
-        assert point.reduction == pytest.approx(
-            point.nss_cycles / point.ss_cycles
+    @pytest.mark.parametrize("partition_lines", SWEEPS["partition_lines"])
+    def test_reduction_is_nss_over_ss(self, partition_lines):
+        params = vary("partition_lines", partition_lines)
+        assert wcl_reduction_factor(params) == pytest.approx(
+            wcl_nss_cycles(params) / wcl_ss_cycles(params)
         )

@@ -17,14 +17,12 @@ import pytest
 
 import repro.bus.schedule
 import repro.common.intmath
-import repro.common.units
 import repro.llc.partition
 import repro.sim.export
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MODULES_WITH_DOCTESTS = [
-    repro.common.units,
     repro.common.intmath,
     repro.bus.schedule,
     repro.llc.partition,

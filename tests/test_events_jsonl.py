@@ -5,17 +5,22 @@ import json
 import pytest
 
 from repro.common.errors import ReproError
+from repro.obs.tracing import JsonlTraceSink
 from repro.sim.export import write_events_jsonl
 from repro.sim.simulator import Simulator, simulate
 
 from sim_helpers import shared_partition, small_config, write_trace_of
 
 
-@pytest.fixture(scope="module")
-def report():
+def two_core_run():
     config = small_config(num_cores=2)
     traces = {0: write_trace_of([0, 4]), 1: write_trace_of([1, 5])}
-    return simulate(config, traces)
+    return config, traces
+
+
+@pytest.fixture(scope="module")
+def report():
+    return simulate(*two_core_run())
 
 
 class TestEventsJsonl:
@@ -46,3 +51,14 @@ class TestEventsJsonl:
         empty_report = simulate(config, {0: write_trace_of([0])})
         with pytest.raises(ReproError, match="record_events"):
             write_events_jsonl(empty_report, tmp_path / "none.jsonl")
+
+    def test_bytes_equal_a_trace_sink_stream(self, tmp_path):
+        # One event encoding: the export and a streamed trace of the
+        # same run are the same file.
+        config, traces = two_core_run()
+        streamed = tmp_path / "streamed.jsonl"
+        with JsonlTraceSink(streamed) as sink:
+            report = Simulator(config, traces, event_sink=sink).run()
+        exported = tmp_path / "exported.jsonl"
+        write_events_jsonl(report, exported)
+        assert exported.read_bytes() == streamed.read_bytes()

@@ -1,7 +1,5 @@
 """Tests for the one-shot reproduction runner and the histogram view."""
 
-import json
-
 import pytest
 
 from repro.experiments.runner import run_all
@@ -10,19 +8,10 @@ from repro.sim.export import render_histogram
 
 class TestRunAll:
     @pytest.fixture(scope="class")
-    def result(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("results")
-        progress = []
-        run = run_all(
-            out_dir=out,
-            num_requests=120,
-            tightness_repeats=10,
-            progress=progress.append,
-        )
-        return out, run, progress
+    def run(self):
+        return run_all(num_requests=120, tightness_repeats=10)
 
-    def test_all_artifacts_produced(self, result):
-        out, run, _progress = result
+    def test_all_artifacts_produced(self, run):
         names = {artifact.name for artifact in run.artifacts}
         assert "section-5.1-constants" in names
         assert "figure-7" in names
@@ -32,8 +21,7 @@ class TestRunAll:
         assert "bound-tightness" in names
         assert "partial-sharing-isolation" in names
 
-    def test_all_checks_pass(self, result):
-        _out, run, _progress = result
+    def test_all_checks_pass(self, run):
         failing = {
             artifact.name: artifact.checks
             for artifact in run.artifacts
@@ -41,26 +29,7 @@ class TestRunAll:
         }
         assert not failing, failing
 
-    def test_files_written(self, result):
-        out, run, _progress = result
-        for artifact in run.artifacts:
-            assert (out / f"{artifact.name}.txt").exists()
-        assert (out / "summary.json").exists()
-        assert (out / "SUMMARY.txt").exists()
-
-    def test_summary_json_structure(self, result):
-        out, run, _progress = result
-        summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {artifact.name for artifact in run.artifacts}
-        for checks in summary.values():
-            assert all(isinstance(value, bool) for value in checks.values())
-
-    def test_progress_reported(self, result):
-        _out, run, progress = result
-        assert len(progress) == len(run.artifacts)
-
-    def test_summary_text(self, result):
-        _out, run, _progress = result
+    def test_summary_text(self, run):
         text = run.summary()
         assert "figure-7" in text
         assert run.all_passed == ("FAIL" not in text)

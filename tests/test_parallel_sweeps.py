@@ -19,7 +19,7 @@ from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.robustness.runner import CampaignRunner, RunManifest
 from repro.sim.parallel import parallel_available
-from repro.sim.sweeps import compare_configs, run_seed, sweep_seeds
+from repro.sim.sweeps import run_seed, sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -55,17 +55,6 @@ def test_sweep_seeds_parallel_propagates_check_failures():
 
     with pytest.raises(AssertionError, match="seed 1"):
         sweep_seeds(CONFIG, trace_factory, SEEDS, check=check, jobs=3)
-
-
-def test_compare_configs_parallel_is_bit_identical():
-    configs = {
-        "two-core": small_config(num_cores=2),
-        "fifo": small_config(num_cores=2, llc_policy="fifo"),
-    }
-    serial = compare_configs(configs, trace_factory, SEEDS, jobs=1)
-    parallel = compare_configs(configs, trace_factory, SEEDS, jobs=3)
-    assert parallel == serial
-    assert list(parallel) == list(configs)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.common.types import AccessType
-from repro.common.units import format_bytes, parse_bytes
 from repro.workloads.trace import MemoryTrace, TraceRecord, read_trace, write_trace
 
 
@@ -106,11 +105,6 @@ def test_trace_file_roundtrip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("traces") / "trace.txt"
     write_trace(trace, path)
     assert read_trace(path) == trace
-
-
-@given(size=st.integers(min_value=0, max_value=2**48))
-def test_format_parse_bytes_roundtrip(size):
-    assert parse_bytes(format_bytes(size)) == size
 
 
 @given(
