@@ -67,16 +67,12 @@ class PendingRequestBuffer:
 
     def __init__(self, core: CoreId) -> None:
         self.core = core
-        self._entry: Optional[PendingRequest] = None
-
-    @property
-    def entry(self) -> Optional[PendingRequest]:
-        """The outstanding request, if any."""
-        return self._entry
+        #: The outstanding request, if any.
+        self.entry: Optional[PendingRequest] = None
 
     @property
     def is_empty(self) -> bool:
-        return self._entry is None
+        return self.entry is None
 
     def push(self, request: PendingRequest) -> None:
         """Park a new request; the PRB must be empty.
@@ -85,23 +81,23 @@ class PendingRequestBuffer:
         request assumption of the system model and indicates a core
         model bug.
         """
-        if self._entry is not None:
+        if self.entry is not None:
             raise SimulationError(
                 f"core {self.core}: PRB already holds a request for block "
-                f"{self._entry.block:#x}; one outstanding request allowed"
+                f"{self.entry.block:#x}; one outstanding request allowed"
             )
         if request.core != self.core:
             raise SimulationError(
                 f"request for core {request.core} pushed into core {self.core}'s PRB"
             )
-        self._entry = request
+        self.entry = request
 
     def pop(self) -> PendingRequest:
         """Remove and return the outstanding request."""
-        if self._entry is None:
+        entry = self.entry
+        if entry is None:
             raise SimulationError(f"core {self.core}: pop from empty PRB")
-        entry = self._entry
-        self._entry = None
+        self.entry = None
         return entry
 
 
@@ -149,14 +145,16 @@ class PendingWritebackBuffer:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def push(self, entry: WritebackEntry) -> None:
-        """Queue a write-back."""
+    def push(self, entry: WritebackEntry) -> int:
+        """Queue a write-back; returns how many are now queued."""
         if entry.core != self.core:
             raise SimulationError(
                 f"write-back for core {entry.core} pushed into core {self.core}'s PWB"
             )
         self._entries.append(entry)
-        self.max_occupancy = max(self.max_occupancy, len(self._entries))
+        occupancy = len(self._entries)
+        self.max_occupancy = max(self.max_occupancy, occupancy)
+        return occupancy
 
     def pop(self, before: Optional[Cycle] = None) -> WritebackEntry:
         """Remove and return the next write-back to send.
@@ -167,8 +165,18 @@ class PendingWritebackBuffer:
         entry = self.peek(before)
         if entry is None:
             raise SimulationError(f"core {self.core}: pop from empty PWB")
-        self._entries.remove(entry)
+        self.remove(entry)
         return entry
+
+    def remove(self, entry: WritebackEntry) -> int:
+        """``pop`` for a caller holding what :meth:`peek` returned;
+        returns how many write-backs are left."""
+        entries = self._entries
+        if entries[0] is entry:
+            entries.popleft()
+        else:
+            entries.remove(entry)
+        return len(entries)
 
     def peek(self, before: Optional[Cycle] = None) -> Optional[WritebackEntry]:
         """The write-back ``pop`` would return, without removing it: the

@@ -69,26 +69,28 @@ class CacheSet:
         Filling a block that is already resident is a simulator bug (the
         caller should have hit), so it raises :class:`SimulationError`.
         """
-        if block in self._index:
+        index = self._index
+        if block in index:
             raise SimulationError(f"fill of already-resident block {block:#x}")
         evicted: Optional[EvictedLine] = None
         slots = self._slots
-        if len(self._index) < self.ways:
+        policy = self.policy
+        if len(index) < self.ways:
             # The lowest free way; one exists, since every resident
             # line is indexed.
             way = 0
             while slots[way] is not None:
                 way += 1
         else:
-            way = self.policy.victim(self._all_ways)
+            way = policy.victim(self._all_ways)
             victim = slots[way]
             assert victim is not None
-            evicted = EvictedLine(block=victim.block, dirty=victim.dirty)
-            del self._index[victim.block]
-            self.policy.on_invalidate(way)
-        slots[way] = CacheLine(block=block, dirty=dirty)
-        self._index[block] = way
-        self.policy.on_fill(way)
+            evicted = EvictedLine(victim.block, victim.dirty)
+            del index[victim.block]
+            policy.on_invalidate(way)
+        slots[way] = CacheLine(block, dirty)
+        index[block] = way
+        policy.on_fill(way)
         return evicted
 
     def invalidate(self, block: BlockAddress) -> Optional[EvictedLine]:
@@ -96,11 +98,12 @@ class CacheSet:
         way = self._index.pop(block, None)
         if way is None:
             return None
-        line = self._slots[way]
+        slots = self._slots
+        line = slots[way]
         assert line is not None
-        self._slots[way] = None
+        slots[way] = None
         self.policy.on_invalidate(way)
-        return EvictedLine(block=line.block, dirty=line.dirty)
+        return EvictedLine(line.block, line.dirty)
 
     def mark_clean(self, block: BlockAddress) -> bool:
         """Clear the dirty bit of ``block``; returns False if absent."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.common.types import BlockAddress
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One resident line in a private cache way.
 

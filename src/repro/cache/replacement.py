@@ -81,15 +81,12 @@ class LruPolicy(ReplacementPolicy):
         self._clock = 0
         self._last_use = [0] * ways
 
-    def _tick(self, way: int) -> None:
+    def on_access(self, way: int) -> None:
         self._clock += 1
         self._last_use[way] = self._clock
 
-    def on_access(self, way: int) -> None:
-        self._tick(way)
-
-    def on_fill(self, way: int) -> None:
-        self._tick(way)
+    # A fill is a use, exactly like a hit.
+    on_fill = on_access
 
     def on_invalidate(self, way: int) -> None:
         self._last_use[way] = 0
@@ -99,42 +96,21 @@ class LruPolicy(ReplacementPolicy):
         return min(candidates, key=self._last_use.__getitem__)
 
     def clone(self) -> "LruPolicy":
-        dup = LruPolicy(self.ways)
+        dup = type(self)(self.ways)
         dup._clock = self._clock
         dup._last_use = self._last_use.copy()
         return dup
 
 
-class MruPolicy(ReplacementPolicy):
-    """Most-recently-used; useful as a pathological ablation point."""
+class MruPolicy(LruPolicy):
+    """Most-recently-used; useful as a pathological ablation point.
 
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._clock = 0
-        self._last_use = [0] * ways
-
-    def _tick(self, way: int) -> None:
-        self._clock += 1
-        self._last_use[way] = self._clock
-
-    def on_access(self, way: int) -> None:
-        self._tick(way)
-
-    def on_fill(self, way: int) -> None:
-        self._tick(way)
-
-    def on_invalidate(self, way: int) -> None:
-        self._last_use[way] = 0
+    LRU's recency state, hooks and clone; only the victim differs.
+    """
 
     def victim(self, candidates: Sequence[int]) -> int:
         self._check_candidates(candidates)
         return max(candidates, key=self._last_use.__getitem__)
-
-    def clone(self) -> "MruPolicy":
-        dup = MruPolicy(self.ways)
-        dup._clock = self._clock
-        dup._last_use = self._last_use.copy()
-        return dup
 
 
 class NmruPolicy(ReplacementPolicy):

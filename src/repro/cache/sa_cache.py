@@ -89,30 +89,33 @@ class SetAssociativeCache:
         Returns True on hit.  Misses only bump counters — the caller
         decides when (and whether) to fill.
         """
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         if self._sets[block & self._mask].touch(block, is_write):
-            self.stats.hits += 1
+            stats.hits += 1
             return True
-        self.stats.misses += 1
+        stats.misses += 1
         return False
 
     def fill(self, block: BlockAddress, dirty: bool) -> Optional[EvictedLine]:
         """Install ``block``, returning any displaced line."""
         evicted = self._sets[block & self._mask].fill(block, dirty)
-        self.stats.fills += 1
+        stats = self.stats
+        stats.fills += 1
         if evicted is not None:
-            self.stats.evictions += 1
+            stats.evictions += 1
             if evicted.dirty:
-                self.stats.dirty_evictions += 1
+                stats.dirty_evictions += 1
         return evicted
 
     def invalidate(self, block: BlockAddress) -> Optional[EvictedLine]:
         """Remove ``block`` (inclusive back-invalidation), if present."""
         removed = self._sets[block & self._mask].invalidate(block)
         if removed is not None:
-            self.stats.invalidations += 1
+            stats = self.stats
+            stats.invalidations += 1
             if removed.dirty:
-                self.stats.dirty_invalidations += 1
+                stats.dirty_invalidations += 1
         return removed
 
     def mark_clean(self, block: BlockAddress) -> bool:

@@ -28,6 +28,11 @@ class CoreState(enum.Enum):
     DONE = "done"
 
 
+# Read per advance call; a module global reads faster than a member.
+_RUNNING = CoreState.RUNNING
+_BLOCKED = CoreState.BLOCKED
+
+
 @dataclass(frozen=True)
 class MissInfo:
     """An L2 miss the core needs the bus for."""
@@ -114,44 +119,53 @@ class TraceDrivenCore:
         ``BLOCKED`` at the miss cycle), or ``None`` if the core ran out
         of trace or reached ``until`` on private hits alone.
         """
-        if self.state is not CoreState.RUNNING or self.time >= until:
+        time = self.time
+        if self.state is not _RUNNING or time >= until:
             return None
         records = self.trace.records
         count = len(records)
         offset_bits = self._offset_bits
         stack = self.stack
-        while self.time < until:
-            if self.position >= count:
-                self._finish()
-                return None
-            record = records[self.position]
-            if not self._gap_applied:
-                self._gap_applied = True
+        # The replay cursor lives in locals and is written back on every
+        # exit: horizon, finish and miss.
+        position = self.position
+        gap_applied = self._gap_applied
+        hits = 0
+        miss: Optional[MissInfo] = None
+        while time < until:
+            if position >= count:
+                break
+            record = records[position]
+            if not gap_applied:
+                gap_applied = True
                 if record.compute_cycles:
                     # Think time before the access; re-check the horizon
                     # so a long computation does not overshoot it.
-                    self.time += record.compute_cycles
+                    time += record.compute_cycles
                     continue
             # TraceRecord rejects negative addresses at construction.
             block = record.address >> offset_bits
             result = stack.access(block, record.access)
             if result.hit_level is not None:
-                self.private_hits += 1
-                self.time += result.latency
-                self.position += 1
-                self._gap_applied = False
+                hits += 1
+                time += result.latency
+                position += 1
+                gap_applied = False
                 continue
             # L2 miss: the core blocks at the current cycle; the engine
             # parks the request in the PRB and wakes us on the response.
-            self.state = CoreState.BLOCKED
+            self.state = _BLOCKED
             self.llc_requests += 1
-            return MissInfo(
-                core=self.core_id,
-                block=block,
-                access=record.access,
-                at_cycle=self.time,
-            )
-        return None
+            miss = MissInfo(self.core_id, block, record.access, time)
+            break
+        self.time = time
+        self.position = position
+        self._gap_applied = gap_applied
+        self.private_hits += hits
+        if miss is None and time < until:
+            # Out of trace before the horizon.
+            self._finish()
+        return miss
 
     def resume(self, response_cycle: Cycle) -> None:
         """Deliver the LLC response: the blocked access completes.

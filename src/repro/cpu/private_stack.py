@@ -75,6 +75,11 @@ class StackAccessResult:
     latency: int
 
 
+# Access types as module constants: the access path compares one per
+# access, and a module global reads faster than an enum member.
+_WRITE = AccessType.WRITE
+_INSTR = AccessType.INSTR
+
 #: The outcome of every private miss; hits share one result per level
 #: and stack (see PrivateStack.access), so no access allocates one.
 _MISS = StackAccessResult(None, 0)
@@ -154,6 +159,8 @@ class PrivateStack:
         self.l2 = SetAssociativeCache(
             f"core{core}.L2", cfg.l2_sets, cfg.l2_ways, cfg.policy, rng
         )
+        # The L1s that exist (both or neither), for walks over them.
+        self._l1s = () if self.l1i is None else (self.l1i, self.l1d)
         self._l1_hit = StackAccessResult("L1", cfg.l1_hit_latency)
         self._l2_hit = StackAccessResult("L2", cfg.l2_hit_latency)
         #: Bumped on every externally-driven content change — an LLC
@@ -169,10 +176,6 @@ class PrivateStack:
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
-    def _l1_for(self, access: AccessType) -> Optional[SetAssociativeCache]:
-        # Both L1s are None when the stack models no L1 at all.
-        return self.l1i if access is AccessType.INSTR else self.l1d
-
     def access(self, block: BlockAddress, access: AccessType) -> StackAccessResult:
         """Run one access through L1 then L2.
 
@@ -180,8 +183,9 @@ class PrivateStack:
         installed — the fill happens later via :meth:`fill_from_llc`
         when the LLC response arrives over the bus.
         """
-        is_write = access is AccessType.WRITE
-        l1 = self._l1_for(access)
+        is_write = access is _WRITE
+        # Both L1s are None when the stack models no L1 at all.
+        l1 = self.l1i if access is _INSTR else self.l1d
         if l1 is not None and l1.access(block, is_write):
             return self._l1_hit
         if self.l2.access(block, is_write):
@@ -193,13 +197,13 @@ class PrivateStack:
     def fill_from_llc(self, block: BlockAddress, access: AccessType) -> FillResult:
         """Install the LLC response for ``block`` into L2 (and L1)."""
         self.version += 1
-        is_write = access is AccessType.WRITE
+        is_write = access is _WRITE
         l2_victim = self.l2.fill(block, is_write)
         # The victim leaves the L1s before the new block enters one.
         result = _NO_VICTIM
         if l2_victim is not None:
             result = FillResult(l2_victim=self._back_invalidate_l1(l2_victim))
-        l1 = self._l1_for(access)
+        l1 = self.l1i if access is _INSTR else self.l1d
         if l1 is not None:
             self._fill_l1(l1, block, is_write)
         return result
@@ -221,9 +225,7 @@ class PrivateStack:
     def _back_invalidate_l1(self, l2_victim: EvictedLine) -> EvictedLine:
         """Remove an L2 victim's copies from both L1s, merging dirtiness."""
         dirty = l2_victim.dirty
-        for l1 in (self.l1i, self.l1d):
-            if l1 is None:
-                continue
+        for l1 in self._l1s:
             removed = l1.invalidate(l2_victim.block)
             if removed is not None and removed.dirty:
                 dirty = True
@@ -270,6 +272,7 @@ class PrivateStack:
         dup.l1i = None if l1i is None else PredictionView(l1i)  # type: ignore
         dup.l1d = None if l1d is None else PredictionView(l1d)  # type: ignore
         dup.l2 = _FrozenL2View(self.l2)  # type: ignore[assignment]
+        dup._l1s = () if dup.l1i is None else (dup.l1i, dup.l1d)
         dup._l1_hit = self._l1_hit
         dup._l2_hit = self._l2_hit
         dup.version = self.version
@@ -282,17 +285,13 @@ class PrivateStack:
         """Whether any private level holds ``block``."""
         if self.l2.contains(block):
             return True
-        return any(
-            l1 is not None and l1.contains(block) for l1 in (self.l1i, self.l1d)
-        )
+        return any(l1.contains(block) for l1 in self._l1s)
 
     def is_dirty(self, block: BlockAddress) -> bool:
         """Whether the private copy of ``block`` is dirty at any level."""
         if self.l2.is_dirty(block):
             return True
-        return any(
-            l1 is not None and l1.is_dirty(block) for l1 in (self.l1i, self.l1d)
-        )
+        return any(l1.is_dirty(block) for l1 in self._l1s)
 
     def resident_blocks(self) -> List[BlockAddress]:
         """Blocks resident in the L2 (superset of the L1s, inclusive)."""
@@ -300,9 +299,7 @@ class PrivateStack:
 
     def check_l1_inclusion(self) -> None:
         """Assert every L1-resident block is also in L2."""
-        for l1 in (self.l1i, self.l1d):
-            if l1 is None:
-                continue
+        for l1 in self._l1s:
             for block in l1.resident_blocks():
                 if not self.l2.contains(block):
                     raise SimulationError(

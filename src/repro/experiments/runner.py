@@ -59,11 +59,6 @@ class RunAllResult:
 
     artifacts: List[ArtifactResult] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        """Whether every artifact's checks held."""
-        return all(artifact.passed for artifact in self.artifacts)
-
     def merged_metrics(self) -> "MetricsRegistry":
         """All artifacts' metrics in one registry (artifact order).
 
@@ -79,13 +74,6 @@ class RunAllResult:
                 for artifact in self.artifacts
                 if artifact.metrics is not None
             ]
-        )
-
-    def summary(self) -> str:
-        """One line per artifact."""
-        return "\n".join(
-            f"{'PASS' if artifact.passed else 'FAIL'}  {artifact.name}"
-            for artifact in self.artifacts
         )
 
 

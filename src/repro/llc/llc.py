@@ -193,15 +193,13 @@ class PartitionedLlc:
         # block -> entry, for VALID and PENDING_EVICT entries respectively
         self._valid_index: Dict[BlockAddress, LlcEntry] = {}
         self._pending_index: Dict[BlockAddress, LlcEntry] = {}
-        # Partitions are immutable, so each core's partition and each
-        # (partition, set) region are precomputed — these sit on the
+        # Partitions are immutable, so each core's partition and its
+        # (partition, set) regions are precomputed — these sit on the
         # engine's hottest path.  A partition's regions are listed in
         # fold order: block b lands in regions[b % len(regions)].
-        self._partitions: Dict[CoreId, PartitionSpec] = {}
         self._regions: Dict[str, Tuple[LlcRegion, ...]] = {}
+        self._core_regions: Dict[CoreId, Tuple[LlcRegion, ...]] = {}
         for spec in partition_map.partitions:
-            for core in spec.cores:
-                self._partitions[core] = spec
             regions = []
             for set_index in spec.sets:
                 region = LlcRegion(
@@ -213,6 +211,8 @@ class PartitionedLlc:
                     entry._region = weakref.ref(region)
                 regions.append(region)
             self._regions[spec.name] = tuple(regions)
+            for core in spec.cores:
+                self._core_regions[core] = self._regions[spec.name]
         self._reindex()
 
     # ------------------------------------------------------------------
@@ -220,10 +220,7 @@ class PartitionedLlc:
     # ------------------------------------------------------------------
     def partition_of(self, core: CoreId) -> PartitionSpec:
         """The partition ``core`` allocates into."""
-        partition = self._partitions.get(core)
-        if partition is None:
-            raise PartitionError(f"core {core} has no LLC partition")
-        return partition
+        return self.region(core, 0).partition
 
     def region(self, core: CoreId, block: BlockAddress) -> LlcRegion:
         """The (partition × set) region ``block`` folds onto for ``core``.
@@ -231,7 +228,9 @@ class PartitionedLlc:
         The engine resolves this once per bus request and hands it to
         every LLC query the request makes.
         """
-        regions = self._regions[self.partition_of(core).name]
+        regions = self._core_regions.get(core)
+        if regions is None:
+            raise PartitionError(f"core {core} has no LLC partition")
         return regions[block % len(regions)]
 
     def regions(self) -> List[LlcRegion]:
@@ -572,30 +571,11 @@ class PartitionedLlc:
         pending_seen = 0
         for row in self._entries:
             for entry in row:
-                if entry.is_valid:
+                self._validate_entry(entry)
+                if entry.state is _VALID:
                     valid_seen += 1
-                    if entry.block is None:
-                        raise SimulationError("VALID entry without a block")
-                    if self._valid_index.get(entry.block) is not entry:
-                        raise SimulationError(
-                            f"valid index out of sync for block {entry.block:#x}"
-                        )
-                elif entry.is_pending:
+                elif entry.state is _PENDING_EVICT:
                     pending_seen += 1
-                    if entry.block is None:
-                        raise SimulationError("PENDING_EVICT entry without a block")
-                    if not entry.pending_writers:
-                        raise SimulationError(
-                            f"PENDING_EVICT entry for block {entry.block:#x} "
-                            "awaits no writer"
-                        )
-                    if self._pending_index.get(entry.block) is not entry:
-                        raise SimulationError(
-                            f"pending index out of sync for block {entry.block:#x}"
-                        )
-                else:
-                    if entry.block is not None or entry.pending_writers:
-                        raise SimulationError("FREE entry with residual state")
         if valid_seen != len(self._valid_index):
             raise SimulationError("valid index size mismatch")
         if pending_seen != len(self._pending_index):

@@ -127,7 +127,8 @@ class PartitionSpec:
 
     def fold_set(self, block: BlockAddress) -> int:
         """Physical set a block folds onto within this partition."""
-        return self.sets[block % self.num_sets]
+        sets = self.sets
+        return sets[block % len(sets)]
 
     def ways(self) -> range:
         """Physical way indices of the partition."""

@@ -64,7 +64,6 @@ from repro.cache.line import CacheLine
 from repro.cache.replacement import (
     FifoPolicy,
     LruPolicy,
-    MruPolicy,
     NmruPolicy,
     OraclePolicy,
     PlruTreePolicy,
@@ -135,7 +134,7 @@ def default_checkpoint_path(
 # Per-component state (snapshot / load pairs)
 # ----------------------------------------------------------------------
 def _policy_state(policy: ReplacementPolicy) -> Dict[str, Any]:
-    if isinstance(policy, (LruPolicy, MruPolicy)):
+    if isinstance(policy, LruPolicy):  # MruPolicy too
         return {"clock": policy._clock, "last_use": list(policy._last_use)}
     if isinstance(policy, NmruPolicy):
         return {"mru": policy._mru}
@@ -161,7 +160,7 @@ def _policy_state(policy: ReplacementPolicy) -> Dict[str, Any]:
 
 
 def _load_policy(policy: ReplacementPolicy, state: Mapping[str, Any]) -> None:
-    if isinstance(policy, (LruPolicy, MruPolicy)):
+    if isinstance(policy, LruPolicy):  # MruPolicy too
         policy._clock = state["clock"]
         policy._last_use = list(state["last_use"])
     elif isinstance(policy, NmruPolicy):
@@ -495,7 +494,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
             for core_id, stack in sorted(system.stacks.items())
         ],
         "prbs": [
-            [core_id, None if prb._entry is None else request_states([prb._entry])]
+            [core_id, None if prb.entry is None else request_states([prb.entry])]
             for core_id, prb in sorted(system.prbs.items())
         ],
         "pwbs": [
@@ -606,7 +605,7 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
     for core_id, stored in state["stacks"]:
         _load_stack(system.stacks[core_id], stored)
     for core_id, stored in state["prbs"]:
-        system.prbs[core_id]._entry = (
+        system.prbs[core_id].entry = (
             None if stored is None else load_requests(stored)[0]
         )
     for core_id, stored in state["pwbs"]:

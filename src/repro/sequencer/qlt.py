@@ -44,8 +44,11 @@ class QueueLookupTable:
 
     def queue_for(self, set_index: int) -> Optional[SequencerQueue]:
         """The queue tracking ``set_index``, if one is mapped."""
-        self._check_set(set_index)
-        return self._mapping.get(set_index)
+        queue = self._mapping.get(set_index)
+        if queue is None:
+            # A mapped set passed this check in acquire().
+            self._check_set(set_index)
+        return queue
 
     def acquire(self, set_index: int) -> Optional[SequencerQueue]:
         """Get or allocate the queue for ``set_index``.

@@ -62,6 +62,14 @@ from repro.sim.events import EventKind, EventLog, SimEvent
 from repro.sim.report import SimReport, build_report
 from repro.sim.system import System
 
+# Enum members read per slot, as module constants (cost: see repro.llc.llc).
+_WRITE_BACK = TransactionKind.WRITE_BACK
+_FREED = WritebackOutcome.FREED
+_DRAM_DIRECT = WritebackOutcome.DRAM_DIRECT
+_BACK_INVALIDATION = WritebackReason.BACK_INVALIDATION
+_CAPACITY = WritebackReason.CAPACITY
+_DONE = CoreState.DONE
+
 
 #: Runs before a slot is processed: ``hook(engine, slot)``.  A hook may
 #: mutate engine or system state (fault injection does exactly that).
@@ -80,6 +88,7 @@ class SlotEngine:
         self.system = system
         self.config = system.config
         self.schedule = system.schedule
+        self._slot_width = system.schedule.slot_width
         self.events = EventLog(enabled=self.config.record_events)
         # Event emission sites are guarded with
         # ``self._events_on and self.events.append(SimEvent(...))`` so
@@ -496,7 +505,7 @@ class SlotEngine:
                 )
             )
             return
-        if core.state is not CoreState.DONE:
+        if core.state is not _DONE:
             return
         if core_id not in self._done_seen:
             self._done_seen.add(core_id)
@@ -522,41 +531,42 @@ class SlotEngine:
     # Slot processing
     # ------------------------------------------------------------------
     def _do_slot(self, owner: CoreId, slot_start: Cycle) -> None:
-        prb = self.system.prbs[owner]
-        pwb = self.system.pwbs[owner]
-        request = prb.entry
-        writeback = pwb.peek(slot_start)
-        has_request = request is not None and request.enqueued_at <= slot_start
-        has_writeback = writeback is not None
-        kind = self.system.arbiters[owner].choose(has_request, has_writeback)
+        # The transaction gets what the arbiter was offered, so neither
+        # buffer is read twice in one slot.
+        request = self.system.prbs[owner].entry
+        writeback = self.system.pwbs[owner].peek(slot_start)
+        kind = self.system.arbiters[owner].choose(
+            request is not None and request.enqueued_at <= slot_start,
+            writeback is not None,
+        )
         if kind is None:
             self._slot_usage[owner]["idle"] += 1
             self._events_on and self.events.append(
                 SimEvent(slot_start, self._slot, EventKind.SLOT_IDLE, owner)
             )
             return
-        if kind is TransactionKind.WRITE_BACK:
+        if kind is _WRITE_BACK:
             self._slot_usage[owner]["writeback"] += 1
-            self._do_writeback(owner, slot_start)
+            self._do_writeback(owner, slot_start, writeback)
         else:
             self._slot_usage[owner]["request"] += 1
-            self._do_request(owner, slot_start)
+            self._do_request(owner, slot_start, request)
 
     def _pwb_push(self, core: CoreId, entry: WritebackEntry) -> None:
         """Queue a write-back, keeping the nonempty-PWB counter in step."""
-        pwb = self.system.pwbs[core]
-        if pwb.is_empty:
+        if self.system.pwbs[core].push(entry) == 1:
             self._nonempty_pwbs += 1
-        pwb.push(entry)
 
-    def _do_writeback(self, core: CoreId, slot_start: Cycle) -> None:
-        pwb = self.system.pwbs[core]
-        entry = pwb.pop(slot_start)
-        if pwb.is_empty:
+    def _do_writeback(
+        self, core: CoreId, slot_start: Cycle, entry: WritebackEntry
+    ) -> None:
+        """Send ``entry``, what ``core``'s PWB ``peek`` chose for the slot."""
+        if not self.system.pwbs[core].remove(entry):
             self._nonempty_pwbs -= 1
-        pending = self.system.llc.pending_entry(entry.block)
-        outcome = self.system.llc.complete_writeback(core, entry.block)
-        if outcome in (WritebackOutcome.FREED, WritebackOutcome.DRAM_DIRECT):
+        llc = self.system.llc
+        pending = llc.pending_entry(entry.block)
+        outcome = llc.complete_writeback(core, entry.block)
+        if outcome is _FREED or outcome is _DRAM_DIRECT:
             self.system.dram.write_back(entry.block, slot_start)
         self._events_on and self.events.append(
             SimEvent(
@@ -570,7 +580,7 @@ class SlotEngine:
                 f"{entry.reason.value}->{outcome.value}",
             )
         )
-        if outcome is WritebackOutcome.FREED:
+        if outcome is _FREED:
             assert pending is not None
             self._events_on and self.events.append(
                 SimEvent(
@@ -584,9 +594,11 @@ class SlotEngine:
                 )
             )
 
-    def _do_request(self, core: CoreId, slot_start: Cycle) -> None:
+    def _do_request(
+        self, core: CoreId, slot_start: Cycle, request: Optional[PendingRequest]
+    ) -> None:
+        """Put ``request``, ``core``'s PRB entry, on the bus."""
         llc = self.system.llc
-        request = self.system.prbs[core].entry
         assert request is not None
         request.bus_attempts += 1
         if request.first_on_bus_at is None:
@@ -733,23 +745,23 @@ class SlotEngine:
         )
         return True
 
-    def _region_waiters(self, core: CoreId, region: LlcRegion) -> int:
+    def _region_waiters(self, region: LlcRegion) -> int:
         """Cores of ``region``'s partition with a broadcast miss on it.
 
-        ``core`` itself always counts (it is on the bus right now); the
-        others count once their request has been seen on the bus, which
-        is all the LLC can observe.
+        A request counts once it has been seen on the bus, which is all
+        the LLC can observe.  The requester on the bus right now always
+        counts: ``_do_request`` stamps its ``first_on_bus_at`` first.
         """
         partition = region.partition
+        sets, set_index = partition.sets, region.set_index
+        num_sets = len(sets)
         prbs = self.system.prbs
         count = 0
         for sharer in partition.cores:
             entry = prbs[sharer].entry
-            if entry is None:
+            if entry is None or entry.first_on_bus_at is None:
                 continue
-            if sharer != core and entry.first_on_bus_at is None:
-                continue
-            if partition.fold_set(entry.block) == region.set_index:
+            if sets[entry.block % num_sets] == set_index:
                 count += 1
         return count
 
@@ -771,7 +783,7 @@ class SlotEngine:
         complete within this slot (Lemma 4.4's completion rule).
         """
         llc = self.system.llc
-        if region.free + region.pending >= self._region_waiters(core, region):
+        if region.free + region.pending >= self._region_waiters(region):
             return False
         victim = llc.choose_victim(region)
         if victim is None:
@@ -837,7 +849,7 @@ class SlotEngine:
                     WritebackEntry(
                         core=owner,
                         block=victim.block,
-                        reason=WritebackReason.BACK_INVALIDATION,
+                        reason=_BACK_INVALIDATION,
                         enqueued_at=slot_start,
                     ),
                 )
@@ -864,7 +876,7 @@ class SlotEngine:
     def _complete_request(
         self, core: CoreId, request: PendingRequest, response_cycle: Cycle
     ) -> None:
-        slot_end = (self._slot + 1) * self.schedule.slot_width
+        slot_end = (self._slot + 1) * self._slot_width
         if response_cycle > slot_end:
             raise SimulationError(
                 f"response at cycle {response_cycle} spills past slot end "
@@ -882,7 +894,7 @@ class SlotEngine:
                     WritebackEntry(
                         core=core,
                         block=fill.l2_victim.block,
-                        reason=WritebackReason.CAPACITY,
+                        reason=_CAPACITY,
                         enqueued_at=response_cycle,
                     ),
                 )
@@ -900,7 +912,7 @@ class SlotEngine:
         )
         finishing = self.system.cores[core]
         finishing.resume(response_cycle)
-        if finishing.done and core not in self._done_seen:
+        if finishing.state is _DONE and core not in self._done_seen:
             # A core whose trace ends on this response is DONE *now*,
             # and the completion scan at the top of the next iteration
             # sees it — the counters must too, or the run would process

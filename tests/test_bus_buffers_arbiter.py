@@ -242,3 +242,52 @@ def test_pwb_peek_and_pop_match_the_brute_force_choice(operations):
         assert pwb.pop(before) is expected
         model.remove(expected)
         assert pwb.blocks() == [entry.block for entry in model]
+
+
+@given(
+    operations=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("push"),
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(list(WritebackReason)),
+            ),
+            st.tuples(st.just("send"), st.integers(min_value=0, max_value=40)),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=200)
+def test_peek_then_remove_sends_what_pop_sends(operations):
+    """The slot engine's write-back slot: ``peek(slot_start)``, then
+    ``remove`` of that very entry.  It must send the entry ``pop`` would
+    (Corollary 4.5's order: back-invalidations first) and leave the same
+    queue.  Blocks repeat, so equal entries can sit in one queue."""
+    sent_by_engine = PendingWritebackBuffer(0)
+    popped = PendingWritebackBuffer(0)
+    model = []
+    clock = 0
+    for operation in operations:
+        if operation[0] == "push":
+            _, gap, block, reason = operation
+            clock += gap  # pushes arrive in cycle order
+            entry = writeback(block=block, at=clock, reason=reason)
+            assert sent_by_engine.push(entry) == len(model) + 1
+            popped.push(writeback(block=block, at=clock, reason=reason))
+            model.append(entry)
+            continue
+        slot_start = operation[1]
+        chosen = sent_by_engine.peek(slot_start)
+        assert chosen is reference_select(model, slot_start)
+        if chosen is None:
+            with pytest.raises(SimulationError, match="empty PWB"):
+                popped.pop(slot_start)
+            continue
+        model.remove(chosen)
+        assert sent_by_engine.remove(chosen) == len(model)
+        assert popped.pop(slot_start) == chosen
+        assert list(sent_by_engine._entries) == list(popped._entries)
+        assert [id(entry) for entry in sent_by_engine._entries] == [
+            id(entry) for entry in model
+        ]

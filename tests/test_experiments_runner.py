@@ -29,11 +29,6 @@ class TestRunAll:
         }
         assert not failing, failing
 
-    def test_summary_text(self, run):
-        text = run.summary()
-        assert "figure-7" in text
-        assert run.all_passed == ("FAIL" not in text)
-
 
 class TestRenderHistogram:
     def test_basic_bars(self):

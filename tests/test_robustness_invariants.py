@@ -183,7 +183,7 @@ class TestEachInvariantFires:
         def corrupt(engine):
             for core_id, prb in engine.system.prbs.items():
                 if prb.entry is not None:
-                    prb._entry = None
+                    prb.entry = None
                     return
             raise AssertionError("no outstanding request at slot 4")
 
