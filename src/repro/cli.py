@@ -134,11 +134,6 @@ def _print_cache_summary(cache, directory: str) -> None:
     )
 
 
-def _rss_limit_bytes(args: argparse.Namespace) -> Optional[int]:
-    mb = getattr(args, "worker_rss_limit_mb", None)
-    return None if mb is None else mb * (1 << 20)
-
-
 def _checkpoint_interval_without_path(args: argparse.Namespace) -> bool:
     """--checkpoint-every* without --checkpoint is a usage error."""
     if args.checkpoint:
@@ -544,9 +539,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
         progress=print,
         with_metrics=bool(args.metrics),
         engine=args.engine,
-        hung_after=args.hung_after,
-        max_restarts=args.worker_restarts,
-        rss_limit_bytes=_rss_limit_bytes(args),
     )
     print("\n" + result.summary())
     print(f"\nartifacts written to {args.out}/")
@@ -584,9 +576,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_failures=args.shrink,
         progress=print if args.verbose else None,
         registry=registry,
-        hung_after=args.hung_after,
-        max_restarts=args.worker_restarts,
-        rss_limit_bytes=_rss_limit_bytes(args),
     )
     print(report.summary_lines())
     if args.out:
@@ -733,35 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
             "byte-identical artifacts",
         )
         add_checkpoint_interval_args(sub_parser)
-
-    def add_supervision_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--hung-after",
-            type=float,
-            metavar="SECS",
-            default=None,
-            help="liveness watchdog, at any --jobs: a task's worker "
-            "that sends no heartbeat for SECS seconds is torn down "
-            "(SIGTERM then SIGKILL); slow-but-alive workers are "
-            "unaffected and run until --timeout",
-        )
-        sub_parser.add_argument(
-            "--worker-restarts",
-            type=int,
-            metavar="N",
-            default=0,
-            help="at any --jobs, restart a hung or memory-killed task "
-            "up to N times before quarantining it (restarts resume from "
-            "the last checkpoint under --checkpoint-dir; default: 0)",
-        )
-        sub_parser.add_argument(
-            "--worker-rss-limit-mb",
-            type=int,
-            metavar="MB",
-            default=None,
-            help="per-worker memory ceiling, at any --jobs; a worker "
-            "past it is killed, its task quarantined as resource_exceeded",
-        )
 
     def add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
@@ -992,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_checkpoint_dir_args(all_cmd)
     add_cache_args(all_cmd)
     add_io_fault_args(all_cmd)
-    add_supervision_args(all_cmd)
     all_cmd.set_defaults(func=_cmd_all)
 
     fuzz_cmd = sub.add_parser(
@@ -1055,7 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs_arg(fuzz_cmd)
     add_metrics_arg(fuzz_cmd)
-    add_supervision_args(fuzz_cmd)
     fuzz_cmd.set_defaults(func=_cmd_fuzz)
 
     repro_cmd = sub.add_parser(
@@ -1118,10 +1076,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     and summaries are inside the ``--io-fault`` window too — and maps a
     :class:`~repro.common.errors.PersistenceError` (an ESSENTIAL
     artifact that could not be written after bounded retries) to a
-    clean one-line error and exit code 1.  An unusable input — a
-    malformed metrics or trace request, or a corrupt or foreign
-    manifest, checkpoint or repro artifact — is one ``error:`` line and
-    the usage-error exit code 2.
+    clean one-line error and exit code 1.  An unusable input — an
+    out-of-range flag value, a malformed metrics or trace request, or a
+    corrupt or foreign manifest, checkpoint or repro artifact — is one
+    ``error:`` line and the usage-error exit code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1129,13 +1087,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.common.errors import (
         CampaignError,
         CheckpointError,
+        ConfigurationError,
         FuzzError,
         ObservabilityError,
         PersistenceError,
     )
 
-    changes = _run_context_changes(args)
+    changes: dict = {"io_hook": None}
     try:
+        changes = _run_context_changes(args)
         with run_context(**changes):
             try:
                 return args.func(args)
@@ -1145,10 +1105,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CampaignError, CheckpointError, FuzzError, ObservabilityError) as exc:
-        # e.g. a trace sink that failed mid-run, an unwritable metrics
-        # export or a corrupt manifest: loud failure with the offending
-        # path, usage-error exit code.
+    except (
+        CampaignError,
+        CheckpointError,
+        ConfigurationError,
+        FuzzError,
+        ObservabilityError,
+    ) as exc:
+        # e.g. an out-of-range flag, a trace sink that failed mid-run,
+        # an unwritable metrics export or a corrupt manifest: loud
+        # failure with the offending value or path, usage-error exit
+        # code.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -94,27 +94,6 @@ class TaskTimeoutError(CampaignError):
     """A campaign task exceeded its wall-clock budget and was aborted."""
 
 
-class TaskHungError(CampaignError):
-    """A pool worker stopped heartbeating and was torn down.
-
-    Distinct from :class:`TaskTimeoutError`: a *slow* worker keeps
-    heartbeating and is allowed to run until its hard wall-clock
-    budget, while a *hung* one (wedged interpreter, deadlock, stalled
-    syscall) goes silent and is reclaimed as soon as the liveness
-    watchdog notices.
-    """
-
-
-class ResourceExceededError(CampaignError):
-    """A pool worker exceeded its resident-memory ceiling and was killed.
-
-    Raised in the parent by the per-worker RSS guard
-    (:class:`repro.sim.parallel.TaskPool`); the task is quarantined
-    with a ``resource_exceeded`` signature so a leaky configuration is
-    diagnosable from the run manifest.
-    """
-
-
 class PersistenceError(ReproError):
     """An ESSENTIAL artifact could not be persisted after bounded retries.
 

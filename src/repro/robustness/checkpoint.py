@@ -694,6 +694,17 @@ def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Auto-checkpoint policy and the resumable drive loop
 # ----------------------------------------------------------------------
+def _check_intervals(
+    every_slots: Optional[int], every_secs: Optional[float]
+) -> None:
+    """Refuse a non-positive checkpoint interval: a zero slot interval
+    never advances the engine, so its drive loop would never end."""
+    if every_slots is not None and every_slots <= 0:
+        raise CheckpointError(f"every_slots must be positive, got {every_slots}")
+    if every_secs is not None and every_secs <= 0:
+        raise CheckpointError(f"every_secs must be positive, got {every_secs}")
+
+
 @dataclass(frozen=True)
 class AutoCheckpointPolicy:
     """Periodic checkpointing for every simulation of a run context.
@@ -722,14 +733,7 @@ class AutoCheckpointPolicy:
             raise CheckpointError(
                 "an auto-checkpoint policy needs every_slots or every_secs"
             )
-        if self.every_slots is not None and self.every_slots <= 0:
-            raise CheckpointError(
-                f"every_slots must be positive, got {self.every_slots}"
-            )
-        if self.every_secs is not None and self.every_secs <= 0:
-            raise CheckpointError(
-                f"every_secs must be positive, got {self.every_secs}"
-            )
+        _check_intervals(self.every_slots, self.every_secs)
 
     @classmethod
     def for_directory(
@@ -778,6 +782,7 @@ def run_resumable(
     """
     from repro.sim.simulator import Simulator
 
+    _check_intervals(every_slots, every_secs)
     path = Path(path)
     cleanup_stale_tmp(path)
     sim = None

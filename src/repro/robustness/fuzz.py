@@ -542,9 +542,6 @@ def run_fuzz(
     max_shrink_evaluations: int = 300,
     progress: Optional[Callable[[str], None]] = None,
     registry: Optional[Any] = None,
-    hung_after: Optional[float] = None,
-    max_restarts: int = 0,
-    rss_limit_bytes: Optional[int] = None,
 ) -> FuzzReport:
     """Run one fuzz campaign and return its deterministic report.
 
@@ -556,10 +553,9 @@ def run_fuzz(
     minimal ``repro-<case>.json`` artifact replayable with
     ``repro-llc repro``.
 
-    ``timeout``, ``hung_after`` and ``rss_limit_bytes`` run each case in
-    a worker the parent kills when it overruns, goes silent or leaks
-    (see :class:`repro.sim.parallel.TaskPool`); ``registry`` receives
-    only :func:`record_fuzz_metrics`, whatever ``jobs`` is.
+    ``timeout`` runs each case in a worker the parent kills when it
+    overruns (see :class:`repro.sim.parallel.TaskPool`); ``registry``
+    receives only :func:`record_fuzz_metrics`, whatever ``jobs`` is.
     """
     cases = generate_cases(budget, seed, fault_rate)
     target = Path(out_dir) if out_dir is not None else None
@@ -573,9 +569,6 @@ def run_fuzz(
         retry=RetryPolicy(max_attempts=1),
         payload_of=_fuzz_payload,
         jobs=jobs,
-        hung_after=hung_after,
-        max_restarts=max_restarts,
-        rss_limit_bytes=rss_limit_bytes,
     )
     tasks: List[Task] = [
         (case.case_id, (lambda case=case: run_fuzz_case(case)))

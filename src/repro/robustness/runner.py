@@ -397,29 +397,17 @@ class CampaignRunner:
     jobs:
         Worker processes for task execution (default 1).  Tasks go to
         a fork-backed pool (:class:`repro.sim.parallel.TaskPool`) when
-        ``jobs > 1`` or when a ``timeout``, ``hung_after`` or
-        ``rss_limit_bytes`` is set; only an untimed, unsupervised
+        ``jobs > 1`` or when a ``timeout`` is set; only an untimed
         serial campaign runs its tasks in this process.  Either way
         retry/quarantine semantics are the same, each result is settled
         into the same manifest entry as it completes, and outcomes are
         reported in canonical task order.  An untimed campaign falls
         back to serial where the ``fork`` start method is unavailable;
-        a timed or supervised one raises
+        a timed one raises
         :class:`~repro.common.errors.ConfigurationError` there.
     sleep:
         Injection point for tests (backoff sleeping; inline path only —
         the pool schedules its own backoff).
-    hung_after / max_restarts / rss_limit_bytes / registry:
-        Worker supervision, forwarded to
-        :class:`repro.sim.parallel.TaskPool`: a liveness watchdog that
-        tears down workers gone silent for ``hung_after`` seconds
-        (restarting their task up to ``max_restarts`` times — resuming
-        from the last simulation checkpoint when the auto-checkpoint
-        policy is installed), a per-worker resident-memory ceiling, and
-        an optional metrics registry for the supervision counters.
-        Hung and resource-killed tasks that exhaust their restarts are
-        quarantined with ``TaskHungError`` / ``ResourceExceededError``
-        signatures in the manifest.
     """
 
     def __init__(
@@ -430,10 +418,6 @@ class CampaignRunner:
         payload_of: Callable[[Any], Optional[Dict[str, Any]]] = _default_payload,
         jobs: int = 1,
         sleep: Callable[[float], None] = time.sleep,
-        hung_after: Optional[float] = None,
-        max_restarts: int = 0,
-        rss_limit_bytes: Optional[int] = None,
-        registry=None,
     ) -> None:
         if timeout is not None:
             require(
@@ -443,13 +427,10 @@ class CampaignRunner:
             )
         require(jobs >= 1, f"jobs must be >= 1, got {jobs}", ConfigurationError)
         # Only the pool's parent can bound a task: it kills the worker.
-        self._bounded = any(
-            limit is not None for limit in (timeout, hung_after, rss_limit_bytes)
-        )
         require(
-            not self._bounded or parallel_available(),
-            "a campaign timeout or worker supervision needs the 'fork' "
-            "start method; run without them on this platform",
+            timeout is None or parallel_available(),
+            "a campaign timeout needs the 'fork' start method; run "
+            "without one on this platform",
             ConfigurationError,
         )
         self.manifest_path = Path(manifest_path) if manifest_path else None
@@ -458,10 +439,6 @@ class CampaignRunner:
         self.payload_of = payload_of
         self.jobs = jobs
         self.sleep = sleep
-        self.hung_after = hung_after
-        self.max_restarts = max_restarts
-        self.rss_limit_bytes = rss_limit_bytes
-        self.registry = registry
 
     # -- one task, in this process -------------------------------------
     def _run_inline(
@@ -545,15 +522,11 @@ class CampaignRunner:
             )
 
         try:
-            if self._bounded or (self.jobs > 1 and parallel_available()):
+            if self.timeout is not None or (
+                self.jobs > 1 and parallel_available()
+            ):
                 TaskPool(
-                    jobs=self.jobs,
-                    timeout=self.timeout,
-                    retry=self.retry,
-                    hung_after=self.hung_after,
-                    max_restarts=self.max_restarts,
-                    rss_limit_bytes=self.rss_limit_bytes,
-                    registry=self.registry,
+                    jobs=self.jobs, timeout=self.timeout, retry=self.retry
                 ).run(runnable, on_result=settle)
             else:
                 for index, (name, thunk) in enumerate(runnable):
@@ -677,10 +650,6 @@ def run_all_robust(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_every_secs: Optional[float] = None,
-    hung_after: Optional[float] = None,
-    max_restarts: int = 0,
-    rss_limit_bytes: Optional[int] = None,
-    registry=None,
 ) -> CampaignResult:
     """Crash-tolerant ``run_all``: every artifact as a quarantinable task.
 
@@ -720,9 +689,7 @@ def run_all_robust(
     first looked up in the cache and, on a miss, stored; with a policy it
     periodically checkpoints and resumes after a kill.  Cached and
     resumed campaigns produce byte-identical artifacts, summaries and
-    metrics exports.  ``hung_after`` / ``max_restarts`` /
-    ``rss_limit_bytes`` / ``registry`` supervise the worker pool (see
-    :class:`CampaignRunner`).
+    metrics exports.
     """
     from repro.experiments.runner import artifact_steps
 
@@ -760,16 +727,12 @@ def run_all_robust(
         timeout=timeout,
         retry=retry,
         jobs=jobs,
-        hung_after=hung_after,
-        max_restarts=max_restarts,
-        rss_limit_bytes=rss_limit_bytes,
-        registry=registry,
     )
     changes: Dict[str, Any] = {}
     if cache_dir is not None:
         from repro.sim.cache import SimResultCache
 
-        changes["result_cache"] = SimResultCache(cache_dir, registry=registry)
+        changes["result_cache"] = SimResultCache(cache_dir)
     if checkpoint_dir is not None:
         from repro.robustness.checkpoint import AutoCheckpointPolicy
 

@@ -1,4 +1,4 @@
-"""Parallel task execution with a deterministic merge and supervision.
+"""Parallel task execution with a deterministic merge and timeouts.
 
 The paper's evaluation is a grid of *independent* simulations —
 configurations × address ranges × seeds — so the sweep and campaign
@@ -19,28 +19,10 @@ Design notes
   interrupt itself, so the *parent* tracks one deadline per in-flight
   task and kills the worker when it expires: a genuinely wedged
   simulation (busy loop, deadlock) is reclaimed, on any thread of the
-  caller.  This is the only task timeout there is — the campaign
-  runner sends every timed or supervised campaign here, even at
-  ``jobs=1``.
-* **Liveness supervision.**  With ``hung_after`` set, workers send
-  heartbeats over the result pipe from a daemon thread and the parent
-  runs a watchdog that distinguishes *hung* (no heartbeat for
-  ``hung_after`` seconds — wedged interpreter, deadlock, stalled
-  syscall) from merely *slow* (still heartbeating; allowed to run to
-  its hard ``timeout``).  Workers beat every ``hung_after / 4``
-  seconds.  A hung worker is torn down with an escalating SIGTERM →
-  :attr:`TaskPool.KILL_GRACE` → SIGKILL sequence and, if
-  ``max_restarts`` allows, its task is restarted — resuming from its
-  last simulation checkpoint when the auto-checkpoint policy is
-  installed (see :mod:`repro.robustness.checkpoint`), so the restart
-  re-does only the slots since the last snapshot.
-* **Resource guards.**  With ``rss_limit_bytes`` set, each child caps
-  its own address space via ``RLIMIT_DATA`` (allocation beyond it
-  raises ``MemoryError``) and the parent additionally polls
-  ``/proc/<pid>/statm`` — no psutil dependency — killing workers whose
-  resident set exceeds the ceiling.  Either path quarantines the task
-  with a ``resource_exceeded`` status so a leaky configuration is
-  diagnosable from the run manifest.
+  caller.  This is the only bound on a task — the campaign runner
+  sends every timed campaign here, even at ``jobs=1``.  An expired
+  worker is torn down exactly like the workers of an interrupted run:
+  SIGKILL, join, close its pipe.
 * **Bounded concurrency.**  At most ``jobs`` workers run at once;
   completed slots are refilled from the pending queue in submission
   order (failures :func:`is_transient` accepts re-enter the queue with
@@ -57,29 +39,17 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.context import RetryPolicy
-from repro.common.errors import (
-    ConfigurationError,
-    ReproError,
-    ResourceExceededError,
-    TaskHungError,
-    TaskTimeoutError,
-)
+from repro.common.errors import ConfigurationError, ReproError, TaskTimeoutError
 from repro.common.validation import require
 
 #: A pool task: a stable name plus a nullary callable producing the
 #: task's result (the same shape the campaign runner uses).
 PoolTask = Tuple[str, Callable[[], Any]]
-
-#: Test seam: a forked child that sets this True stops heartbeating
-#: while its task keeps running, which is exactly what a wedged
-#: interpreter looks like from the parent.  Never set in production.
-_HEARTBEATS_DISABLED = False
 
 
 def parallel_available() -> bool:
@@ -104,26 +74,14 @@ def effective_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _process_rss_bytes(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` from ``/proc``, or None off-Linux."""
-    try:
-        with open(f"/proc/{pid}/statm") as handle:
-            fields = handle.read().split()
-        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, IndexError, ValueError):
-        return None
-
-
 @dataclass(frozen=True)
 class PoolResult:
     """The outcome of one pool task, in the parent process."""
 
     index: int
     name: str
-    #: ``"done"``, ``"error"`` (worker raised), ``"timeout"`` (slow past
-    #: the hard budget, killed), ``"hung"`` (stopped heartbeating,
-    #: killed, restarts exhausted) or ``"resource_exceeded"`` (RSS guard
-    #: tripped, restarts exhausted).
+    #: ``"done"``, ``"error"`` (worker raised) or ``"timeout"`` (past
+    #: its wall-clock budget, killed).
     status: str
     value: Any = None
     #: The worker's exception, re-hydrated in the parent (any non-"done"
@@ -131,8 +89,6 @@ class PoolResult:
     error: Optional[BaseException] = None
     attempts: int = 1
     elapsed_seconds: float = 0.0
-    #: Supervision restarts consumed by this task (hung / RSS kills).
-    restarts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -140,68 +96,27 @@ class PoolResult:
         return self.status == "done"
 
 
-def _heartbeat_loop(conn, lock: threading.Lock, stop: threading.Event,
-                    interval: float) -> None:
-    """Daemon thread in the child: periodic liveness beats up the pipe."""
-    while not stop.wait(interval):
-        if _HEARTBEATS_DISABLED:
-            continue
-        try:
-            with lock:
-                if stop.is_set():
-                    return
-                conn.send(("hb", None))
-        except Exception:
-            # Parent gone or pipe closed: nothing left to prove alive to.
-            return
-
-
-def _worker_main(
-    thunk: Callable[[], Any],
-    conn,
-    heartbeat_interval: Optional[float] = None,
-    rss_limit_bytes: Optional[int] = None,
-) -> None:
+def _worker_main(thunk: Callable[[], Any], conn) -> None:
     """Run one task in a forked child; ship the outcome up the pipe."""
-    if rss_limit_bytes is not None:
-        try:
-            import resource
-
-            resource.setrlimit(
-                resource.RLIMIT_DATA, (rss_limit_bytes, rss_limit_bytes)
-            )
-        except (ImportError, ValueError, OSError):  # pragma: no cover
-            pass  # the parent-side /proc poll still guards this worker
-    lock = threading.Lock()
-    stop = threading.Event()
-    if heartbeat_interval is not None:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(conn, lock, stop, heartbeat_interval),
-            daemon=True,
-        ).start()
     try:
         payload: Tuple[str, Any] = ("ok", thunk())
     except BaseException as exc:  # noqa: BLE001 - ships to the parent
         payload = ("error", exc)
-    stop.set()
     try:
-        with lock:
-            conn.send(payload)
+        conn.send(payload)
     except Exception as exc:
         # The value (or the exception) did not survive pickling; report
         # that instead of dying silently with an EOF in the parent.
         try:
-            with lock:
-                conn.send(
-                    (
-                        "error",
-                        RuntimeError(
-                            f"task result could not cross the process "
-                            f"boundary: {exc}"
-                        ),
-                    )
+            conn.send(
+                (
+                    "error",
+                    RuntimeError(
+                        f"task result could not cross the process "
+                        f"boundary: {exc}"
+                    ),
                 )
+            )
         except Exception:
             pass
     finally:
@@ -215,7 +130,6 @@ class _Pending:
     thunk: Callable[[], Any]
     attempts: int = 0
     ready_at: float = 0.0
-    restarts: int = 0
 
 
 @dataclass
@@ -225,8 +139,12 @@ class _Running:
     conn: Any
     started: float
     deadline: Optional[float]
-    last_heartbeat: float = 0.0
-    next_rss_poll: float = 0.0
+
+    def kill(self) -> None:
+        """Tear the worker down: SIGKILL, reap it, close its pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class TaskPool:
@@ -240,70 +158,26 @@ class TaskPool:
         Per-task wall-clock budget in seconds, enforced by the parent —
         an expired worker is killed and its task reports status
         ``"timeout"`` with a :class:`TaskTimeoutError`.  ``None``
-        disables it.  A worker that is slow but still heartbeating runs
-        until this hard budget; only silent workers are reclaimed early.
+        disables it.
     retry:
         Bounded retry for worker failures :func:`is_transient` accepts:
         the task re-enters the queue after ``retry.delay(attempt)``
         seconds, at most ``retry.max_attempts`` total attempts (default:
         no retry).  Timeouts are never retried (a hung task will hang
         again).
-    hung_after:
-        Liveness watchdog: workers beat every ``hung_after / 4``
-        seconds, so several beats must be missed before a worker is
-        declared hung and torn down (SIGTERM, then :attr:`KILL_GRACE`
-        seconds, then SIGKILL).  ``None`` disables heartbeats entirely.
-    max_restarts:
-        Times a hung or resource-killed task is restarted before being
-        quarantined.  Restarted simulations resume from their last
-        checkpoint when the auto-checkpoint policy is installed.
-    rss_limit_bytes:
-        Per-worker resident-memory ceiling, enforced both inside the
-        child (``RLIMIT_DATA``) and by a parent-side ``/proc`` poll.
-    registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        ``pool.worker_restarts``, ``pool.hung_workers``,
-        ``pool.resource_exceeded`` counters and the
-        ``pool.heartbeat_gap`` histogram.
     """
-
-    #: Seconds between parent-side /proc RSS polls.
-    RSS_POLL_INTERVAL = 0.25
-    #: Seconds between SIGTERM and SIGKILL during supervised teardown.
-    KILL_GRACE = 2.0
 
     def __init__(
         self,
         jobs: int,
         timeout: Optional[float] = None,
         retry: RetryPolicy = RetryPolicy(max_attempts=1),
-        hung_after: Optional[float] = None,
-        max_restarts: int = 0,
-        rss_limit_bytes: Optional[int] = None,
-        registry=None,
     ) -> None:
         require(jobs >= 1, f"jobs must be >= 1, got {jobs}", ConfigurationError)
         if timeout is not None:
             require(
                 timeout > 0,
                 f"timeout must be positive, got {timeout}",
-                ConfigurationError,
-            )
-        if hung_after is not None:
-            require(
-                hung_after > 0,
-                f"hung_after must be positive, got {hung_after}",
-                ConfigurationError,
-            )
-        require(
-            max_restarts >= 0,
-            f"max_restarts must be >= 0, got {max_restarts}",
-            ConfigurationError,
-        )
-        if rss_limit_bytes is not None:
-            require(
-                rss_limit_bytes > 0,
-                f"rss_limit_bytes must be positive, got {rss_limit_bytes}",
                 ConfigurationError,
             )
         if not parallel_available():
@@ -314,10 +188,6 @@ class TaskPool:
         self.jobs = jobs
         self.timeout = timeout
         self.retry = retry
-        self.hung_after = hung_after
-        self.max_restarts = max_restarts
-        self.rss_limit_bytes = rss_limit_bytes
-        self.registry = registry
         self._context = multiprocessing.get_context("fork")
 
     # ------------------------------------------------------------------
@@ -352,14 +222,12 @@ class TaskPool:
                 self._wait(pending, running)
                 now = time.monotonic()
                 self._reap_finished(pending, running, results, now, on_result)
-                self._supervise(pending, running, results, now, on_result)
+                self._expire(running, results, now, on_result)
         except BaseException:
             # KeyboardInterrupt (or a callback error): reclaim workers
             # before unwinding so no orphan keeps burning CPU.
             for run in running:
-                run.process.kill()
-                run.process.join()
-                run.conn.close()
+                run.kill()
             raise
         return [results[i] for i in range(len(tasks))]
 
@@ -376,14 +244,7 @@ class TaskPool:
             task.attempts += 1
             parent_conn, child_conn = self._context.Pipe(duplex=False)
             process = self._context.Process(
-                target=_worker_main,
-                args=(
-                    task.thunk,
-                    child_conn,
-                    self.hung_after / 4 if self.hung_after else None,
-                    self.rss_limit_bytes,
-                ),
-                daemon=True,
+                target=_worker_main, args=(task.thunk, child_conn), daemon=True
             )
             process.start()
             child_conn.close()
@@ -394,20 +255,12 @@ class TaskPool:
                     conn=parent_conn,
                     started=now,
                     deadline=(now + self.timeout) if self.timeout else None,
-                    last_heartbeat=now,
-                    next_rss_poll=now + self.RSS_POLL_INTERVAL,
                 )
             )
 
     def _wait(self, pending: List[_Pending], running: List[_Running]) -> None:
         now = time.monotonic()
         wake_times = [run.deadline for run in running if run.deadline]
-        if self.hung_after is not None:
-            wake_times.extend(
-                run.last_heartbeat + self.hung_after for run in running
-            )
-        if self.rss_limit_bytes is not None:
-            wake_times.extend(run.next_rss_poll for run in running)
         wake_times.extend(p.ready_at for p in pending if p.ready_at > now)
         wait = max(0.0, min(wake_times) - now) if wake_times else None
         if running:
@@ -417,25 +270,12 @@ class TaskPool:
         elif wait:
             time.sleep(wait)
 
-    def _poll_worker(
-        self, run: _Running, now: float
-    ) -> Optional[Tuple[str, Any]]:
-        """Drain heartbeats; return the final outcome or None if running."""
+    @staticmethod
+    def _poll_worker(run: _Running) -> Optional[Tuple[str, Any]]:
+        """Return the worker's final outcome, or None while it runs."""
         try:
-            while run.conn.poll():
-                message = run.conn.recv()
-                if (
-                    isinstance(message, tuple)
-                    and len(message) == 2
-                    and message[0] == "hb"
-                ):
-                    if self.registry is not None:
-                        self.registry.histogram(
-                            "pool.heartbeat_gap", 0.1
-                        ).observe(now - run.last_heartbeat)
-                    run.last_heartbeat = now
-                    continue
-                return message
+            if run.conn.poll():
+                return run.conn.recv()
         except (EOFError, OSError):
             pass  # pipe closed without a final message
         else:
@@ -461,7 +301,7 @@ class TaskPool:
         on_result: Optional[Callable[[PoolResult], None]],
     ) -> None:
         for run in list(running):
-            outcome = self._poll_worker(run, now)
+            outcome = self._poll_worker(run)
             if outcome is None:
                 continue
             status, payload = outcome
@@ -477,18 +317,6 @@ class TaskPool:
                     value=payload,
                     attempts=task.attempts,
                     elapsed_seconds=now - run.started,
-                    restarts=task.restarts,
-                )
-            elif (
-                isinstance(payload, MemoryError)
-                and self.rss_limit_bytes is not None
-            ):
-                # The child's own RLIMIT_DATA tripped: same failure the
-                # parent-side poll guards against, same quarantine.
-                if self._maybe_restart(task, pending, now, "resource"):
-                    continue
-                result = self._supervised_result(
-                    task, run, now, "resource_exceeded"
                 )
             elif (
                 is_transient(payload)
@@ -505,107 +333,36 @@ class TaskPool:
                     error=payload,
                     attempts=task.attempts,
                     elapsed_seconds=now - run.started,
-                    restarts=task.restarts,
                 )
             results[task.index] = result
             if on_result is not None:
                 on_result(result)
 
-    # ------------------------------------------------------------------
-    def _terminate(self, run: _Running) -> None:
-        """Escalating teardown: SIGTERM, a grace period, then SIGKILL."""
-        run.process.terminate()
-        run.process.join(self.KILL_GRACE)
-        if run.process.is_alive():
-            run.process.kill()
-        run.process.join()
-        run.conn.close()
-
-    def _maybe_restart(
-        self, task: _Pending, pending: List[_Pending], now: float, kind: str
-    ) -> bool:
-        """Requeue a supervised-kill victim if its restart budget allows."""
-        if task.restarts >= self.max_restarts:
-            return False
-        task.restarts += 1
-        task.ready_at = now
-        pending.append(task)
-        if self.registry is not None:
-            self.registry.counter("pool.worker_restarts", kind=kind).inc()
-        return True
-
-    def _supervised_result(
-        self, task: _Pending, run: _Running, now: float, status: str
-    ) -> PoolResult:
-        if status == "hung":
-            error: BaseException = TaskHungError(
-                f"task {task.name!r} sent no heartbeat for "
-                f"{self.hung_after}s and its worker was torn down "
-                f"({task.restarts} restart(s) used)"
-            )
-            if self.registry is not None:
-                self.registry.counter("pool.hung_workers").inc()
-        elif status == "resource_exceeded":
-            error = ResourceExceededError(
-                f"task {task.name!r} exceeded the per-worker memory "
-                f"ceiling of {self.rss_limit_bytes} bytes "
-                f"({task.restarts} restart(s) used)"
-            )
-            if self.registry is not None:
-                self.registry.counter("pool.resource_exceeded").inc()
-        else:
-            error = TaskTimeoutError(
-                f"task {task.name!r} exceeded its wall-clock budget "
-                f"of {self.timeout}s and its worker was killed"
-            )
-        return PoolResult(
-            index=task.index,
-            name=task.name,
-            status=status,
-            error=error,
-            attempts=task.attempts,
-            elapsed_seconds=now - run.started,
-            restarts=task.restarts,
-        )
-
-    def _supervise(
+    def _expire(
         self,
-        pending: List[_Pending],
         running: List[_Running],
         results: Dict[int, PoolResult],
         now: float,
         on_result: Optional[Callable[[PoolResult], None]],
     ) -> None:
-        """Timeout, liveness and resource enforcement for live workers."""
+        """Kill every worker past its deadline; report ``"timeout"``."""
         for run in list(running):
-            task = run.pending
-            verdict: Optional[Tuple[str, str]] = None
-            if run.deadline is not None and now >= run.deadline:
-                # Hard budget: applies even to heartbeating (slow)
-                # workers, and is never restarted.
-                verdict = ("timeout", "")
-            elif (
-                self.hung_after is not None
-                and now - run.last_heartbeat >= self.hung_after
-            ):
-                verdict = ("hung", "hung")
-            elif (
-                self.rss_limit_bytes is not None and now >= run.next_rss_poll
-            ):
-                run.next_rss_poll = now + self.RSS_POLL_INTERVAL
-                rss = _process_rss_bytes(run.process.pid)
-                if rss is not None and rss > self.rss_limit_bytes:
-                    verdict = ("resource_exceeded", "resource")
-            if verdict is None:
+            if run.deadline is None or now < run.deadline:
                 continue
-            status, restart_kind = verdict
-            self._terminate(run)
+            run.kill()
             running.remove(run)
-            if restart_kind and self._maybe_restart(
-                task, pending, now, restart_kind
-            ):
-                continue
-            result = self._supervised_result(task, run, now, status)
+            task = run.pending
+            result = PoolResult(
+                index=task.index,
+                name=task.name,
+                status="timeout",
+                error=TaskTimeoutError(
+                    f"task {task.name!r} exceeded its wall-clock budget "
+                    f"of {self.timeout}s and its worker was killed"
+                ),
+                attempts=task.attempts,
+                elapsed_seconds=now - run.started,
+            )
             results[task.index] = result
             if on_result is not None:
                 on_result(result)

@@ -138,3 +138,37 @@ class TestAllCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: run manifest {path} ")
+
+
+class TestUsageErrors:
+    """An out-of-range flag value is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--timeout", "0", "--out", "{tmp}/out"],
+            ["all", "--retries", "0", "--out", "{tmp}/out"],
+            ["fuzz", "--timeout", "-1", "--budget", "1"],
+            ["fig7", "--requests", "0"],
+            ["fig7", "--checkpoint-dir", "{tmp}/ckpts", "--checkpoint-every", "0"],
+            # A zero slot interval used to re-save the checkpoint forever.
+            ["simulate", "SS(1,16,4)", "--suite", "storm",
+             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every", "0"],
+            ["stats", "SS(1,16,4)",
+             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every-secs", "-1"],
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + [arg.format(tmp=tmp_path) for arg in argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (tmp_path / "ckpt").exists()

@@ -1,5 +1,6 @@
 """Unit tests for the fork-backed task pool (repro.sim.parallel)."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -207,6 +208,58 @@ def test_timeouts_are_never_retried():
     ).run([("hang", hang)])
     assert results[0].status == "timeout"
     assert results[0].attempts == 1
+
+
+# ----------------------------------------------------------------------
+# No worker outlives the pool
+# ----------------------------------------------------------------------
+def _spin_after_writing_pid(pid_file):
+    def spin():
+        pid_file.write_text(str(os.getpid()))
+        while True:
+            pass
+
+    return spin
+
+
+def _assert_worker_gone(pid_file):
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_timed_out_worker_leaves_no_process(tmp_path):
+    pid_file = tmp_path / "pid"
+    results = TaskPool(jobs=2, timeout=0.3).run(
+        [("spin", _spin_after_writing_pid(pid_file)), ("fine", lambda: 1)]
+    )
+    assert [r.status for r in results] == ["timeout", "done"]
+    _assert_worker_gone(pid_file)
+
+
+def test_interrupted_run_leaves_no_process(tmp_path):
+    pid_file = tmp_path / "pid"
+
+    def after_spinner_started():
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not (
+            pid_file.exists() and pid_file.read_text()
+        ):
+            time.sleep(0.01)
+        return "fine"
+
+    def interrupt(result):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        TaskPool(jobs=2).run(
+            [
+                ("spin", _spin_after_writing_pid(pid_file)),
+                ("fine", after_spinner_started),
+            ],
+            on_result=interrupt,
+        )
+    _assert_worker_gone(pid_file)
 
 
 # ----------------------------------------------------------------------

@@ -732,8 +732,8 @@ class TestSealedManifest:
 
 
 class TestTimeoutEverywhere:
-    """A timeout or supervision setting always runs tasks in a worker the
-    parent can kill, so it holds at ``jobs=1`` and off the main thread."""
+    """A timeout always runs tasks in a worker the parent can kill, so it
+    holds at ``jobs=1`` and off the main thread."""
 
     def test_busy_task_off_main_thread_is_quarantined(self, tmp_path):
         import threading
@@ -763,17 +763,31 @@ class TestTimeoutEverywhere:
         assert result.outcomes[0].error_type == "TaskTimeoutError"
         assert elapsed < 2.5, "the worker must be killed within its budget"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timed_out_task_signature_is_durable(self, tmp_path, jobs):
+        manifest_path = tmp_path / "manifest.json"
+        runner = CampaignRunner(
+            manifest_path=manifest_path, jobs=jobs, timeout=0.5
+        )
+        result = runner.run(
+            [("stuck", partial(time.sleep, 30)), ("fine", lambda: "ok")]
+        )
+        by_name = {o.name: o for o in result.outcomes}
+        assert by_name["fine"].status == "done"
+        assert by_name["stuck"].status == "quarantined"
+        assert by_name["stuck"].error_type == "TaskTimeoutError"
+
+        # A resumed campaign sees the quarantine signature.
+        entry = RunManifest.load(manifest_path).entry("stuck")
+        assert entry["status"] == "quarantined"
+        assert entry["error_type"] == "TaskTimeoutError"
+
     def test_bounded_campaign_needs_fork(self, monkeypatch):
         from repro.robustness import runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "parallel_available", lambda: False)
-        for setting in (
-            {"timeout": 5.0},
-            {"hung_after": 1.0},
-            {"rss_limit_bytes": 1 << 30},
-        ):
-            with pytest.raises(ConfigurationError, match="fork"):
-                CampaignRunner(**setting)
+        with pytest.raises(ConfigurationError, match="fork"):
+            CampaignRunner(timeout=5.0)
         CampaignRunner(jobs=2)  # an untimed campaign still runs serially
 
 
