@@ -20,7 +20,7 @@ import enum
 import random
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.replacement import OraclePolicy, ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
@@ -50,7 +50,8 @@ class LlcEntry:
     #: When ``PENDING_EVICT``: dirty private owners whose write-back the
     #: entry still waits for.
     pending_writers: Set[CoreId] = field(default_factory=set)
-    #: Weak reference to the entry's region (see ``region``).
+    #: Weak reference to the entry's region (see ``region``); the LLC's
+    #: own hot paths call it directly instead of the property.
     _region: Optional["weakref.ReferenceType[LlcRegion]"] = field(
         default=None, repr=False, compare=False
     )
@@ -100,15 +101,28 @@ class LlcRegion:
     pending: int = 0
 
 
-@dataclass(frozen=True)
 class VictimInfo:
-    """A victim chosen for eviction, before its effects are applied."""
+    """A victim chosen for eviction, before its effects are applied.
 
-    set_index: int
-    way: int
-    block: BlockAddress
-    owners: FrozenSet[CoreId]
-    llc_dirty: bool
+    Built once per eviction on the miss chain, so a plain slotted class
+    filled positionally rather than a frozen dataclass.
+    """
+
+    __slots__ = ("set_index", "way", "block", "owners", "llc_dirty")
+
+    def __init__(
+        self,
+        set_index: int,
+        way: int,
+        block: BlockAddress,
+        owners: FrozenSet[CoreId],
+        llc_dirty: bool,
+    ) -> None:
+        self.set_index = set_index
+        self.way = way
+        self.block = block
+        self.owners = owners
+        self.llc_dirty = llc_dirty
 
 
 class WritebackOutcome(enum.Enum):
@@ -265,7 +279,7 @@ class PartitionedLlc:
         """
         self.stats.accesses += 1
         entry = self._valid_index.get(block)
-        if entry is not None and entry.region is region:
+        if entry is not None and entry._region() is region:
             self.stats.hits += 1
             self._policies[entry.set_index].on_access(entry.way)
             return entry
@@ -275,7 +289,7 @@ class PartitionedLlc:
     def probe(self, region: LlcRegion, block: BlockAddress) -> Optional[LlcEntry]:
         """Like :meth:`lookup` but with no statistics or policy effects."""
         entry = self._valid_index.get(block)
-        if entry is not None and entry.region is region:
+        if entry is not None and entry._region() is region:
             return entry
         return None
 
@@ -350,7 +364,8 @@ class PartitionedLlc:
         entry.state = _VALID
         entry.block = block
         entry.dirty = False
-        entry.pending_writers.clear()
+        if entry.pending_writers:
+            entry.pending_writers.clear()
         self._valid_index[block] = entry
         self._policies[entry.set_index].on_fill(entry.way)
         self.directory.add_owner(core, block)
@@ -403,15 +418,15 @@ class PartitionedLlc:
         victim = self._entries[set_index][way]
         assert victim.block is not None
         return VictimInfo(
-            set_index=set_index,
-            way=way,
-            block=victim.block,
-            owners=self.directory.owners_of(victim.block),
-            llc_dirty=victim.dirty,
+            set_index,
+            way,
+            victim.block,
+            self.directory.owners_of(victim.block),
+            victim.dirty,
         )
 
     def begin_eviction(
-        self, victim: VictimInfo, dirty_owners: Iterable[CoreId]
+        self, victim: VictimInfo, dirty_owners: Collection[CoreId]
     ) -> bool:
         """Apply an eviction decision.
 
@@ -428,16 +443,18 @@ class PartitionedLlc:
                 f"begin_eviction on stale victim: entry holds "
                 f"{entry.block!r} ({entry.state.value}), victim was {victim.block:#x}"
             )
-        writers = set(dirty_owners)
         self.stats.evictions += 1
         self.extra.evictions_started += 1
         del self._valid_index[victim.block]
-        self.directory.drop_block(victim.block)
+        # The owners are in ``victim.owners``; drop them without the
+        # copy drop_block would return.
+        self.directory._owners.pop(victim.block, None)
         self._policies[victim.set_index].on_invalidate(victim.way)
-        if writers:
+        if dirty_owners:
+            writers = set(dirty_owners)
             entry.state = _PENDING_EVICT
             entry.pending_writers = writers
-            entry.region.pending += 1
+            entry._region().pending += 1
             self._pending_index[victim.block] = entry
             self.extra.back_invalidations += len(writers)
             return False
@@ -465,7 +482,7 @@ class PartitionedLlc:
             if pending.pending_writers:
                 return WritebackOutcome.PENDING
             del self._pending_index[block]
-            pending.region.pending -= 1
+            pending._region().pending -= 1
             self.extra.dram_writebacks += 1
             self.stats.dirty_evictions += 1
             self._free_entry(pending)
@@ -499,8 +516,9 @@ class PartitionedLlc:
         entry.state = _FREE
         entry.block = None
         entry.dirty = False
-        entry.pending_writers.clear()
-        entry.region.free += 1
+        if entry.pending_writers:
+            entry.pending_writers.clear()
+        entry._region().free += 1
         self.extra.entries_freed += 1
 
     def _reindex(self) -> None:

@@ -51,7 +51,7 @@ class SlotSampler:
         for occ, (_, prb) in zip(self._prb_occ, self._prbs):
             occ[0 if prb.is_empty else 1] += 1
         for occ, (_, sequencer) in zip(self._seq_occ, self._sequencers):
-            depth = sequencer.qlt.active_entries
+            depth = len(sequencer.queues)
             occ[depth if depth < cap else cap] += 1
         self.slots_sampled += 1
 

@@ -5,9 +5,9 @@ mutable state of one :class:`~repro.sim.simulator.Simulator` — the
 engine's slot cursor and completed-request log, every core's replay
 position and private-cache contents, the LLC's entries, directory and
 per-set replacement state, the bus buffers and arbiters, the DRAM
-counters, the set sequencers (including queue identity inside the QLT
-pool), the shared replacement-policy RNG stream, the per-slot sampler
-arrays and the in-memory event log.  Restoring it into a freshly built
+counters, the set sequencers (their per-set FIFO tables), the shared
+replacement-policy RNG stream, the per-slot sampler arrays and the
+in-memory event log.  Restoring it into a freshly built
 simulator of the same run — the same :func:`repro.sim.codec.run_identity`
 of configuration, traces and start cycles — puts the system into a
 state from which the run continues *bit-identically*: a run killed at
@@ -50,6 +50,7 @@ Design notes
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
@@ -100,7 +101,7 @@ from repro.sim.codec import (
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: File-format discriminator, so an unrelated JSON file is rejected
 #: with a clear message instead of a cryptic missing-key error.
@@ -356,60 +357,38 @@ def _load_llc(llc: PartitionedLlc, state: Mapping[str, Any]) -> None:
 
 
 def _sequencer_state(sequencer: SetSequencer) -> Dict[str, Any]:
-    qlt = sequencer.qlt
-    # Queue objects migrate between the QLT's mapping and its free pool
-    # but are never destroyed, and SequencerQueue.max_depth persists
-    # across reuse — so queues are serialized by identity (queue_id),
-    # along with the mapping and the exact free-pool order (allocation
-    # order is pop-from-end, which affects future queue ids).
-    queues = {}
-    for queue in list(qlt._mapping.values()) + list(qlt._free_queues):
-        queues[queue.queue_id] = {
-            "cores": list(queue._cores),
-            "max_depth": queue.max_depth,
-        }
+    # The per-set FIFO table is the whole ordering state: which set each
+    # core is queued for follows from it.
     return {
         "stats": dataclass_state(sequencer.stats),
-        "queued_set": sorted(sequencer._queued_set.items()),
+        "overflows": sequencer.overflows,
+        "queues": sorted(
+            [set_index, list(queue)]
+            for set_index, queue in sequencer.queues.items()
+        ),
         "unsequenced": sorted(sequencer._unsequenced),
-        "qlt": {
-            "overflows": qlt.overflows,
-            "queues": sorted(queues.items()),
-            "mapping": sorted(
-                [set_index, queue.queue_id]
-                for set_index, queue in qlt._mapping.items()
-            ),
-            "free": [queue.queue_id for queue in qlt._free_queues],
-        },
     }
 
 
 def _load_sequencer(sequencer: SetSequencer, state: Mapping[str, Any]) -> None:
-    load_dataclass_state(sequencer.stats, state["stats"])
-    sequencer._queued_set = {core: s for core, s in state["queued_set"]}
-    sequencer._unsequenced = set(state["unsequenced"])
-    qlt = sequencer.qlt
-    qlt.overflows = state["qlt"]["overflows"]
-    by_id = {
-        queue.queue_id: queue
-        for queue in list(qlt._mapping.values()) + list(qlt._free_queues)
-    }
-    stored_ids = {queue_id for queue_id, _ in state["qlt"]["queues"]}
-    if stored_ids != set(by_id):
+    queues = state["queues"]
+    cores = [core for _, queue in queues for core in queue]
+    if (
+        len(queues) > sequencer.max_queues
+        or len(set(cores)) != len(cores)
+        or not all(queue and 0 <= s < sequencer.num_sets for s, queue in queues)
+    ):
         raise CheckpointError(
-            "sequencer queue pool of the checkpoint does not match the "
-            "built QLT (different sequencer_max_queues?)"
+            "sequencer table of the checkpoint does not fit the built "
+            "sequencer (different sequencer_max_queues?)"
         )
-    for queue_id, stored in state["qlt"]["queues"]:
-        queue = by_id[queue_id]
-        queue._cores.clear()
-        queue._cores.extend(stored["cores"])
-        queue.max_depth = stored["max_depth"]
-    qlt._mapping = {
-        set_index: by_id[queue_id]
-        for set_index, queue_id in state["qlt"]["mapping"]
-    }
-    qlt._free_queues = [by_id[queue_id] for queue_id in state["qlt"]["free"]]
+    load_dataclass_state(sequencer.stats, state["stats"])
+    sequencer.overflows = state["overflows"]
+    sequencer.queues = {set_index: deque(queue) for set_index, queue in queues}
+    sequencer._queued_set = dict(
+        sorted((core, set_index) for set_index, queue in queues for core in queue)
+    )
+    sequencer._unsequenced = set(state["unsequenced"])
 
 
 def _rng_state(rng) -> Dict[str, Any]:

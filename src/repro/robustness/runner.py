@@ -694,8 +694,6 @@ def run_all_robust(
     from repro.experiments.runner import artifact_steps
 
     target = Path(out_dir) if out_dir is not None else None
-    if target is not None:
-        target.mkdir(parents=True, exist_ok=True)
     if manifest_path is None and target is not None:
         manifest_path = target / "manifest.json"
 
@@ -739,6 +737,10 @@ def run_all_robust(
         changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
             checkpoint_dir, checkpoint_every, checkpoint_every_secs
         )
+    # Only now that every setting passed its checks: a refused campaign
+    # leaves no empty results directory behind.
+    if target is not None:
+        target.mkdir(parents=True, exist_ok=True)
     with run_context(**changes):
         result = runner.run(tasks, resume=resume, progress=progress)
 

@@ -1,4 +1,17 @@
-"""The set sequencer facade: QLT + SQ (Figure 6).
+"""The set sequencer (Figure 6): one FIFO of cores per contended set.
+
+Figure 6 of the paper: "The set sequencer contains one entry in the QLT
+for each set in the partition that has at least one pending LLC
+request.  The entry maps the set to a queue in SQ."  Here the QLT and
+its SQ queues are one table, :attr:`SetSequencer.queues`: set index →
+deque of cores, head first, in the order their requests were first
+broadcast on the shared bus.  A set is in the table exactly while it
+has a queued core.
+
+A hardware implementation has a fixed queue count; ``max_queues``
+models it, so experiments can study overflow, while the default (one
+queue per possible set) never runs out — matching the paper's
+assumption that ordering is always maintained.
 
 The slot engine talks to this class only:
 
@@ -6,20 +19,22 @@ The slot engine talks to this class only:
   in broadcast order (idempotent per outstanding request).
 * :meth:`may_claim` — may this core take a free entry in this set now?
   True iff the core heads the set's queue (or was never sequenced, e.g.
-  after a QLT overflow).
-* :meth:`complete` — the core's request finished; pop it and recycle
-  the queue if drained.
+  after an overflow).
+* :meth:`complete` — the core's request finished; pop it and drop the
+  set from the table once drained.
 * :meth:`cancel` — the request stopped needing an allocation (it became
   a hit because a sharer fetched the same line).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import CoreId
-from repro.sequencer.qlt import QueueLookupTable
+from repro.common.validation import require_positive
 
 
 @dataclass
@@ -38,11 +53,20 @@ class SetSequencer:
     """Orders pending misses per LLC set in bus-broadcast order."""
 
     def __init__(self, num_sets: int, max_queues: Optional[int] = None) -> None:
-        self.qlt = QueueLookupTable(num_sets, max_queues)
+        require_positive(num_sets, "num_sets", ConfigurationError)
+        if max_queues is None:
+            max_queues = num_sets
+        require_positive(max_queues, "max_queues", ConfigurationError)
+        self.num_sets = num_sets
+        self.max_queues = max_queues
+        #: set index -> queued cores, head first; never holds an empty queue.
+        self.queues: Dict[int, Deque[CoreId]] = {}
+        #: Registrations that found the table full (handled best-effort).
+        self.overflows = 0
         self.stats = SequencerStats()
         # core -> set it is queued for (a core has one outstanding request)
         self._queued_set: Dict[CoreId, int] = {}
-        # cores whose registration overflowed the QLT (handled best-effort)
+        # cores whose registration overflowed the table
         self._unsequenced: Set[CoreId] = set()
 
     def is_queued(self, core: CoreId) -> bool:
@@ -54,26 +78,43 @@ class SetSequencer:
         return self._queued_set.get(core)
 
     def register(self, core: CoreId, set_index: int) -> None:
-        """Record ``core``'s pending miss on ``set_index`` (idempotent)."""
+        """Record ``core``'s pending miss on ``set_index`` (idempotent).
+
+        When the table already tracks ``max_queues`` other sets, the
+        overflow is counted and the request is handled best-effort
+        (NSS), which can only lengthen the observed latency, never
+        corrupt state.
+        """
         if core in self._queued_set or core in self._unsequenced:
             return
-        queue = self.qlt.acquire(set_index)
+        if not 0 <= set_index < self.num_sets:
+            raise self._range_error(set_index)
+        queue = self.queues.get(set_index)
         if queue is None:
-            self._unsequenced.add(core)
-            return
-        queue.enqueue(core)
+            if len(self.queues) >= self.max_queues:
+                self.overflows += 1
+                self._unsequenced.add(core)
+                return
+            queue = self.queues[set_index] = deque()
+            if len(self.queues) > self.stats.max_active_sets:
+                self.stats.max_active_sets = len(self.queues)
+        elif core in queue:
+            # A core has at most one outstanding request (Section 3).
+            raise SimulationError(
+                f"core {core} already queued for set {set_index}"
+            )
+        queue.append(core)
         self._queued_set[core] = set_index
         self.stats.registrations += 1
-        self.stats.max_active_sets = max(
-            self.stats.max_active_sets, self.qlt.active_entries
-        )
 
     def may_claim(self, core: CoreId, set_index: int) -> bool:
         """Whether ``core`` may take a free entry in ``set_index`` now."""
-        queue = self.qlt.queue_for(set_index)
-        if queue is None or queue.is_empty:
+        queue = self.queues.get(set_index)
+        if queue is None:
+            if not 0 <= set_index < self.num_sets:
+                raise self._range_error(set_index)
             return True
-        if queue.head == core:
+        if queue[0] == core:
             self.stats.head_grants += 1
             return True
         self.stats.blocked_not_head += 1
@@ -87,10 +128,16 @@ class SetSequencer:
         queued_set = self._queued_set.pop(core, None)
         if queued_set is None:
             return  # completed on first attempt; never registered
-        queue = self.qlt.queue_for(queued_set)
+        queue = self.queues.get(queued_set)
         if queue is not None:
-            queue.pop_head(core)
-            self.qlt.release_if_empty(queued_set)
+            if queue[0] != core:
+                raise SimulationError(
+                    f"core {core} completed on set {queued_set} but the "
+                    f"head of its queue is {queue[0]}"
+                )
+            queue.popleft()
+            if not queue:
+                del self.queues[queued_set]
         self.stats.completions += 1
 
     def cancel(self, core: CoreId) -> None:
@@ -99,13 +146,18 @@ class SetSequencer:
         queued_set = self._queued_set.pop(core, None)
         if queued_set is None:
             return
-        queue = self.qlt.queue_for(queued_set)
-        if queue is not None:
+        queue = self.queues.get(queued_set)
+        if queue is not None and core in queue:
             queue.remove(core)
-            self.qlt.release_if_empty(queued_set)
+            if not queue:
+                del self.queues[queued_set]
         self.stats.cancellations += 1
 
     def queue_snapshot(self, set_index: int) -> Tuple[CoreId, ...]:
         """Cores queued for ``set_index``, head first (for tests/logs)."""
-        queue = self.qlt.queue_for(set_index)
-        return queue.snapshot() if queue is not None else ()
+        return tuple(self.queues.get(set_index, ()))
+
+    def _range_error(self, set_index: int) -> SimulationError:
+        return SimulationError(
+            f"set index {set_index} out of range 0..{self.num_sets - 1}"
+        )

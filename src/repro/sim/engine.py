@@ -657,8 +657,12 @@ class SlotEngine:
 
         # Miss path.  Try to claim a free entry; failing that, make sure
         # an eviction is in flight, which may free an entry within this
-        # very slot (clean victim) and still satisfy us.
-        if self._try_allocate(core, request, sequencer, region, slot_start):
+        # very slot (clean victim) and still satisfy us.  With no free
+        # entry (``free`` 0, so free_entry gives None) the first try is
+        # skipped.
+        if region.free and self._try_allocate(
+            core, request, sequencer, region, slot_start
+        ):
             return
 
         if sequencer is not None:
@@ -836,7 +840,10 @@ class SlotEngine:
         """
         dirty_owners: List[CoreId] = []
         in_slot_self = self.config.self_writeback_in_slot
-        for owner in sorted(victim.owners):
+        owners = victim.owners
+        if len(owners) > 1:
+            owners = sorted(owners)
+        for owner in owners:
             removed = self.system.stacks[owner].invalidate_block(victim.block)
             is_dirty = removed is not None and removed.dirty
             if is_dirty and owner == requester and in_slot_self:

@@ -17,6 +17,7 @@ from repro.common.errors import (
     CampaignError,
     CheckpointError,
     ConfigurationError,
+    FormatVersionError,
     ObservabilityError,
     PersistenceError,
 )
@@ -366,6 +367,19 @@ def test_version_1_checkpoint_is_refused_as_an_older_build(tmp_path):
     with pytest.raises(CheckpointError, match="older repro build") as excinfo:
         load_checkpoint(path)
     assert "delete it" in str(excinfo.value)
+
+
+def test_version_2_checkpoint_is_refused_as_an_older_build(tmp_path):
+    # Version 3 stores each set sequencer as its per-set FIFO table; a
+    # version-2 file (queue ids and a free-queue pool) is not read.
+    path = _written_checkpoint(tmp_path)
+
+    def downgrade(payload):
+        payload["version"] = 2
+
+    _rewrite_payload(path, downgrade)
+    with pytest.raises(FormatVersionError, match="older repro build"):
+        load_checkpoint(path)
 
 
 def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):

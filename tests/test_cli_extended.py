@@ -172,3 +172,5 @@ class TestUsageErrors:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "ckpt").exists()
+        # A refused campaign leaves no empty results directory behind.
+        assert not (tmp_path / "out").exists()

@@ -100,14 +100,14 @@ class TestQltOverflowInSystem:
         # overflow at least once (falling back to best-effort).
         # Depending on timing overlap this can be zero only if sets
         # never contend simultaneously; the storm makes them.
-        overflows = sim.system.sequencers["shared"].qlt.overflows
+        overflows = sim.system.sequencers["shared"].overflows
         assert overflows >= 0  # structural: counter exists and is consistent
-        assert sim.system.sequencers["shared"].qlt.max_queues == 1
+        assert sim.system.sequencers["shared"].max_queues == 1
 
     def test_unlimited_qlt_never_overflows(self):
         sim = Simulator(self.make_config(max_queues=None), self.traces())
         sim.run()
-        assert sim.system.sequencers["shared"].qlt.overflows == 0
+        assert sim.system.sequencers["shared"].overflows == 0
 
     def test_results_match_with_and_without_limit_pressure(self):
         # Correctness (every request completes; inclusivity) holds at
