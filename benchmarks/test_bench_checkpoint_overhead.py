@@ -4,7 +4,7 @@ Checkpointing exists so a killed campaign loses at most one interval of
 work — but a safety net nobody enables is worthless, so it must be
 cheap enough to leave on.  The acceptance criterion is **at most 10%
 wall clock** over the plain simulator at the default interval
-(``DEFAULT_POLL_SLOTS``), with a byte-identical report.
+(``DEFAULT_CHECKPOINT_SLOTS``), with a byte-identical report.
 """
 
 import gc
@@ -13,7 +13,7 @@ import time
 
 from repro.common.types import AccessType
 from repro.llc.partition import PartitionSpec
-from repro.robustness.checkpoint import DEFAULT_POLL_SLOTS
+from repro.robustness.checkpoint import DEFAULT_CHECKPOINT_SLOTS
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import simulate
 from repro.workloads.trace import MemoryTrace, TraceRecord
@@ -69,7 +69,7 @@ def test_checkpoint_overhead(benchmark, tmp_path):
             config,
             traces,
             checkpoint_path=path,
-            checkpoint_every_slots=DEFAULT_POLL_SLOTS,
+            checkpoint_every_slots=DEFAULT_CHECKPOINT_SLOTS,
         )
         return report, time.perf_counter() - started
 
@@ -94,12 +94,12 @@ def test_checkpoint_overhead(benchmark, tmp_path):
         gc.unfreeze()
     plain, plain_seconds = min(plain_runs, key=lambda pair: pair[1])
     checkpointed, ckpt_seconds = min(ckpt_runs, key=lambda pair: pair[1])
-    saves = plain.total_slots // DEFAULT_POLL_SLOTS
+    saves = plain.total_slots // DEFAULT_CHECKPOINT_SLOTS
     ratio = ckpt_seconds / plain_seconds
     emit(
         f"plain: {plain_seconds:.2f}s   checkpointed: {ckpt_seconds:.2f}s"
         f"   overhead: {ratio:.2f}x over {saves} save(s) "
-        f"(interval: {DEFAULT_POLL_SLOTS} slots)"
+        f"(interval: {DEFAULT_CHECKPOINT_SLOTS} slots)"
     )
 
     # Transparency: checkpointing must not perturb the simulation.
@@ -108,6 +108,6 @@ def test_checkpoint_overhead(benchmark, tmp_path):
 
     assert ratio < 1.10, (
         f"checkpointing costs {ratio:.2f}x wall clock (budget: < 1.10x) "
-        f"at the default {DEFAULT_POLL_SLOTS}-slot interval; either the "
+        f"at the default {DEFAULT_CHECKPOINT_SLOTS}-slot interval; either the "
         "snapshot walk or the fsync path has regressed"
     )

@@ -88,10 +88,21 @@ def _run_context_changes(args: argparse.Namespace) -> dict:
     ``--cache DIR`` result cache (vetoed by ``--no-cache``) and the
     ``--checkpoint-dir`` auto-checkpoint policy.  Fork-pool workers
     inherit the context, so ``--jobs`` runs see the same cache, policy
-    and plan.
+    and plan.  A ``--checkpoint-every`` without ``--checkpoint`` or
+    ``--checkpoint-dir`` to write to is refused here, for every command.
     """
     from repro.common.context import IoState
+    from repro.common.errors import ConfigurationError
 
+    if getattr(args, "checkpoint_every", None) is not None and not (
+        getattr(args, "checkpoint", None) or getattr(args, "checkpoint_dir", None)
+    ):
+        target = (
+            "--checkpoint PATH"
+            if hasattr(args, "checkpoint")
+            else "--checkpoint-dir DIR"
+        )
+        raise ConfigurationError(f"--checkpoint-every needs {target} to write to")
     changes = {"io": IoState(), "io_hook": None}
     specs = getattr(args, "io_fault", None)
     if specs:
@@ -108,7 +119,7 @@ def _run_context_changes(args: argparse.Namespace) -> dict:
         from repro.robustness.checkpoint import AutoCheckpointPolicy
 
         changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
-            directory, args.checkpoint_every, args.checkpoint_every_secs
+            directory, args.checkpoint_every
         )
     return changes
 
@@ -132,20 +143,6 @@ def _print_cache_summary(cache, directory: str) -> None:
         + f" ({directory})",
         file=sys.stderr,
     )
-
-
-def _checkpoint_interval_without_path(args: argparse.Namespace) -> bool:
-    """--checkpoint-every* without --checkpoint is a usage error."""
-    if args.checkpoint:
-        return False
-    if args.checkpoint_every is None and args.checkpoint_every_secs is None:
-        return False
-    print(
-        "error: --checkpoint-every/--checkpoint-every-secs need "
-        "--checkpoint PATH to write to",
-        file=sys.stderr,
-    )
-    return True
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
@@ -256,8 +253,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, checked=True)
     if args.engine:
         config = dataclasses.replace(config, engine=args.engine)
-    if _checkpoint_interval_without_path(args):
-        return 2
     suite = get_suite(args.suite)
     if args.seeds:
         conflicting = [
@@ -291,7 +286,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         traces,
         checkpoint_path=args.checkpoint,
         checkpoint_every_slots=args.checkpoint_every,
-        checkpoint_every_secs=args.checkpoint_every_secs,
     )
     rows = []
     for core in range(args.cores):
@@ -454,8 +448,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     config = build_system_for_notation(args.notation, num_cores=args.cores)
     if args.record_metrics:
         config = dataclasses.replace(config, record_metrics=True)
-    if _checkpoint_interval_without_path(args):
-        return 2
     traces = get_suite(args.suite).build(
         num_cores=args.cores,
         num_requests=args.requests,
@@ -484,7 +476,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             event_sink=sink,
             checkpoint_path=args.checkpoint,
             checkpoint_every_slots=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
         )
     finally:
         if sink is not None:
@@ -688,14 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SLOTS",
             default=None,
             help="checkpoint interval in TDM slots (default: 16384)",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every-secs",
-            type=float,
-            metavar="SECS",
-            default=None,
-            help="checkpoint interval in wall-clock seconds (may be "
-            "combined with --checkpoint-every)",
         )
 
     def add_checkpoint_file_args(sub_parser: argparse.ArgumentParser) -> None:

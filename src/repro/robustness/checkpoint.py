@@ -49,11 +49,10 @@ Design notes
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.bus.buffers import (
     PendingWritebackBuffer,
@@ -107,14 +106,12 @@ CHECKPOINT_VERSION = 3
 #: with a clear message instead of a cryptic missing-key error.
 CHECKPOINT_KIND = "repro-sim-checkpoint"
 
-#: The default checkpoint interval, in slots; also the poll granularity
-#: when only a time-based interval is configured (the loop must pause
-#: the engine to look at the clock).  A save costs O(live state +
-#: completed requests), so the interval bounds the steady-state
+#: The default checkpoint interval, in slots.  A save costs O(live
+#: state + completed requests), so the interval bounds the steady-state
 #: overhead (benchmarked < 10% in
 #: ``benchmarks/test_bench_checkpoint_overhead.py``) while a kill loses
 #: at most this many slots of progress — well under a second of rework.
-DEFAULT_POLL_SLOTS = 16384
+DEFAULT_CHECKPOINT_SLOTS = 16384
 
 
 # ----------------------------------------------------------------------
@@ -624,7 +621,6 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
 def save_checkpoint(
     sim,
     path: Union[str, Path],
-    registry=None,
     *,
     durability: Durability = Durability.ESSENTIAL,
     site: str = "checkpoint",
@@ -639,24 +635,17 @@ def save_checkpoint(
     simulation continues uncheckpointed but correct.
     """
     document = seal(snapshot_simulator(sim))
-    target = persist_text(path, document, site=site, durability=durability)
-    if registry is not None and target is not None:
-        registry.counter("checkpoint.saves").inc()
-        registry.counter("checkpoint.bytes").inc(len(document))
-    return target
+    return persist_text(path, document, site=site, durability=durability)
 
 
-def load_checkpoint(path: Union[str, Path], registry=None) -> Dict[str, Any]:
+def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     """Read, integrity-check and version-check a checkpoint payload."""
     path = Path(path)
     try:
         data = read_bytes(path, site="checkpoint")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    payload = unseal(data, path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
-    if registry is not None:
-        registry.counter("checkpoint.restores").inc()
-    return payload
+    return unseal(data, path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
 
 
 def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -673,15 +662,15 @@ def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Auto-checkpoint policy and the resumable drive loop
 # ----------------------------------------------------------------------
-def _check_intervals(
-    every_slots: Optional[int], every_secs: Optional[float]
-) -> None:
-    """Refuse a non-positive checkpoint interval: a zero slot interval
-    never advances the engine, so its drive loop would never end."""
-    if every_slots is not None and every_slots <= 0:
+def _interval(every_slots: Optional[int]) -> int:
+    """The checkpoint interval in slots, ``DEFAULT_CHECKPOINT_SLOTS`` for
+    ``None``.  A non-positive interval is refused: a zero interval never
+    advances the engine, so its drive loop would never end."""
+    if every_slots is None:
+        return DEFAULT_CHECKPOINT_SLOTS
+    if every_slots <= 0:
         raise CheckpointError(f"every_slots must be positive, got {every_slots}")
-    if every_secs is not None and every_secs <= 0:
-        raise CheckpointError(f"every_secs must be positive, got {every_secs}")
+    return every_slots
 
 
 @dataclass(frozen=True)
@@ -690,42 +679,28 @@ class AutoCheckpointPolicy:
 
     Installed with ``run_context(checkpoints=policy)``
     (:mod:`repro.common.context`): every :func:`repro.sim.simulator.simulate`
-    call without explicit checkpoint arguments then runs resumably.
-    ``directory`` receives one checkpoint file per (config, traces)
-    identity (:func:`default_checkpoint_path`), so concurrent campaign
-    tasks — and fork-pool workers, which inherit the context — never
-    collide.  ``every_slots`` checkpoints at slot-count intervals;
-    ``every_secs`` at wall-clock intervals (polled every
-    ``DEFAULT_POLL_SLOTS`` slots).  At least one must be set;
-    :meth:`for_directory` supplies the default.  ``fuzz`` is the
-    deliberate exception: its cases carry fault hooks and oracle
-    recordings (both refused by :func:`save_checkpoint`) and resume at
-    case granularity through the fuzz manifest instead.
+    call without explicit checkpoint arguments then runs resumably,
+    saving every ``every_slots`` slots.  ``directory`` receives one
+    checkpoint file per (config, traces) identity
+    (:func:`default_checkpoint_path`), so concurrent campaign tasks —
+    and fork-pool workers, which inherit the context — never collide.
+    ``fuzz`` is the deliberate exception: its cases carry fault hooks
+    and oracle recordings (both refused by :func:`save_checkpoint`) and
+    resume at case granularity through the fuzz manifest instead.
     """
 
     directory: Path
-    every_slots: Optional[int] = None
-    every_secs: Optional[float] = None
+    every_slots: int = DEFAULT_CHECKPOINT_SLOTS
 
     def __post_init__(self) -> None:
-        if self.every_slots is None and self.every_secs is None:
-            raise CheckpointError(
-                "an auto-checkpoint policy needs every_slots or every_secs"
-            )
-        _check_intervals(self.every_slots, self.every_secs)
+        _interval(self.every_slots)
 
     @classmethod
     def for_directory(
-        cls,
-        directory: Union[str, Path],
-        every_slots: Optional[int] = None,
-        every_secs: Optional[float] = None,
+        cls, directory: Union[str, Path], every_slots: Optional[int] = None
     ) -> "AutoCheckpointPolicy":
-        """The policy for ``directory``; every ``DEFAULT_POLL_SLOTS``
-        slots when neither interval is given."""
-        if every_slots is None and every_secs is None:
-            every_slots = DEFAULT_POLL_SLOTS
-        return cls(Path(directory), every_slots, every_secs)
+        """The policy for ``directory``; the default interval for ``None``."""
+        return cls(Path(directory), _interval(every_slots))
 
 
 def run_resumable(
@@ -734,19 +709,16 @@ def run_resumable(
     *,
     path: Union[str, Path],
     every_slots: Optional[int] = None,
-    every_secs: Optional[float] = None,
     start_cycles=None,
     event_sink=None,
-    registry=None,
-    clock: Callable[[], float] = time.monotonic,
     durability: Durability = Durability.ESSENTIAL,
     site: str = "checkpoint",
 ):
     """Run a simulation with periodic checkpoints, resuming if one exists.
 
-    The drive loop pauses the engine every ``every_slots`` slots (or
-    every ``DEFAULT_POLL_SLOTS`` when only ``every_secs`` is given),
-    writes a crash-consistent checkpoint, and continues.  If ``path``
+    The drive loop pauses the engine every ``every_slots`` slots
+    (``DEFAULT_CHECKPOINT_SLOTS`` when ``None``), writes a
+    crash-consistent checkpoint, and continues.  If ``path``
     already holds a checkpoint, the run resumes from it instead of
     starting over; the checkpoint file is deleted on normal completion.
     The returned report — and any metrics/trace output built from the
@@ -761,7 +733,7 @@ def run_resumable(
     """
     from repro.sim.simulator import Simulator
 
-    _check_intervals(every_slots, every_secs)
+    interval = _interval(every_slots)
     path = Path(path)
     cleanup_stale_tmp(path)
     sim = None
@@ -773,7 +745,6 @@ def run_resumable(
                 traces,
                 start_cycles=start_cycles,
                 event_sink=event_sink,
-                registry=registry,
             )
         except CheckpointError:
             if durability is Durability.ESSENTIAL:
@@ -782,8 +753,6 @@ def run_resumable(
             path.unlink(missing_ok=True)
     if sim is None:
         sim = Simulator(config, traces, start_cycles, event_sink)
-    interval = every_slots if every_slots is not None else DEFAULT_POLL_SLOTS
-    last_save = clock()
     while True:
         sim.engine.advance(stop_at_slot=sim.engine._slot + interval)
         if sim.engine.run_complete():
@@ -799,11 +768,4 @@ def run_resumable(
                 # restored end-state replays to the same report.
                 count_io("io.swallowed.checkpoint-unlink")
             return report
-        if every_secs is not None:
-            now = clock()
-            if now - last_save < every_secs:
-                continue
-            last_save = now
-        save_checkpoint(
-            sim, path, registry=registry, durability=durability, site=site
-        )
+        save_checkpoint(sim, path, durability=durability, site=site)

@@ -649,7 +649,6 @@ def run_all_robust(
     cache_dir: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
 ) -> CampaignResult:
     """Crash-tolerant ``run_all``: every artifact as a quarantinable task.
 
@@ -678,8 +677,8 @@ def run_all_robust(
     campaign are byte-identical to an uninterrupted run's.
 
     ``cache_dir`` opens a :class:`~repro.sim.cache.SimResultCache` and
-    ``checkpoint_dir`` (with ``checkpoint_every`` slots and/or
-    ``checkpoint_every_secs``) an
+    ``checkpoint_dir`` (saving every ``checkpoint_every`` slots; an
+    interval without a directory is a ``ConfigurationError``) an
     :class:`~repro.robustness.checkpoint.AutoCheckpointPolicy`; the
     campaign runs in one ``run_context(...)`` scope carrying them (see
     :mod:`repro.common.context`), and the caller's context is restored
@@ -735,7 +734,13 @@ def run_all_robust(
         from repro.robustness.checkpoint import AutoCheckpointPolicy
 
         changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
-            checkpoint_dir, checkpoint_every, checkpoint_every_secs
+            checkpoint_dir, checkpoint_every
+        )
+    else:
+        require(
+            checkpoint_every is None,
+            "checkpoint_every needs a checkpoint_dir to write to",
+            ConfigurationError,
         )
     # Only now that every setting passed its checks: a refused campaign
     # leaves no empty results directory behind.

@@ -419,6 +419,12 @@ class SimResultCache:
             "gc needs max_bytes and/or max_age_secs",
             ConfigurationError,
         )
+        for name, limit in (("max_bytes", max_bytes), ("max_age_secs", max_age_secs)):
+            require(
+                limit is None or limit >= 0,
+                f"gc {name} must be >= 0, got {limit}",
+                ConfigurationError,
+            )
         if now is None:
             now = time.time()
         entries = []

@@ -59,7 +59,7 @@ class Simulator:
         self.system.check_inclusivity()
         return report
 
-    def checkpoint(self, path, registry=None):
+    def checkpoint(self, path):
         """Write a crash-consistent checkpoint of the current state.
 
         See :mod:`repro.robustness.checkpoint` for the format and the
@@ -68,7 +68,7 @@ class Simulator:
         # Imported lazily: repro.robustness imports the sim layer.
         from repro.robustness.checkpoint import save_checkpoint
 
-        return save_checkpoint(self, path, registry=registry)
+        return save_checkpoint(self, path)
 
     @classmethod
     def restore(
@@ -78,7 +78,6 @@ class Simulator:
         traces: Mapping[CoreId, MemoryTrace],
         start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
         event_sink: Optional[Callable[[SimEvent], None]] = None,
-        registry=None,
     ) -> "Simulator":
         """Rebuild a simulator and load a checkpoint into it.
 
@@ -95,7 +94,7 @@ class Simulator:
             restore_simulator,
         )
 
-        payload = load_checkpoint(path, registry=registry)
+        payload = load_checkpoint(path)
         sim = cls(config, traces, start_cycles, event_sink)
         restore_simulator(sim, payload)
         return sim
@@ -108,7 +107,6 @@ def simulate(
     event_sink: Optional[Callable[[SimEvent], None]] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
 ) -> SimReport:
     """Build the system described by ``config``, replay ``traces``.
 
@@ -119,10 +117,11 @@ def simulate(
     :class:`repro.obs.tracing.JsonlTraceSink`), independent of
     ``record_events``.  ``config.engine`` picks the slot engine.
 
-    Passing ``checkpoint_path`` (plus an interval) runs resumably: the
-    simulation periodically writes a crash-consistent checkpoint and, if
-    the file already exists, resumes from it instead of starting over —
-    with a byte-identical final report.  When no explicit checkpoint
+    Passing ``checkpoint_path`` runs resumably: every
+    ``checkpoint_every_slots`` slots (default 16384) the simulation
+    writes a crash-consistent checkpoint and, if the file already
+    exists, resumes from it instead of starting over — with a
+    byte-identical final report.  When no explicit checkpoint
     arguments are given, the run context's auto-checkpoint policy
     (``run_context(checkpoints=...)``, see :mod:`repro.common.context`;
     e.g. the CLI's ``--checkpoint-dir``) applies; fork-pool workers
@@ -151,7 +150,6 @@ def simulate(
             event_sink,
             checkpoint_path,
             checkpoint_every_slots,
-            checkpoint_every_secs,
         )
         cache.store(config, traces, start_cycles, report)
         return report
@@ -162,7 +160,6 @@ def simulate(
         event_sink,
         checkpoint_path,
         checkpoint_every_slots,
-        checkpoint_every_secs,
     )
 
 
@@ -173,7 +170,6 @@ def _simulate_uncached(
     event_sink: Optional[Callable[[SimEvent], None]] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
 ) -> SimReport:
     """The build-run-report path of :func:`simulate`, cache-free."""
     if checkpoint_path is None and checkpoint_every_slots is None:
@@ -196,15 +192,12 @@ def _simulate_uncached(
                     policy.directory, config, traces, start_cycles
                 ),
                 every_slots=policy.every_slots,
-                every_secs=policy.every_secs,
                 start_cycles=start_cycles,
                 event_sink=event_sink,
                 durability=Durability.BEST_EFFORT,
                 site="auto-checkpoint",
             )
-    if checkpoint_path is None and (
-        checkpoint_every_slots is not None or checkpoint_every_secs is not None
-    ):
+    if checkpoint_path is None and checkpoint_every_slots is not None:
         from repro.common.errors import ConfigurationError
 
         raise ConfigurationError(
@@ -219,7 +212,6 @@ def _simulate_uncached(
             traces,
             path=checkpoint_path,
             every_slots=checkpoint_every_slots,
-            every_secs=checkpoint_every_secs,
             start_cycles=start_cycles,
             event_sink=event_sink,
         )

@@ -31,7 +31,6 @@ from repro.robustness.checkpoint import (
     AutoCheckpointPolicy,
     default_checkpoint_path,
     load_checkpoint,
-    save_checkpoint,
     snapshot_simulator,
 )
 from repro.robustness.runner import MANIFEST_KIND, MANIFEST_VERSION, RunManifest
@@ -407,23 +406,6 @@ def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):
     assert report.latencies() == reference.latencies()
 
 
-def test_checkpoint_metrics_counters(tmp_path):
-    config = small_config()
-    traces = _workload()
-    path = tmp_path / "metered.ckpt"
-    registry = MetricsRegistry()
-
-    sim = Simulator(config, traces)
-    sim.engine.run(stop_at_slot=5)
-    save_checkpoint(sim, path, registry=registry)
-    load_checkpoint(path, registry=registry)
-
-    rows = {row["name"]: row for row in registry.rows()}
-    assert rows["checkpoint.saves"]["value"] == 1
-    assert rows["checkpoint.restores"]["value"] == 1
-    assert rows["checkpoint.bytes"]["value"] == len(path.read_bytes())
-
-
 # ----------------------------------------------------------------------
 # Torn writes: a kill mid-save never loses the previous generation
 # ----------------------------------------------------------------------
@@ -511,22 +493,20 @@ def test_sigterm_during_fsync_keeps_previous_checkpoint_valid(
 # Auto-checkpoint policy validation and simulate() plumbing
 # ----------------------------------------------------------------------
 def test_auto_policy_validation(tmp_path):
-    with pytest.raises(CheckpointError, match="every_slots or every_secs"):
-        AutoCheckpointPolicy(directory=tmp_path)
     with pytest.raises(CheckpointError, match="must be positive"):
         AutoCheckpointPolicy(directory=tmp_path, every_slots=0)
     with pytest.raises(CheckpointError, match="must be positive"):
-        AutoCheckpointPolicy(directory=tmp_path, every_secs=-1.0)
+        AutoCheckpointPolicy.for_directory(tmp_path, every_slots=-1)
 
 
 def test_auto_policy_for_directory_defaults_the_interval(tmp_path):
-    from repro.robustness.checkpoint import DEFAULT_POLL_SLOTS
+    from repro.robustness.checkpoint import DEFAULT_CHECKPOINT_SLOTS
 
     assert AutoCheckpointPolicy.for_directory(str(tmp_path)) == (
-        AutoCheckpointPolicy(tmp_path, every_slots=DEFAULT_POLL_SLOTS)
+        AutoCheckpointPolicy(tmp_path, every_slots=DEFAULT_CHECKPOINT_SLOTS)
     )
-    timed = AutoCheckpointPolicy.for_directory(tmp_path, every_secs=2.0)
-    assert (timed.every_slots, timed.every_secs) == (None, 2.0)
+    assert AutoCheckpointPolicy(tmp_path).every_slots == DEFAULT_CHECKPOINT_SLOTS
+    assert AutoCheckpointPolicy.for_directory(tmp_path, 64).every_slots == 64
 
 
 def test_simulate_rejects_interval_without_path():

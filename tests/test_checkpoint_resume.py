@@ -128,41 +128,26 @@ def test_run_resumable_resumes_from_existing_checkpoint(tmp_path):
     assert not path.exists()
 
 
-def test_run_resumable_wall_clock_interval_uses_injected_clock(tmp_path):
+def test_run_resumable_saves_every_interval_slots(tmp_path, monkeypatch):
     config = small_config()
     traces = _workload(seed=4)
-    path = tmp_path / "clocked.ckpt"
+    path = tmp_path / "paced.ckpt"
     saves = []
-
-    ticks = iter(range(1000))
-
-    def clock():
-        return float(next(ticks))
 
     import repro.robustness.checkpoint as ckpt
 
     real_save = ckpt.save_checkpoint
 
-    def counting_save(sim, target, registry=None, **kwargs):
+    def counting_save(sim, target, **kwargs):
         saves.append(sim.engine._slot)
-        return real_save(sim, target, registry=registry, **kwargs)
+        return real_save(sim, target, **kwargs)
 
-    ckpt.save_checkpoint = counting_save
-    try:
-        report = run_resumable(
-            config,
-            traces,
-            path=path,
-            every_slots=32,
-            every_secs=0.5,
-            clock=clock,
-        )
-    finally:
-        ckpt.save_checkpoint = real_save
-    # Every poll advances the fake clock by 1.0 > every_secs, so each
-    # incomplete poll boundary saved once.
-    assert saves, "expected at least one wall-clock-gated save"
-    assert report.latencies() == Simulator(config, traces).run().latencies()
+    monkeypatch.setattr(ckpt, "save_checkpoint", counting_save)
+    report = run_resumable(config, traces, path=path, every_slots=32)
+    reference = Simulator(config, traces).run()
+    # One save at every 32-slot boundary the run did not finish before.
+    assert saves == list(range(32, reference.total_slots, 32))
+    assert report.latencies() == reference.latencies()
     assert not path.exists()
 
 

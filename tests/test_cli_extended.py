@@ -155,7 +155,18 @@ class TestUsageErrors:
             ["simulate", "SS(1,16,4)", "--suite", "storm",
              "--checkpoint", "{tmp}/ckpt", "--checkpoint-every", "0"],
             ["stats", "SS(1,16,4)",
-             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every-secs", "-1"],
+             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every", "-1"],
+            # An interval without a place to write is refused by every
+            # command, not silently ignored.
+            ["fig7", "--requests", "5", "--checkpoint-every", "0"],
+            ["fig8", "8a", "--requests", "5", "--checkpoint-every", "64"],
+            ["compare", "SS(1,16,4)", "--requests", "5",
+             "--checkpoint-every", "64"],
+            ["all", "--out", "{tmp}/out", "--checkpoint-every", "64"],
+            ["stats", "SS(1,16,4)", "--checkpoint-every", "64"],
+            # A negative gc limit used to empty the cache.
+            ["cache", "gc", "{tmp}/cache", "--max-bytes", "-1"],
+            ["cache", "gc", "{tmp}/cache", "--max-age", "-1"],
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, argv):

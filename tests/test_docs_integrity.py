@@ -267,6 +267,47 @@ class TestApiTables:
                 )
 
 
+def command_line_flags():
+    """``(subcommand, flags)`` for each command in docs/API.md's
+    "Command line" block; ``--resume/--no-resume`` spells two flags."""
+    text = (REPO_ROOT / "docs" / "API.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, re.DOTALL)
+    commands = []
+    # Commands are separated by a spaced ``|``; the unspaced ones inside
+    # ``{stats|verify|gc}`` or ``[--list|<suite>]`` are alternatives.
+    for segment in re.split(r"\s\|\s", block.group(1).replace("repro-llc", "")):
+        name = segment.split()[0]
+        commands.append((name, re.findall(r"--[\w-]+", segment)))
+    return commands
+
+
+class TestCommandLineBlock:
+    """Every flag docs/API.md shows is accepted by its subcommand."""
+
+    COMMANDS = command_line_flags()
+
+    def test_block_is_parsed(self):
+        assert len(self.COMMANDS) >= 14
+        assert sum(len(flags) for _, flags in self.COMMANDS) >= 40
+
+    @pytest.mark.parametrize(
+        "command, flags", COMMANDS, ids=[name for name, _ in COMMANDS]
+    )
+    def test_flags_exist(self, command, flags):
+        import argparse
+
+        from repro.cli import build_parser
+
+        [subparsers] = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        accepted = subparsers.choices[command]._option_string_actions
+        missing = [flag for flag in flags if flag not in accepted]
+        assert not missing, f"docs/API.md shows {command} {missing}"
+
+
 #: The quickstart's names: the only ones the top-level package exports.
 TOP_LEVEL_NAMES = {
     "PartitionKind",

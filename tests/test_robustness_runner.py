@@ -947,6 +947,14 @@ class TestRunAllRobust:
             "FAIL        beta",
         ]
 
+    def test_interval_without_checkpoint_dir_is_refused(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "artifact_steps", self.fake_steps)
+        with pytest.raises(ConfigurationError, match="needs a checkpoint_dir"):
+            run_all_robust(out_dir=tmp_path / "results", checkpoint_every=64)
+        assert not (tmp_path / "results").exists()
+
     def test_cli_all_exit_codes(self, tmp_path, monkeypatch, capsys):
         import repro.experiments.runner as runner_mod
         from repro.cli import main

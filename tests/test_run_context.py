@@ -151,8 +151,8 @@ def test_cli_all_counts_io_across_the_campaign_scope(tmp_path, monkeypatch, caps
     built = []
     for_directory = AutoCheckpointPolicy.for_directory
 
-    def spy(directory, every_slots=None, every_secs=None):
-        built.append(for_directory(directory, every_slots, every_secs))
+    def spy(directory, every_slots=None):
+        built.append(for_directory(directory, every_slots))
         return built[-1]
 
     monkeypatch.setattr(AutoCheckpointPolicy, "for_directory", staticmethod(spy))

@@ -231,6 +231,18 @@ def test_gc_requires_a_bound(tmp_path):
         SimResultCache(tmp_path).gc()
 
 
+@pytest.mark.parametrize("limit", [{"max_bytes": -1}, {"max_age_secs": -1.0}])
+def test_gc_refuses_a_negative_limit(tmp_path, limit):
+    cache = SimResultCache(tmp_path)
+    config = small_config(num_cores=2)
+    traces = _traces()
+    path = cache.store(config, traces, None, _simulate_uncached(config, traces))
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        cache.gc(**limit)
+    assert path.exists()
+    assert _counter(cache, "evictions") == 0
+
+
 def test_verify_removes_defective_entries(tmp_path):
     config = small_config(num_cores=2)
     traces = _traces()

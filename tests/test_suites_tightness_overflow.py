@@ -16,6 +16,10 @@ from repro.experiments.tightness import (
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.adversarial import conflict_storm_traces
 from repro.workloads.suites import SuiteSpec, get_suite, register_suite, suite_names
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    generate_disjoint_workload,
+)
 
 from sim_helpers import shared_partition, small_config
 
@@ -94,15 +98,22 @@ class TestQltOverflowInSystem:
         sim.system.check_inclusivity()
 
     def test_overflow_counted(self):
-        sim = Simulator(self.make_config(max_queues=1), self.traces())
-        sim.run()
-        # With four contended sets and one queue, registrations must
-        # overflow at least once (falling back to best-effort).
-        # Depending on timing overlap this can be zero only if sets
-        # never contend simultaneously; the storm makes them.
-        overflows = sim.system.sequencers["shared"].overflows
-        assert overflows >= 0  # structural: counter exists and is consistent
-        assert sim.system.sequencers["shared"].max_queues == 1
+        # Four cores writing back-to-back into one shared partition
+        # contend on more sets at once than the one-queue table holds.
+        config = dataclasses.replace(
+            build_system_for_notation("SS(4,16,4)", num_cores=4),
+            sequencer_max_queues=1,
+        )
+        workload = SyntheticWorkloadConfig(
+            num_requests=40, address_range_size=8192, write_fraction=1.0
+        )
+        sim = Simulator(config, generate_disjoint_workload(workload, range(4)))
+        report = sim.run()
+        assert not report.timed_out
+        assert report.starved_cores() == []
+        [sequencer] = sim.system.sequencers.values()
+        assert sequencer.max_queues == 1
+        assert sequencer.overflows > 0
 
     def test_unlimited_qlt_never_overflows(self):
         sim = Simulator(self.make_config(max_queues=None), self.traces())
