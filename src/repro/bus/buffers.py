@@ -32,7 +32,7 @@ from repro.common.errors import SimulationError
 from repro.common.types import AccessType, BlockAddress, CoreId, Cycle
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """The (single) outstanding LLC request of one core.
 
@@ -112,7 +112,7 @@ class WritebackReason(enum.Enum):
     BACK_INVALIDATION = "back-invalidation"
 
 
-@dataclass
+@dataclass(slots=True)
 class WritebackEntry:
     """One dirty line waiting to be written back over the bus."""
 

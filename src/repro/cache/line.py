@@ -9,6 +9,7 @@ write-back buffer) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.types import BlockAddress
 
@@ -30,12 +31,12 @@ class CacheLine:
     dirty: bool = False
 
 
-@dataclass(frozen=True)
-class EvictedLine:
+class EvictedLine(NamedTuple):
     """A line displaced from a cache, as reported to the caller.
 
     ``dirty`` determines whether the eviction produces a write-back
-    transaction (dirty) or a silent drop (clean).
+    transaction (dirty) or a silent drop (clean).  A named tuple: every
+    fill of a full set and every invalidation builds one.
     """
 
     block: BlockAddress

@@ -10,13 +10,13 @@ clock, which the engine advances up to each bus-slot boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from repro.common.errors import SimulationError
+from repro.common.errors import GeometryError, SimulationError
+from repro.common.intmath import ilog2
 from repro.common.types import AccessType, BlockAddress, CoreId, Cycle
+from repro.common.validation import require_power_of_two
 from repro.cpu.private_stack import PrivateStack
-from repro.mem.address import AddressGeometry
 from repro.workloads.trace import MemoryTrace
 
 
@@ -33,8 +33,7 @@ _RUNNING = CoreState.RUNNING
 _BLOCKED = CoreState.BLOCKED
 
 
-@dataclass(frozen=True)
-class MissInfo:
+class MissInfo(NamedTuple):
     """An L2 miss the core needs the bus for."""
 
     core: CoreId
@@ -49,8 +48,7 @@ class MissInfo:
 _PREDICTION_HORIZON: Cycle = 1 << 62
 
 
-@dataclass(frozen=True)
-class CorePrediction:
+class CorePrediction(NamedTuple):
     """What a ``RUNNING`` core will do next, bus-wise.
 
     Exactly one of the two fields is set: ``miss_at`` when the core's
@@ -82,10 +80,10 @@ class TraceDrivenCore:
         self.core_id = core_id
         self.stack = stack
         self.trace = trace
-        self.geometry = AddressGeometry(line_size=line_size, num_sets=1)
+        require_power_of_two(line_size, "line_size", GeometryError)
         # Byte address -> block address is a shift by the line offset;
         # precomputed so replay does not re-derive it per access.
-        self._offset_bits = self.geometry.offset_bits
+        self._offset_bits = ilog2(line_size)
         self.state = CoreState.RUNNING if len(trace) else CoreState.DONE
         self.time: Cycle = start_cycle
         self.position = 0
@@ -135,20 +133,22 @@ class TraceDrivenCore:
         while time < until:
             if position >= count:
                 break
-            record = records[position]
+            # Records and stack results are named tuples; unpacking
+            # them reads faster than their field descriptors.
+            address, access, compute_cycles = records[position]
             if not gap_applied:
                 gap_applied = True
-                if record.compute_cycles:
+                if compute_cycles:
                     # Think time before the access; re-check the horizon
                     # so a long computation does not overshoot it.
-                    time += record.compute_cycles
+                    time += compute_cycles
                     continue
             # TraceRecord rejects negative addresses at construction.
-            block = record.address >> offset_bits
-            result = stack.access(block, record.access)
-            if result.hit_level is not None:
+            block = address >> offset_bits
+            hit_level, latency = stack.access(block, access)
+            if hit_level is not None:
                 hits += 1
-                time += result.latency
+                time += latency
                 position += 1
                 gap_applied = False
                 continue
@@ -156,7 +156,7 @@ class TraceDrivenCore:
             # parks the request in the PRB and wakes us on the response.
             self.state = _BLOCKED
             self.llc_requests += 1
-            miss = MissInfo(self.core_id, block, record.access, time)
+            miss = MissInfo(self.core_id, block, access, time)
             break
         self.time = time
         self.position = position

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cache.line import CacheLine, EvictedLine
 from repro.cache.sa_cache import PredictionView, SetAssociativeCache
@@ -63,8 +63,7 @@ class PrivateStackConfig:
         return self.l2_sets * self.l2_ways
 
 
-@dataclass(frozen=True)
-class StackAccessResult:
+class StackAccessResult(NamedTuple):
     """Outcome of a core access against the private stack."""
 
     #: ``"L1"`` or ``"L2"`` on a hit; ``None`` means the access must go
@@ -85,8 +84,7 @@ _INSTR = AccessType.INSTR
 _MISS = StackAccessResult(None, 0)
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     """Side effects of installing an LLC response into the stack.
 
     ``l2_victim`` is the line the fill displaced from the L2, with its
@@ -99,7 +97,7 @@ class FillResult:
 
 
 #: The result of every fill that displaced nothing.
-_NO_VICTIM = FillResult(l2_victim=None)
+_NO_VICTIM = FillResult(None)
 
 
 class _FrozenL2View:
@@ -202,7 +200,7 @@ class PrivateStack:
         # The victim leaves the L1s before the new block enters one.
         result = _NO_VICTIM
         if l2_victim is not None:
-            result = FillResult(l2_victim=self._back_invalidate_l1(l2_victim))
+            result = FillResult(self._back_invalidate_l1(l2_victim))
         l1 = self.l1i if access is _INSTR else self.l1d
         if l1 is not None:
             self._fill_l1(l1, block, is_write)
@@ -231,7 +229,7 @@ class PrivateStack:
                 dirty = True
         if dirty == l2_victim.dirty:
             return l2_victim
-        return EvictedLine(block=l2_victim.block, dirty=dirty)
+        return EvictedLine(l2_victim.block, dirty)
 
     # ------------------------------------------------------------------
     # Inclusive back-invalidation from the LLC

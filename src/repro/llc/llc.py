@@ -38,9 +38,13 @@ _VALID = EntryState.VALID
 _PENDING_EVICT = EntryState.PENDING_EVICT
 
 
-@dataclass
+@dataclass(slots=True)
 class LlcEntry:
-    """One way of one physical LLC set."""
+    """One way of one physical LLC set.
+
+    Slotted: every system build makes one per LLC way (512 for the
+    paper's 32 x 16 LLC).
+    """
 
     set_index: int
     way: int
@@ -195,7 +199,7 @@ class PartitionedLlc:
         self.extra = LlcExtraStats()
         self.directory = OwnerDirectory()
         self._entries: List[List[LlcEntry]] = [
-            [LlcEntry(set_index=s, way=w) for w in range(num_ways)]
+            [LlcEntry(s, w) for w in range(num_ways)]
             for s in range(num_sets)
         ]
         self._policies: List[ReplacementPolicy] = []

@@ -86,6 +86,8 @@ from repro.cpu.private_stack import PrivateStack
 from repro.llc.llc import PartitionedLlc
 from repro.sequencer.set_sequencer import SetSequencer
 from repro.sim.codec import (
+    canonical_json,
+    canonical_json_with,
     dataclass_state,
     event_states,
     load_dataclass_state,
@@ -94,7 +96,7 @@ from repro.sim.codec import (
     request_states,
     run_identity,
     run_key,
-    seal,
+    seal_body,
     unseal,
 )
 from repro.workloads.trace import MemoryTrace
@@ -440,6 +442,12 @@ def _sink_states(sim) -> List[Dict[str, Any]]:
 
 def snapshot_simulator(sim) -> Dict[str, Any]:
     """The full checkpoint payload (pure JSON values) of ``sim``."""
+    return _payload(sim, request_states(sim.engine._completed))
+
+
+def _payload(sim, completed: List[Any]) -> Dict[str, Any]:
+    """The checkpoint payload of ``sim``, with ``completed`` standing in
+    for the engine's completed-request log."""
     _check_checkpointable(sim)
     engine = sim.engine
     system = sim.system
@@ -447,7 +455,7 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
         "rng": _rng_state(system.rng),
         "engine": {
             "slot": engine._slot,
-            "completed": request_states(engine._completed),
+            "completed": completed,
             "finished_cores": sorted(engine._finished_cores),
             "slot_usage": [
                 [core, dict(usage)]
@@ -634,8 +642,36 @@ def save_checkpoint(
     degrades through the circuit breaker, returns ``None`` and the
     simulation continues uncheckpointed but correct.
     """
-    document = seal(snapshot_simulator(sim))
-    return persist_text(path, document, site=site, durability=durability)
+    body = canonical_json_with(
+        _payload(sim, []), _COMPLETED_PATH, _completed_json(sim)
+    )
+    return persist_text(path, seal_body(body), site=site, durability=durability)
+
+
+#: Where the completed-request log sits in a checkpoint payload.
+_COMPLETED_PATH = ("state", "engine", "completed")
+
+
+def _completed_json(sim) -> str:
+    """Canonical JSON of ``sim``'s completed-request log.
+
+    The log list only grows, and a completed request never changes, so
+    the text of the requests a previous save encoded is kept on ``sim``
+    with the list it came from, and a save encodes only the requests
+    completed since: a run's periodic saves encode each request once
+    instead of once per save.
+    """
+    log = sim.engine._completed
+    kept = getattr(sim, "_completed_json", None)
+    count, text = 0, ""
+    if kept is not None and kept[0] is log:
+        _, count, text = kept
+    if count < len(log):
+        new = canonical_json(request_states(log[count:]))[1:-1]
+        text = f"{text},{new}" if text else new
+        count = len(log)
+    sim._completed_json = (log, count, text)
+    return f"[{text}]"
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -102,19 +103,10 @@ def report_state(report: SimReport) -> Dict[str, Any]:
     triple the entry size.  Integer-keyed maps become sorted
     ``[key, value]`` pairs so the canonical JSON is order-independent.
     """
-    flat_requests: List[Any] = []
-    for record in report.requests:
-        flat_requests.extend(
-            [
-                record.core,
-                record.block,
-                record.enqueued_at,
-                record.first_on_bus_at,
-                record.completed_at,
-                record.bus_attempts,
-                int(record.served_by_hit),
-            ]
-        )
+    # A record's fields are the stride-7 layout; served_by_hit is
+    # stored as 0/1.
+    flat_requests: List[Any] = list(chain.from_iterable(report.requests))
+    flat_requests[6::7] = [int(hit) for hit in flat_requests[6::7]]
     events: Optional[List[List[Any]]] = None
     if report.events.enabled:
         events = event_states(report.events)
@@ -179,13 +171,13 @@ def load_report(state: Mapping[str, Any]) -> SimReport:
     flat = state["requests"]
     requests = [
         RequestRecord(
-            core=flat[i],
-            block=flat[i + 1],
-            enqueued_at=flat[i + 2],
-            first_on_bus_at=flat[i + 3],
-            completed_at=flat[i + 4],
-            bus_attempts=flat[i + 5],
-            served_by_hit=bool(flat[i + 6]),
+            flat[i],
+            flat[i + 1],
+            flat[i + 2],
+            flat[i + 3],
+            flat[i + 4],
+            flat[i + 5],
+            bool(flat[i + 6]),
         )
         for i in range(0, len(flat), 7)
     ]

@@ -26,7 +26,7 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.bus.buffers import PendingRequest
 from repro.common.errors import (
@@ -55,6 +55,33 @@ def canonical_json(obj: Any) -> str:
 def canonical_digest(obj: Any) -> str:
     """SHA-256 over :func:`canonical_json` of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def canonical_json_with(
+    obj: Mapping[str, Any], path: Sequence[str], text: str
+) -> str:
+    """:func:`canonical_json` of ``obj``, with the value at the key path
+    ``path`` supplied as its already-canonical ``text``.
+
+    The dicts along ``path`` are encoded here exactly as ``json.dumps``
+    with ``sort_keys`` encodes them, so the bytes equal a full dump of
+    ``obj`` holding the value; a caller that keeps a large, append-only
+    value's text need not re-encode it.
+    """
+    if not path:
+        return text
+    key = path[0]
+    members = [
+        canonical_json(name)
+        + ":"
+        + (
+            canonical_json_with(value, path[1:], text)
+            if name == key
+            else canonical_json(value)
+        )
+        for name, value in sorted(obj.items())
+    ]
+    return "{" + ",".join(members) + "}"
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +194,11 @@ def run_key(
 # ----------------------------------------------------------------------
 def seal(payload: Mapping[str, Any]) -> str:
     """The file text of ``payload`` wrapped in its integrity digest."""
-    body = canonical_json(payload)
+    return seal_body(canonical_json(payload))
+
+
+def seal_body(body: str) -> str:
+    """:func:`seal` of the payload whose canonical JSON is ``body``."""
     digest = hashlib.sha256(body.encode()).hexdigest()
     # Splice the already-canonical body in by hand rather than dumping
     # the payload a second time: "integrity" < "payload" sorts first, so

@@ -497,12 +497,7 @@ class SlotEngine:
         if miss is not None:
             # The core is now BLOCKED on the miss, so not done.
             self.system.prbs[core_id].push(
-                PendingRequest(
-                    core=core_id,
-                    block=miss.block,
-                    access=miss.access,
-                    enqueued_at=miss.at_cycle,
-                )
+                PendingRequest(core_id, miss.block, miss.access, miss.at_cycle)
             )
             return
         if core.state is not _DONE:
@@ -854,10 +849,7 @@ class SlotEngine:
                 self._pwb_push(
                     owner,
                     WritebackEntry(
-                        core=owner,
-                        block=victim.block,
-                        reason=_BACK_INVALIDATION,
-                        enqueued_at=slot_start,
+                        owner, victim.block, _BACK_INVALIDATION, slot_start
                     ),
                 )
                 detail = "dirty"
@@ -899,10 +891,7 @@ class SlotEngine:
                 self._pwb_push(
                     core,
                     WritebackEntry(
-                        core=core,
-                        block=fill.l2_victim.block,
-                        reason=_CAPACITY,
-                        enqueued_at=response_cycle,
+                        core, fill.l2_victim.block, _CAPACITY, response_cycle
                     ),
                 )
         self._events_on and self.events.append(

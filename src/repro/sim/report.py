@@ -9,7 +9,7 @@ Figure 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bus.buffers import PendingRequest
 from repro.cache.stats import CacheStats
@@ -22,9 +22,13 @@ if TYPE_CHECKING:
     from repro.sim.system import System
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """One completed LLC request, as measured."""
+class RequestRecord(NamedTuple):
+    """One completed LLC request, as measured.
+
+    A named tuple: every completed request and every cached-report
+    replay builds one, so it is immutable, hashable and equal by value
+    (a plain tuple of the same seven values compares equal too).
+    """
 
     core: CoreId
     block: BlockAddress
@@ -185,38 +189,47 @@ def build_report(
 ) -> SimReport:
     """Assemble the report from a finished (or stopped) engine run."""
     records: List[RequestRecord] = []
-    by_core: Dict[CoreId, List[RequestRecord]] = {core: [] for core in system.cores}
+    # Per core: latencies, bus latencies and bus attempts, read off the
+    # request fields as the records are built.
+    by_core: Dict[CoreId, Tuple[List[Cycle], List[Cycle], List[int]]] = {
+        core_id: ([], [], []) for core_id in system.cores
+    }
     for request in completed:
-        if request.completed_at is None or request.first_on_bus_at is None:
+        core_id = request.core
+        enqueued_at = request.enqueued_at
+        first_on_bus_at = request.first_on_bus_at
+        completed_at = request.completed_at
+        if completed_at is None or first_on_bus_at is None:
             raise SimulationError("completed list holds an unfinished request")
-        record = RequestRecord(
-            core=request.core,
-            block=request.block,
-            enqueued_at=request.enqueued_at,
-            first_on_bus_at=request.first_on_bus_at,
-            completed_at=request.completed_at,
-            bus_attempts=request.bus_attempts,
-            served_by_hit=request.served_by_hit,
+        bus_attempts = request.bus_attempts
+        records.append(
+            RequestRecord(
+                core_id,
+                request.block,
+                enqueued_at,
+                first_on_bus_at,
+                completed_at,
+                bus_attempts,
+                request.served_by_hit,
+            )
         )
-        records.append(record)
-        by_core[record.core].append(record)
+        latencies, bus_latencies, attempts = by_core[core_id]
+        latencies.append(completed_at - enqueued_at)
+        bus_latencies.append(completed_at - first_on_bus_at)
+        attempts.append(bus_attempts)
     core_reports: Dict[CoreId, CoreReport] = {}
     for core_id, core in system.cores.items():
-        core_records = by_core[core_id]
-        latencies = [record.latency for record in core_records]
-        bus_latencies = [record.bus_latency for record in core_records]
+        latencies, bus_latencies, attempts = by_core[core_id]
         outstanding = system.prbs[core_id].entry
         core_reports[core_id] = CoreReport(
             core=core_id,
             finish_time=core.finish_time,
-            requests=len(core_records),
+            requests=len(latencies),
             private_hits=core.private_hits,
             observed_wcl=max(latencies, default=0),
             observed_bus_wcl=max(bus_latencies, default=0),
             mean_latency=(sum(latencies) / len(latencies)) if latencies else 0.0,
-            max_bus_attempts=max(
-                (record.bus_attempts for record in core_records), default=0
-            ),
+            max_bus_attempts=max(attempts, default=0),
             outstanding_block=outstanding.block if outstanding else None,
             outstanding_attempts=outstanding.bus_attempts if outstanding else 0,
         )

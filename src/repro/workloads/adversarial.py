@@ -19,6 +19,10 @@ from repro.common.types import AccessType, CoreId
 from repro.common.validation import require, require_positive
 from repro.workloads.trace import MemoryTrace, TraceRecord
 
+# Every adversarial record is a write; a module global reads faster
+# than an enum member.
+_WRITE = AccessType.WRITE
+
 
 def _conflict_blocks(
     core_slot: int, partition_sets: int, target_set: int, count: int, spacing: int
@@ -82,8 +86,7 @@ def conflict_storm_traces(
                 rotation = pass_index % len(order)
                 order = order[rotation:] + order[:rotation]
             records.extend(
-                TraceRecord(address=block * line_size, access=AccessType.WRITE)
-                for block in order
+                TraceRecord(block * line_size, _WRITE) for block in order
             )
         traces[core] = MemoryTrace(records, name=f"storm-core{core}")
     return traces
@@ -109,7 +112,7 @@ def pingpong_traces(
     for slot, core in enumerate(cores):
         blocks = _conflict_blocks(slot, partition_sets, target_set, 2, 1)
         records = [
-            TraceRecord(address=blocks[i % 2] * line_size, access=AccessType.WRITE)
+            TraceRecord(blocks[i % 2] * line_size, _WRITE)
             for i in range(2 * repeats)
         ]
         traces[core] = MemoryTrace(records, name=f"pingpong-core{core}")

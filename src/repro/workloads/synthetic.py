@@ -24,6 +24,11 @@ from repro.common.validation import require, require_non_negative, require_posit
 from repro.mem.address import AddressRange
 from repro.workloads.trace import MemoryTrace, TraceRecord
 
+# Read per generated record; a module global reads faster than an enum
+# member.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 @dataclass(frozen=True)
 class SyntheticWorkloadConfig:
@@ -101,20 +106,16 @@ def generate_core_trace(
     core_range = config.core_range(core)
     num_lines = core_range.num_blocks(config.line_size)
     first_block = core_range.base // config.line_size
+    line_size = config.line_size
+    write_fraction = config.write_fraction
+    max_think = config.max_think_cycles
+    randrange, draw, randint = rng.randrange, rng.random, rng.randint
     records: List[TraceRecord] = []
     for _ in range(config.num_requests):
-        block = first_block + rng.randrange(num_lines)
-        address = block * config.line_size
-        is_write = rng.random() < config.write_fraction
-        access = AccessType.WRITE if is_write else AccessType.READ
-        think = (
-            rng.randint(0, config.max_think_cycles)
-            if config.max_think_cycles
-            else 0
-        )
-        records.append(
-            TraceRecord(address=address, access=access, compute_cycles=think)
-        )
+        address = (first_block + randrange(num_lines)) * line_size
+        access = _WRITE if draw() < write_fraction else _READ
+        think = randint(0, max_think) if max_think else 0
+        records.append(TraceRecord(address, access, think))
     return MemoryTrace(records, name=f"synthetic-core{core}")
 
 

@@ -18,34 +18,67 @@ addresses across different partitioned configurations" (Section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union, overload
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Union,
+    overload,
+)
 
 from repro.common.errors import TraceError
 from repro.common.fileio import Durability, persist_text
 from repro.common.types import AccessType, Address
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory access of a core's task.
+# Bound once: every record is built through it, and a module global
+# reads faster than the attribute lookup.
+_tuple_new = tuple.__new__
 
-    ``compute_cycles`` is the think time the core spends *before*
-    issuing this access (0 for back-to-back memory operations).
-    """
 
+class _TraceFields(NamedTuple):
     address: Address
     access: AccessType = AccessType.READ
     compute_cycles: int = 0
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise TraceError(f"trace address must be non-negative, got {self.address}")
-        if self.compute_cycles < 0:
+
+class TraceRecord(_TraceFields):
+    """One memory access of a core's task.
+
+    ``compute_cycles`` is the think time the core spends *before*
+    issuing this access (0 for back-to-back memory operations).
+
+    An immutable named tuple: trace generation and parsing build one per
+    access.  It is hashable and equal by value (a plain tuple of the
+    same three values compares equal too); ``_replace`` re-validates.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        address: Address,
+        access: AccessType = AccessType.READ,
+        compute_cycles: int = 0,
+    ) -> "TraceRecord":
+        if address < 0 or compute_cycles < 0:
+            if address < 0:
+                raise TraceError(
+                    f"trace address must be non-negative, got {address}"
+                )
             raise TraceError(
-                f"compute_cycles must be non-negative, got {self.compute_cycles}"
+                f"compute_cycles must be non-negative, got {compute_cycles}"
             )
+        return _tuple_new(cls, (address, access, compute_cycles))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "TraceRecord":
+        # Routed through __new__, so _replace cannot skip the checks.
+        return cls(*iterable)
 
     def to_line(self) -> str:
         """Serialise to the one-line text form."""
@@ -56,7 +89,12 @@ class TraceRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
-        """Parse the one-line text form."""
+        """Parse the one-line text form.
+
+        The optional gap is ``+`` followed by ASCII decimal digits only:
+        ``int`` alone would also take a sign, ``_`` separators and
+        non-ASCII digits.
+        """
         parts = line.split()
         if len(parts) not in (2, 3):
             raise TraceError(f"malformed trace line: {line!r}")
@@ -76,13 +114,11 @@ class TraceRecord:
                 raise TraceError(
                     f"compute gap must look like +N in trace line: {line!r}"
                 )
-            try:
-                compute_cycles = int(gap_token[1:])
-            except ValueError:
-                raise TraceError(
-                    f"malformed compute gap in trace line: {line!r}"
-                ) from None
-        return cls(address=address, access=access, compute_cycles=compute_cycles)
+            digits = gap_token[1:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise TraceError(f"malformed compute gap in trace line: {line!r}")
+            compute_cycles = int(digits)
+        return cls(address, access, compute_cycles)
 
 
 class MemoryTrace(Sequence[TraceRecord]):

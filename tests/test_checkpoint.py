@@ -31,6 +31,7 @@ from repro.robustness.checkpoint import (
     AutoCheckpointPolicy,
     default_checkpoint_path,
     load_checkpoint,
+    save_checkpoint,
     snapshot_simulator,
 )
 from repro.robustness.runner import MANIFEST_KIND, MANIFEST_VERSION, RunManifest
@@ -95,6 +96,31 @@ def test_snapshot_round_trip_is_state_identical(tmp_path, engine):
     assert _canonical(snapshot_simulator(sim)) == _canonical(
         snapshot_simulator(restored)
     )
+
+
+def test_every_save_writes_the_sealed_snapshot(tmp_path):
+    # A save encodes only the requests completed since the previous
+    # save; each file must still be exactly seal(snapshot), and so must
+    # the saves of a simulator restored from one of them.
+    config = small_config()
+    traces = _workload()
+    sim = Simulator(config, traces)
+    saved = []
+    for stop in (0, 40, 41, 90):
+        sim.engine.run(stop_at_slot=stop)
+        path = tmp_path / f"at-{stop}.ckpt"
+        save_checkpoint(sim, path)
+        assert path.read_text() == seal(snapshot_simulator(sim))
+        saved.append((path, len(sim.engine._completed)))
+    # An empty log, growth, a save with no new request, growth.
+    assert [count for _, count in saved] == [0, 21, 21, 38]
+    restored = Simulator.restore(saved[1][0], config, traces)
+    for stop in (60, 90):
+        restored.engine.run(stop_at_slot=stop)
+        save_checkpoint(restored, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_text() == seal(
+            snapshot_simulator(restored)
+        )
 
 
 @pytest.mark.parametrize("llc_policy", ["random", "plru", "fifo"])

@@ -46,6 +46,15 @@ class TestRecordFormat:
         with pytest.raises(TraceError):
             TraceRecord.from_line("R 0x40 +x")
 
+    @pytest.mark.parametrize("line", ["W 0x10 ++5", "W 0x10 +5_0", "W 0x10 +０５"])
+    def test_gap_must_be_ascii_decimal_digits(self, line):
+        # int() alone reads these as +5, +50 and +5.
+        with pytest.raises(TraceError, match="^malformed compute gap"):
+            TraceRecord.from_line(line)
+
+    def test_gap_with_leading_zero_still_parses(self):
+        assert TraceRecord.from_line("W 0x10 +05").compute_cycles == 5
+
     def test_negative_gap_rejected(self):
         with pytest.raises(TraceError):
             TraceRecord(0, compute_cycles=-1)

@@ -31,6 +31,7 @@ from repro.sim.codec import (
     trace_fingerprint,
 )
 from repro.sim.export import report_to_dict
+from repro.sim.report import RequestRecord
 from repro.sim.simulator import _simulate_uncached, simulate
 
 
@@ -76,9 +77,14 @@ def test_store_then_lookup_round_trips_all_bytes(tmp_path):
 def test_report_state_round_trip_without_events(tmp_path):
     config = small_config(num_cores=2, record_events=False)
     fresh = _simulate_uncached(config, _traces())
-    rebuilt = load_report(report_state(fresh))
+    state = report_state(fresh)
+    # served_by_hit is stored as 0/1, not as a JSON boolean.
+    assert {type(hit) for hit in state["requests"][6::7]} == {int}
+    rebuilt = load_report(state)
     assert not rebuilt.events.enabled
     assert report_to_dict(rebuilt) == report_to_dict(fresh)
+    assert rebuilt.requests == fresh.requests
+    assert {type(record) for record in rebuilt.requests} == {RequestRecord}
 
 
 def test_metrics_rows_survive_the_cache(tmp_path):
