@@ -13,7 +13,7 @@ import time
 
 from repro.common.types import AccessType
 from repro.llc.partition import PartitionSpec
-from repro.robustness.checkpoint import DEFAULT_CHECKPOINT_SLOTS
+from repro.robustness.checkpoint import DEFAULT_CHECKPOINT_SLOTS, run_resumable
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import simulate
 from repro.workloads.trace import MemoryTrace, TraceRecord
@@ -65,11 +65,8 @@ def test_checkpoint_overhead(benchmark, tmp_path):
     def run_checkpointed():
         path = tmp_path / "bench.ckpt"
         started = time.perf_counter()
-        report = simulate(
-            config,
-            traces,
-            checkpoint_path=path,
-            checkpoint_every_slots=DEFAULT_CHECKPOINT_SLOTS,
+        report = run_resumable(
+            config, traces, path=path, every_slots=DEFAULT_CHECKPOINT_SLOTS
         )
         return report, time.perf_counter() - started
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bus.schedule import TdmSchedule
+from repro.common.errors import ConfigurationError
 from repro.common.types import AccessType, CoreId
 from repro.llc.partition import PartitionSpec
 from repro.sim.config import SystemConfig
@@ -141,6 +142,11 @@ def starvation_witness(
     """
     from repro.analysis.wcl import SharedPartitionParams, wcl_nss_cycles
 
+    for length in stream_lengths:
+        if length < 0:
+            raise ConfigurationError(
+                f"interferer stream length must be >= 0, got {length}"
+            )
     multi = TdmSchedule((0, 1, 1), slot_width)
     one_slot = TdmSchedule((0, 1), slot_width)
     multi_latencies: List[int] = []

@@ -86,42 +86,50 @@ def _run_context_changes(args: argparse.Namespace) -> dict:
     Fresh I/O seam state (closed breakers, zeroed ``io.*`` counters),
     the ``--io-fault`` plan (if any) as the I/O fault hook, the
     ``--cache DIR`` result cache (vetoed by ``--no-cache``) and the
-    ``--checkpoint-dir`` auto-checkpoint policy.  Fork-pool workers
+    ``--checkpoint-dir`` auto-checkpoint policy
+    (:func:`~repro.common.context.store_changes`).  Fork-pool workers
     inherit the context, so ``--jobs`` runs see the same cache, policy
-    and plan.  A ``--checkpoint-every`` without ``--checkpoint`` or
-    ``--checkpoint-dir`` to write to is refused here, for every command.
+    and plan.
     """
-    from repro.common.context import IoState
-    from repro.common.errors import ConfigurationError
+    from repro.common.context import IoState, store_changes
 
-    if getattr(args, "checkpoint_every", None) is not None and not (
-        getattr(args, "checkpoint", None) or getattr(args, "checkpoint_dir", None)
-    ):
-        target = (
-            "--checkpoint PATH"
-            if hasattr(args, "checkpoint")
-            else "--checkpoint-dir DIR"
-        )
-        raise ConfigurationError(f"--checkpoint-every needs {target} to write to")
-    changes = {"io": IoState(), "io_hook": None}
+    changes = store_changes(
+        None if getattr(args, "no_cache", False) else getattr(args, "cache", None),
+        getattr(args, "checkpoint_dir", None),
+        getattr(args, "checkpoint_every", None),
+    )
+    changes.update(io=IoState(), io_hook=None)
     specs = getattr(args, "io_fault", None)
     if specs:
         from repro.robustness.iofault import IoFaultPlan
 
         changes["io_hook"] = IoFaultPlan(specs, seed=args.io_fault_seed)
-    directory = getattr(args, "cache", None)
-    if directory and not getattr(args, "no_cache", False):
-        from repro.sim.cache import SimResultCache
-
-        changes["result_cache"] = SimResultCache(directory)
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory:
-        from repro.robustness.checkpoint import AutoCheckpointPolicy
-
-        changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
-            directory, args.checkpoint_every
-        )
     return changes
+
+
+def _suite_traces(args: argparse.Namespace, seed: Optional[int] = None):
+    """The traces of the command's ``--suite`` (``--seed`` unless
+    ``seed`` is given)."""
+    from repro.workloads.suites import get_suite
+
+    return get_suite(args.suite).build(
+        num_cores=args.cores,
+        num_requests=args.requests,
+        address_range=args.range,
+        seed=args.seed if seed is None else seed,
+    )
+
+
+def _notation_config(args: argparse.Namespace, **overrides):
+    """The command's notation on ``--cores`` cores, with each truthy
+    ``overrides`` field set."""
+    import dataclasses
+
+    from repro.experiments.configs import build_system_for_notation
+
+    config = build_system_for_notation(args.notation, num_cores=args.cores)
+    overrides = {name: value for name, value in overrides.items() if value}
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _print_cache_summary(cache, directory: str) -> None:
@@ -237,56 +245,28 @@ def _cmd_unbounded(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.configs import build_system_for_notation
+    from repro.common.errors import ConfigurationError
     from repro.sim.export import (
         core_latency_stats,
         write_report_json,
         write_requests_csv,
     )
     from repro.sim.simulator import simulate
-    from repro.workloads.suites import get_suite
 
-    config = build_system_for_notation(args.notation, num_cores=args.cores)
-    import dataclasses
-
-    if args.checked:
-        config = dataclasses.replace(config, checked=True)
-    if args.engine:
-        config = dataclasses.replace(config, engine=args.engine)
-    suite = get_suite(args.suite)
+    config = _notation_config(args, checked=args.checked, engine=args.engine)
     if args.seeds:
         conflicting = [
-            flag
-            for flag, value in (
-                ("--json", args.json),
-                ("--csv", args.csv),
-                ("--checkpoint", args.checkpoint),
-            )
+            flag for flag, value in (("--json", args.json), ("--csv", args.csv))
             if value
         ]
         if conflicting:
-            print(
-                f"error: {', '.join(conflicting)} cannot be combined with "
-                "--seeds: a sweep has no single report to export or "
-                "checkpoint (--metrics aggregates across seeds and is "
-                "allowed; use 'all --checkpoint-dir' for campaign-level "
-                "checkpointing)",
-                file=sys.stderr,
+            raise ConfigurationError(
+                f"{', '.join(conflicting)} cannot be combined with "
+                "--seeds: a sweep has no single report to export "
+                "(--metrics aggregates across seeds and is allowed)"
             )
-            return 2
-        return _simulate_sweep(args, config, suite)
-    traces = suite.build(
-        num_cores=args.cores,
-        num_requests=args.requests,
-        address_range=args.range,
-        seed=args.seed,
-    )
-    report = simulate(
-        config,
-        traces,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every_slots=args.checkpoint_every,
-    )
+        return _simulate_sweep(args, config)
+    report = simulate(config, _suite_traces(args))
     rows = []
     for core in range(args.cores):
         core_report = report.core_reports[core]
@@ -330,18 +310,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_sweep(args: argparse.Namespace, config, suite) -> int:
+def _simulate_sweep(args: argparse.Namespace, config) -> int:
     """``simulate --seeds ...``: a distributional sweep of one notation."""
     from repro.sim.sweeps import sweep_seeds
 
     result = sweep_seeds(
         config,
-        lambda seed: suite.build(
-            num_cores=args.cores,
-            num_requests=args.requests,
-            address_range=args.range,
-            seed=seed,
-        ),
+        lambda seed: _suite_traces(args, seed),
         seeds=args.seeds,
         jobs=args.jobs,
         with_metrics=bool(args.metrics),
@@ -379,13 +354,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         for name in suite_names():
             print(f"{name:10} {get_suite(name).description}")
         return 0
-    suite = get_suite(args.suite)
-    traces = suite.build(
-        num_cores=args.cores,
-        num_requests=args.requests,
-        address_range=args.range,
-        seed=args.seed,
-    )
+    traces = _suite_traces(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for core, trace in sorted(traces.items()):
@@ -396,24 +365,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.experiments.configs import build_system_for_notation
     from repro.sim.simulator import Simulator
     from repro.sim.timeline import render_timeline
-    from repro.workloads.suites import get_suite
 
-    config = dataclasses.replace(
-        build_system_for_notation(args.notation, num_cores=args.cores),
-        record_events=True,
-    )
-    traces = get_suite(args.suite).build(
-        num_cores=args.cores,
-        num_requests=args.requests,
-        address_range=args.range,
-        seed=args.seed,
-    )
-    sim = Simulator(config, traces)
+    sim = Simulator(_notation_config(args, record_events=True), _suite_traces(args))
     report = sim.run()
     print(
         render_timeline(
@@ -436,47 +391,16 @@ def _cmd_tightness(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.experiments.configs import build_system_for_notation
     from repro.obs.collect import collect_metrics
     from repro.obs.exporters import render_metrics_table
     from repro.obs.tracing import JsonlTraceSink
     from repro.sim.simulator import simulate
-    from repro.workloads.suites import get_suite
 
-    config = build_system_for_notation(args.notation, num_cores=args.cores)
-    if args.record_metrics:
-        config = dataclasses.replace(config, record_metrics=True)
-    traces = get_suite(args.suite).build(
-        num_cores=args.cores,
-        num_requests=args.requests,
-        address_range=args.range,
-        seed=args.seed,
-    )
-    from pathlib import Path
-
-    sink = None
-    if args.trace:
-        if args.checkpoint and Path(args.checkpoint).exists():
-            # Resuming: rewind the trace file to the checkpointed
-            # offset so the resumed run appends exactly where the
-            # snapshot left off (byte-identical final trace).
-            from repro.robustness.checkpoint import checkpoint_sink_states
-
-            states = checkpoint_sink_states(args.checkpoint)
-            if states:
-                sink = JsonlTraceSink.reopen(args.trace, states[0])
-        if sink is None:
-            sink = JsonlTraceSink(args.trace)
+    config = _notation_config(args, record_metrics=args.record_metrics)
+    traces = _suite_traces(args)
+    sink = JsonlTraceSink(args.trace) if args.trace else None
     try:
-        report = simulate(
-            config,
-            traces,
-            event_sink=sink,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_slots=args.checkpoint_every,
-        )
+        report = simulate(config, traces, event_sink=sink)
     finally:
         if sink is not None:
             sink.close()
@@ -600,8 +524,15 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.common.errors import ConfigurationError
     from repro.sim.cache import SimResultCache
 
+    # Inspecting a cache never creates one: a mistyped directory would
+    # otherwise read as an empty, healthy cache.
+    if not Path(args.dir).is_dir():
+        raise ConfigurationError(f"no cache directory at {args.dir}")
     cache = SimResultCache(args.dir)
     if args.action == "stats":
         stats = cache.stats()
@@ -615,13 +546,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"{len(removed)} defective entry(ies) removed"
         )
         return 1 if removed else 0
-    # gc
-    if args.max_bytes is None and args.max_age is None:
-        print(
-            "error: gc needs --max-bytes and/or --max-age",
-            file=sys.stderr,
-        )
-        return 2
     evicted = cache.gc(max_bytes=args.max_bytes, max_age_secs=args.max_age)
     stats = cache.stats()
     print(
@@ -670,30 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
             "config's engine, normally 'fast')",
         )
 
-    def add_checkpoint_interval_args(
-        sub_parser: argparse.ArgumentParser,
-    ) -> None:
-        sub_parser.add_argument(
-            "--checkpoint-every",
-            type=int,
-            metavar="SLOTS",
-            default=None,
-            help="checkpoint interval in TDM slots (default: 16384)",
-        )
-
-    def add_checkpoint_file_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--checkpoint",
-            metavar="PATH",
-            default=None,
-            help="run resumably: periodically write a crash-consistent "
-            "checkpoint of the full simulator state to PATH, and resume "
-            "from it if the file already exists; a killed run resumed "
-            "this way produces byte-identical reports, metrics and "
-            "traces (the file is removed on normal completion)",
-        )
-        add_checkpoint_interval_args(sub_parser)
-
     def add_checkpoint_dir_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--checkpoint-dir",
@@ -704,7 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
             "workers); a killed run resumed with the same flags produces "
             "byte-identical artifacts",
         )
-        add_checkpoint_interval_args(sub_parser)
+        sub_parser.add_argument(
+            "--checkpoint-every",
+            type=int,
+            metavar="SLOTS",
+            default=None,
+            help="checkpoint interval in TDM slots (default: 16384)",
+        )
 
     def add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
@@ -755,15 +661,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="seed for randomized fault payloads (read corruption)",
         )
 
+    def add_run_args(sub_parser: argparse.ArgumentParser) -> None:
+        """The flags every figure and campaign command shares."""
+        add_jobs_arg(sub_parser)
+        add_metrics_arg(sub_parser)
+        add_engine_arg(sub_parser)
+        add_checkpoint_dir_args(sub_parser)
+        add_cache_args(sub_parser)
+        add_io_fault_args(sub_parser)
+
     fig7 = sub.add_parser("fig7", help="reproduce Figure 7 (WCL)")
     fig7.add_argument("--requests", type=int, default=400)
     fig7.add_argument("--seed", type=int, default=2022)
-    add_jobs_arg(fig7)
-    add_metrics_arg(fig7)
-    add_engine_arg(fig7)
-    add_checkpoint_dir_args(fig7)
-    add_cache_args(fig7)
-    add_io_fault_args(fig7)
+    add_run_args(fig7)
     fig7.add_argument(
         "--adversarial",
         action="store_true",
@@ -782,12 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig8.add_argument("subfigure", choices=sorted(SUBFIGURES))
     fig8.add_argument("--requests", type=int, default=2000)
     fig8.add_argument("--seed", type=int, default=2022)
-    add_jobs_arg(fig8)
-    add_metrics_arg(fig8)
-    add_engine_arg(fig8)
-    add_checkpoint_dir_args(fig8)
-    add_cache_args(fig8)
-    add_io_fault_args(fig8)
+    add_run_args(fig8)
     fig8.set_defaults(func=_cmd_fig8)
 
     bounds = sub.add_parser("bounds", help="print analytical WCL bounds")
@@ -839,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(simulate_cmd)
     add_metrics_arg(simulate_cmd)
     add_engine_arg(simulate_cmd)
-    add_checkpoint_file_args(simulate_cmd)
     add_cache_args(simulate_cmd)
     add_io_fault_args(simulate_cmd)
     simulate_cmd.add_argument("--json", help="write the aggregate report here")
@@ -871,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream every engine event to PATH as JSON lines while "
         "the simulation runs (O(1) memory, any run length)",
     )
-    add_checkpoint_file_args(stats_cmd)
     add_io_fault_args(stats_cmd)
     stats_cmd.set_defaults(func=_cmd_stats)
 
@@ -929,12 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="attempts per artifact for transient (host-level) failures",
     )
-    add_jobs_arg(all_cmd)
-    add_metrics_arg(all_cmd)
-    add_engine_arg(all_cmd)
-    add_checkpoint_dir_args(all_cmd)
-    add_cache_args(all_cmd)
-    add_io_fault_args(all_cmd)
+    add_run_args(all_cmd)
     all_cmd.set_defaults(func=_cmd_all)
 
     fuzz_cmd = sub.add_parser(
@@ -1015,12 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare_cmd.add_argument("--suite", default="fig7")
     add_workload_args(compare_cmd)
-    add_jobs_arg(compare_cmd)
-    add_metrics_arg(compare_cmd)
-    add_engine_arg(compare_cmd)
-    add_checkpoint_dir_args(compare_cmd)
-    add_cache_args(compare_cmd)
-    add_io_fault_args(compare_cmd)
+    add_run_args(compare_cmd)
     compare_cmd.set_defaults(func=_cmd_compare)
 
     cache_cmd = sub.add_parser(
@@ -1059,22 +952,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     and summaries are inside the ``--io-fault`` window too — and maps a
     :class:`~repro.common.errors.PersistenceError` (an ESSENTIAL
     artifact that could not be written after bounded retries) to a
-    clean one-line error and exit code 1.  An unusable input — an
+    clean one-line error and exit code 1.  Every other
+    :class:`~repro.common.errors.ReproError` is an unusable input — an
     out-of-range flag value, a malformed metrics or trace request, or a
-    corrupt or foreign manifest, checkpoint or repro artifact — is one
-    ``error:`` line and the usage-error exit code 2.
+    corrupt or foreign manifest, checkpoint or repro artifact — and is
+    one ``error:`` line and the usage-error exit code 2.  A
+    :class:`~repro.common.errors.SimulationError` is a model fault and
+    keeps its traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     from repro.common.context import run_context
-    from repro.common.errors import (
-        CampaignError,
-        CheckpointError,
-        ConfigurationError,
-        FuzzError,
-        ObservabilityError,
-        PersistenceError,
-    )
+    from repro.common.errors import PersistenceError, ReproError, SimulationError
 
     changes: dict = {"io_hook": None}
     try:
@@ -1088,13 +977,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        CampaignError,
-        CheckpointError,
-        ConfigurationError,
-        FuzzError,
-        ObservabilityError,
-    ) as exc:
+    except SimulationError:
+        # A model fault, never a bad input: keep the traceback.
+        raise
+    except ReproError as exc:
         # e.g. an out-of-range flag, a trace sink that failed mid-run,
         # an unwritable metrics export or a corrupt manifest: loud
         # failure with the offending value or path, usage-error exit

@@ -25,7 +25,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require
@@ -93,7 +94,7 @@ class RunContext:
 
     ``result_cache``: consulted by every plain ``simulate()`` call.
     ``checkpoints``: the auto-checkpoint policy ``simulate()`` applies
-    when it gets no explicit checkpoint arguments.  ``io_hook``: the
+    to every run without an event sink.  ``io_hook``: the
     I/O fault hook the seam consults before every operation.
     ``essential_retry``: the schedule ESSENTIAL writes retry on.
     ``io``: the ``io.*`` counters and circuit breakers.
@@ -129,3 +130,39 @@ def run_context(**changes) -> Iterator[RunContext]:
         yield _CURRENT
     finally:
         _CURRENT = previous
+
+
+def store_changes(
+    cache_dir: Optional[Union[str, Path]] = None,
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    checkpoint_every: Optional[int] = None,
+) -> Dict[str, Any]:
+    """The :func:`run_context` changes that open a run's stores.
+
+    A :class:`~repro.sim.cache.SimResultCache` in ``cache_dir`` and an
+    :class:`~repro.robustness.checkpoint.AutoCheckpointPolicy` into
+    ``checkpoint_dir`` saving every ``checkpoint_every`` slots (the
+    default interval for ``None``); a store without a directory is left
+    out.  Every setting is checked before the cache creates its
+    directory, so a refused run leaves nothing behind; an interval
+    without a checkpoint directory is refused.
+    """
+    changes: Dict[str, Any] = {}
+    if checkpoint_dir:
+        from repro.robustness.checkpoint import AutoCheckpointPolicy
+
+        changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
+            checkpoint_dir, checkpoint_every
+        )
+    else:
+        require(
+            checkpoint_every is None,
+            "a checkpoint interval (--checkpoint-every) needs a "
+            "checkpoint_dir (--checkpoint-dir) to write to",
+            ConfigurationError,
+        )
+    if cache_dir:
+        from repro.sim.cache import SimResultCache
+
+        changes["result_cache"] = SimResultCache(cache_dir)
+    return changes

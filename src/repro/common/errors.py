@@ -99,7 +99,7 @@ class PersistenceError(ReproError):
 
     Raised by :func:`repro.common.fileio.persist_text` when a write that
     the user explicitly requested (campaign manifest, figure/report
-    output, ``--metrics`` export, explicit ``--checkpoint`` file) keeps
+    output, ``--metrics`` export, a ``run_resumable`` checkpoint file) keeps
     failing after the retry budget is exhausted.  Deliberately *not* an
     :class:`OSError` subclass: the persistence layer already performed
     its own bounded retries, so campaign-level transient-retry machinery
@@ -120,7 +120,7 @@ class CheckpointError(ReproError):
     run-identity mismatches (restoring against a different
     configuration, traces or start cycles), and simulator states that
     cannot be checkpointed at all (caller-supplied oracle callbacks,
-    foreign engine hooks, non-file event sinks).
+    foreign engine hooks, attached event sinks).
     """
 
 

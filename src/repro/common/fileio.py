@@ -25,7 +25,7 @@ Failures are governed by a two-class **durability policy**
 
 ``ESSENTIAL``
     Artifacts the user asked for (manifests, figure/report outputs,
-    ``--metrics`` / explicit ``--checkpoint`` files, trace sinks).
+    ``--metrics`` files, ``run_resumable`` checkpoints, trace sinks).
     Bounded retry with exponential backoff; if the write still fails,
     a loud :class:`~repro.common.errors.PersistenceError` naming the
     path, site and errno propagates and the process exits nonzero.

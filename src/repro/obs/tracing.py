@@ -136,65 +136,6 @@ class JsonlTraceSink:
             ) from exc
         self.emitted += 1
 
-    def checkpoint_state(self) -> dict:
-        """The resume state recorded inside a simulation checkpoint.
-
-        Flushes the file and returns the byte offset and emitted count;
-        :meth:`reopen` uses them to truncate a partially-written trace
-        back to exactly the checkpointed prefix.  Only sinks that own a
-        real file can participate — a caller-supplied handle cannot be
-        reopened, truncated and repositioned on the sink's behalf.
-        """
-        from repro.common.errors import CheckpointError
-
-        if self._closed:
-            raise CheckpointError("cannot checkpoint a closed trace sink")
-        if not self._owns_handle:
-            raise CheckpointError(
-                "cannot checkpoint a trace sink wrapping a caller-supplied "
-                "handle; pass a file path so the sink can be reopened on "
-                "resume"
-            )
-        self._handle.flush()
-        return {"offset": self._handle.tell(), "emitted": self.emitted}
-
-    @classmethod
-    def reopen(
-        cls,
-        target: Union[str, Path],
-        state: dict,
-        kinds: Optional[Iterable[EventKind]] = None,
-        cores: Optional[Sequence[CoreId]] = None,
-    ) -> "JsonlTraceSink":
-        """Rebuild a sink from a checkpoint's recorded state.
-
-        Truncates ``target`` to the checkpointed offset (discarding any
-        lines written after the checkpoint, which the resumed run will
-        re-emit) and continues appending from there, so the final trace
-        file is byte-identical to an uninterrupted run's.
-        """
-        from repro.common.errors import CheckpointError
-
-        path = Path(target)
-        try:
-            handle = open(path, "r+")
-            handle.truncate(state["offset"])
-            handle.seek(state["offset"])
-        except (OSError, KeyError, TypeError) as exc:
-            raise CheckpointError(
-                f"cannot reopen trace sink {path} from checkpoint state "
-                f"{state!r}: {exc}"
-            ) from exc
-        sink = cls.__new__(cls)
-        sink._owns_handle = True
-        sink._path = path
-        sink._handle = handle
-        sink._kinds = set(kinds) if kinds else None
-        sink._cores = set(cores) if cores else None
-        sink.emitted = state["emitted"]
-        sink._closed = False
-        return sink
-
     def close(self) -> None:
         """Flush and (for path targets) close the underlying file."""
         if self._closed:

@@ -12,8 +12,7 @@ simulator of the same run — the same :func:`repro.sim.codec.run_identity`
 of configuration, traces and start cycles — puts the system into a
 state from which the run continues *bit-identically*: a run killed at
 any instant and resumed from its last checkpoint produces the same
-report, the same metrics export and the same trace bytes as an
-uninterrupted run.
+report and the same metrics export as an uninterrupted run.
 
 Design notes
 ------------
@@ -43,8 +42,8 @@ Design notes
   :class:`~repro.common.errors.CheckpointError` up front: ``oracle``
   replacement policies (the victim chooser is an arbitrary caller
   callback), foreign pre/post-slot hooks (fault injectors keep private
-  state), and event sinks other than a path-owning
-  :class:`~repro.obs.tracing.JsonlTraceSink`.
+  state), and attached event sinks (their output already left the
+  process, so a restore could not rewind it).
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ from repro.sim.codec import (
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: File-format discriminator, so an unrelated JSON file is rejected
 #: with a clear message instead of a cryptic missing-key error.
@@ -423,21 +422,11 @@ def _check_checkpointable(sim) -> None:
                 "installed; only the checked-mode invariant monitor is "
                 "re-seedable on restore"
             )
-
-
-def _sink_states(sim) -> List[Dict[str, Any]]:
-    from repro.obs.tracing import JsonlTraceSink
-
-    states: List[Dict[str, Any]] = []
-    for sink in sim.engine.events._sinks:
-        if not isinstance(sink, JsonlTraceSink):
-            raise CheckpointError(
-                "cannot checkpoint an engine with a non-JsonlTraceSink "
-                f"event sink ({type(sink).__name__}); arbitrary sink state "
-                "cannot be carried across a restore"
-            )
-        states.append(sink.checkpoint_state())
-    return states
+    if engine.events._sinks:
+        raise CheckpointError(
+            "cannot checkpoint an engine with an event sink attached: the "
+            "events it streamed cannot be rewound on restore"
+        )
 
 
 def snapshot_simulator(sim) -> Dict[str, Any]:
@@ -519,7 +508,6 @@ def _payload(sim, completed: List[Any]) -> Dict[str, Any]:
         "kind": CHECKPOINT_KIND,
         "version": CHECKPOINT_VERSION,
         "identity": run_identity(sim.config, sim.traces, sim.start_cycles),
-        "sinks": _sink_states(sim),
         "state": state,
     }
 
@@ -554,13 +542,6 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
             "checkpoint was taken under model schema version "
             f"{stored.get('model_schema_version')!r}, not "
             f"{live['model_schema_version']}; delete it to start fresh"
-        )
-    if len(payload["sinks"]) != len(sim.engine.events._sinks):
-        raise CheckpointError(
-            f"checkpoint recorded {len(payload['sinks'])} event sink(s) but "
-            f"{len(sim.engine.events._sinks)} are attached; reopen the trace "
-            "sink(s) from the checkpoint's sink state before restoring "
-            "(see JsonlTraceSink.reopen)"
         )
 
     engine = sim.engine
@@ -635,8 +616,8 @@ def save_checkpoint(
 ) -> Optional[Path]:
     """Snapshot ``sim`` and write it crash-consistently to ``path``.
 
-    An explicitly requested checkpoint file is ESSENTIAL (a failed save
-    raises :class:`~repro.common.errors.PersistenceError` after bounded
+    A save is ESSENTIAL by default (a failed save raises
+    :class:`~repro.common.errors.PersistenceError` after bounded
     retries); auto-checkpoints installed via the directory policy are
     saved BEST-EFFORT (``site="auto-checkpoint"``) — a failed save
     degrades through the circuit breaker, returns ``None`` and the
@@ -684,17 +665,6 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     return unseal(data, path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
 
 
-def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """The trace-sink resume states recorded in a checkpoint file.
-
-    Callers that traced to disk use this *before* building the restore
-    sink: ``JsonlTraceSink.reopen(trace_path, states[0])`` truncates the
-    trace file back to the checkpointed offset so resumed events append
-    exactly where the checkpoint left off.
-    """
-    return list(load_checkpoint(path)["sinks"])
-
-
 # ----------------------------------------------------------------------
 # Auto-checkpoint policy and the resumable drive loop
 # ----------------------------------------------------------------------
@@ -715,7 +685,7 @@ class AutoCheckpointPolicy:
 
     Installed with ``run_context(checkpoints=policy)``
     (:mod:`repro.common.context`): every :func:`repro.sim.simulator.simulate`
-    call without explicit checkpoint arguments then runs resumably,
+    call without an event sink then runs resumably,
     saving every ``every_slots`` slots.  ``directory`` receives one
     checkpoint file per (config, traces) identity
     (:func:`default_checkpoint_path`), so concurrent campaign tasks —
@@ -746,7 +716,6 @@ def run_resumable(
     path: Union[str, Path],
     every_slots: Optional[int] = None,
     start_cycles=None,
-    event_sink=None,
     durability: Durability = Durability.ESSENTIAL,
     site: str = "checkpoint",
 ):
@@ -757,8 +726,8 @@ def run_resumable(
     crash-consistent checkpoint, and continues.  If ``path``
     already holds a checkpoint, the run resumes from it instead of
     starting over; the checkpoint file is deleted on normal completion.
-    The returned report — and any metrics/trace output built from the
-    simulator — is byte-identical to an uninterrupted run.
+    The returned report — and any metrics built from it — is
+    byte-identical to an uninterrupted run's.
 
     ``durability`` governs the periodic saves (see
     :func:`save_checkpoint`).  Under ``BEST_EFFORT`` a checkpoint that
@@ -780,7 +749,6 @@ def run_resumable(
                 config,
                 traces,
                 start_cycles=start_cycles,
-                event_sink=event_sink,
             )
         except CheckpointError:
             if durability is Durability.ESSENTIAL:
@@ -788,7 +756,7 @@ def run_resumable(
             count_io(f"io.degraded.{site}")
             path.unlink(missing_ok=True)
     if sim is None:
-        sim = Simulator(config, traces, start_cycles, event_sink)
+        sim = Simulator(config, traces, start_cycles)
     while True:
         sim.engine.advance(stop_at_slot=sim.engine._slot + interval)
         if sim.engine.run_complete():

@@ -506,6 +506,8 @@ def generate_cases(
     """The deterministic case list of a ``(budget, seed)`` campaign."""
     if budget < 1:
         raise FuzzError(f"fuzz budget must be >= 1, got {budget}")
+    if not 0 <= fault_rate <= 1:
+        raise FuzzError(f"fault rate must be in [0, 1], got {fault_rate}")
     rng = random.Random(seed)
     return [generate_case(rng, index, fault_rate) for index in range(budget)]
 

@@ -43,7 +43,7 @@ from typing import (
     Union,
 )
 
-from repro.common.context import RetryPolicy, run_context
+from repro.common.context import RetryPolicy, run_context, store_changes
 from repro.common.errors import (
     CampaignError,
     CheckpointError,
@@ -677,10 +677,10 @@ def run_all_robust(
     campaign are byte-identical to an uninterrupted run's.
 
     ``cache_dir`` opens a :class:`~repro.sim.cache.SimResultCache` and
-    ``checkpoint_dir`` (saving every ``checkpoint_every`` slots; an
-    interval without a directory is a ``ConfigurationError``) an
-    :class:`~repro.robustness.checkpoint.AutoCheckpointPolicy`; the
-    campaign runs in one ``run_context(...)`` scope carrying them (see
+    ``checkpoint_dir`` (saving every ``checkpoint_every`` slots) an
+    :class:`~repro.robustness.checkpoint.AutoCheckpointPolicy`, both
+    through :func:`repro.common.context.store_changes`; the campaign
+    runs in one ``run_context(...)`` scope carrying them (see
     :mod:`repro.common.context`), and the caller's context is restored
     afterwards.  Without them the campaign runs in the caller's context.
     Every plain ``simulate()`` call inside every artifact — in this
@@ -725,23 +725,7 @@ def run_all_robust(
         retry=retry,
         jobs=jobs,
     )
-    changes: Dict[str, Any] = {}
-    if cache_dir is not None:
-        from repro.sim.cache import SimResultCache
-
-        changes["result_cache"] = SimResultCache(cache_dir)
-    if checkpoint_dir is not None:
-        from repro.robustness.checkpoint import AutoCheckpointPolicy
-
-        changes["checkpoints"] = AutoCheckpointPolicy.for_directory(
-            checkpoint_dir, checkpoint_every
-        )
-    else:
-        require(
-            checkpoint_every is None,
-            "checkpoint_every needs a checkpoint_dir to write to",
-            ConfigurationError,
-        )
+    changes = store_changes(cache_dir, checkpoint_dir, checkpoint_every)
     # Only now that every setting passed its checks: a refused campaign
     # leaves no empty results directory behind.
     if target is not None:

@@ -77,7 +77,6 @@ class Simulator:
         config: SystemConfig,
         traces: Mapping[CoreId, MemoryTrace],
         start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
-        event_sink: Optional[Callable[[SimEvent], None]] = None,
     ) -> "Simulator":
         """Rebuild a simulator and load a checkpoint into it.
 
@@ -85,9 +84,6 @@ class Simulator:
         the checkpoint was written under (verified by run identity); the
         run then continues bit-identically to one that was never
         interrupted.
-        A run that traced events to disk must pass an ``event_sink``
-        reopened from the checkpoint's recorded sink state (see
-        :meth:`repro.obs.tracing.JsonlTraceSink.reopen`).
         """
         from repro.robustness.checkpoint import (
             load_checkpoint,
@@ -95,7 +91,7 @@ class Simulator:
         )
 
         payload = load_checkpoint(path)
-        sim = cls(config, traces, start_cycles, event_sink)
+        sim = cls(config, traces, start_cycles)
         restore_simulator(sim, payload)
         return sim
 
@@ -105,8 +101,6 @@ def simulate(
     traces: Mapping[CoreId, MemoryTrace],
     start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
     event_sink: Optional[Callable[[SimEvent], None]] = None,
-    checkpoint_path=None,
-    checkpoint_every_slots: Optional[int] = None,
 ) -> SimReport:
     """Build the system described by ``config``, replay ``traces``.
 
@@ -117,16 +111,6 @@ def simulate(
     :class:`repro.obs.tracing.JsonlTraceSink`), independent of
     ``record_events``.  ``config.engine`` picks the slot engine.
 
-    Passing ``checkpoint_path`` runs resumably: every
-    ``checkpoint_every_slots`` slots (default 16384) the simulation
-    writes a crash-consistent checkpoint and, if the file already
-    exists, resumes from it instead of starting over — with a
-    byte-identical final report.  When no explicit checkpoint
-    arguments are given, the run context's auto-checkpoint policy
-    (``run_context(checkpoints=...)``, see :mod:`repro.common.context`;
-    e.g. the CLI's ``--checkpoint-dir``) applies; fork-pool workers
-    inherit it, which is how campaign tasks checkpoint transparently.
-
     When the run context carries a result cache
     (``run_context(result_cache=...)``, the CLI's ``--cache DIR``),
     the call first looks up its canonical fingerprint
@@ -134,85 +118,51 @@ def simulate(
     the stored report without simulating, byte-identical to a fresh
     run (reports, metrics exports, figures; see
     ``docs/PERFORMANCE.md``).  A miss simulates as usual and stores the
-    finished report.  Runs with a streaming ``event_sink`` bypass the
-    cache: the sink's side effects happen during the run and cannot be
-    replayed from a stored result.
+    finished report.  When the run context carries an auto-checkpoint
+    policy (``run_context(checkpoints=...)``, the CLI's
+    ``--checkpoint-dir``), the simulation saves a checkpoint every
+    ``policy.every_slots`` slots and resumes from one left by a killed
+    run; fork-pool workers inherit both, which is how campaign tasks
+    cache and checkpoint transparently.
+
+    A run with a streaming ``event_sink`` bypasses both: the sink's side
+    effects happen during the run, so they can neither be replayed from
+    a stored result nor rewound to a checkpoint.
     """
+    if event_sink is not None:
+        return Simulator(config, traces, start_cycles, event_sink).run()
     cache = current_run_context().result_cache
-    if cache is not None and event_sink is None:
-        cached = cache.lookup(config, traces, start_cycles)
-        if cached is not None:
-            return cached
-        report = _simulate_uncached(
-            config,
-            traces,
-            start_cycles,
-            event_sink,
-            checkpoint_path,
-            checkpoint_every_slots,
-        )
-        cache.store(config, traces, start_cycles, report)
-        return report
-    return _simulate_uncached(
-        config,
-        traces,
-        start_cycles,
-        event_sink,
-        checkpoint_path,
-        checkpoint_every_slots,
-    )
+    if cache is None:
+        return _simulate_uncached(config, traces, start_cycles)
+    cached = cache.lookup(config, traces, start_cycles)
+    if cached is not None:
+        return cached
+    report = _simulate_uncached(config, traces, start_cycles)
+    cache.store(config, traces, start_cycles, report)
+    return report
 
 
 def _simulate_uncached(
     config: SystemConfig,
     traces: Mapping[CoreId, MemoryTrace],
     start_cycles: Optional[Mapping[CoreId, Cycle]] = None,
-    event_sink: Optional[Callable[[SimEvent], None]] = None,
-    checkpoint_path=None,
-    checkpoint_every_slots: Optional[int] = None,
 ) -> SimReport:
     """The build-run-report path of :func:`simulate`, cache-free."""
-    if checkpoint_path is None and checkpoint_every_slots is None:
-        policy = current_run_context().checkpoints
-        if policy is not None:
-            from repro.robustness.checkpoint import (
-                default_checkpoint_path,
-                run_resumable,
-            )
+    policy = current_run_context().checkpoints
+    if policy is None:
+        return Simulator(config, traces, start_cycles).run()
+    from repro.common.fileio import Durability
+    from repro.robustness.checkpoint import default_checkpoint_path, run_resumable
 
-            from repro.common.fileio import Durability
-
-            # Policy-driven auto-checkpoints are an accelerator the run
-            # can live without: save them BEST-EFFORT so a full scratch
-            # directory degrades the store instead of killing the run.
-            return run_resumable(
-                config,
-                traces,
-                path=default_checkpoint_path(
-                    policy.directory, config, traces, start_cycles
-                ),
-                every_slots=policy.every_slots,
-                start_cycles=start_cycles,
-                event_sink=event_sink,
-                durability=Durability.BEST_EFFORT,
-                site="auto-checkpoint",
-            )
-    if checkpoint_path is None and checkpoint_every_slots is not None:
-        from repro.common.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "a checkpoint interval was given without checkpoint_path; "
-            "pass checkpoint_path or run under an auto-checkpoint policy"
-        )
-    if checkpoint_path is not None:
-        from repro.robustness.checkpoint import run_resumable
-
-        return run_resumable(
-            config,
-            traces,
-            path=checkpoint_path,
-            every_slots=checkpoint_every_slots,
-            start_cycles=start_cycles,
-            event_sink=event_sink,
-        )
-    return Simulator(config, traces, start_cycles, event_sink).run()
+    # Auto-checkpoints are an accelerator the run can live without:
+    # save them BEST-EFFORT so a full scratch directory degrades the
+    # store instead of killing the run.
+    return run_resumable(
+        config,
+        traces,
+        path=default_checkpoint_path(policy.directory, config, traces, start_cycles),
+        every_slots=policy.every_slots,
+        start_cycles=start_cycles,
+        durability=Durability.BEST_EFFORT,
+        site="auto-checkpoint",
+    )

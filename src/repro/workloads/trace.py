@@ -35,6 +35,9 @@ from repro.common.fileio import Durability, persist_text
 from repro.common.types import AccessType, Address
 
 
+_DECIMAL_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 # Bound once: every record is built through it, and a module global
 # reads faster than the attribute lookup.
 _tuple_new = tuple.__new__
@@ -91,9 +94,10 @@ class TraceRecord(_TraceFields):
     def from_line(cls, line: str) -> "TraceRecord":
         """Parse the one-line text form.
 
-        The optional gap is ``+`` followed by ASCII decimal digits only:
-        ``int`` alone would also take a sign, ``_`` separators and
-        non-ASCII digits.
+        The address is ASCII decimal digits or ``0x`` followed by ASCII
+        hex digits, and the optional gap is ``+`` followed by ASCII
+        decimal digits: ``int`` alone would also take a sign, ``_``
+        separators, ``0o``/``0b`` prefixes and non-ASCII digits.
         """
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -103,6 +107,12 @@ class TraceRecord(_TraceFields):
             access = AccessType.from_token(type_token)
         except ValueError as exc:
             raise TraceError(str(exc)) from None
+        if address_token[:2] == "0x":
+            digits, allowed = address_token[2:], _HEX_DIGITS
+        else:
+            digits, allowed = address_token, _DECIMAL_DIGITS
+        if not digits or not allowed.issuperset(digits):
+            raise TraceError(f"malformed address in trace line: {line!r}")
         try:
             address = int(address_token, 0)
         except ValueError:

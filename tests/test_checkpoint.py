@@ -16,7 +16,6 @@ import pytest
 from repro.common.errors import (
     CampaignError,
     CheckpointError,
-    ConfigurationError,
     FormatVersionError,
     ObservabilityError,
     PersistenceError,
@@ -31,6 +30,7 @@ from repro.robustness.checkpoint import (
     AutoCheckpointPolicy,
     default_checkpoint_path,
     load_checkpoint,
+    run_resumable,
     save_checkpoint,
     snapshot_simulator,
 )
@@ -188,9 +188,7 @@ def test_checkpoint_file_is_deleted_on_completion(tmp_path):
     config = small_config()
     traces = _workload()
     path = tmp_path / "run.ckpt"
-    report = simulate(
-        config, traces, checkpoint_path=path, checkpoint_every_slots=16
-    )
+    report = run_resumable(config, traces, path=path, every_slots=16)
     assert report.latencies() == simulate(config, traces).latencies()
     assert not path.exists()
 
@@ -216,6 +214,18 @@ def test_foreign_hooks_are_refused():
     sim.engine.add_post_slot_hook(lambda slot, cycle: None)
     with pytest.raises(CheckpointError, match="post-slot hooks"):
         snapshot_simulator(sim)
+
+
+def test_save_with_an_attached_event_sink_is_refused(tmp_path):
+    # The events a sink streamed cannot be rewound on restore.
+    events = []
+    sim = Simulator(small_config(), _workload(), event_sink=events.append)
+    sim.engine.run(stop_at_slot=9)
+    path = tmp_path / "sinked.ckpt"
+    with pytest.raises(CheckpointError, match="event sink attached"):
+        sim.checkpoint(path)
+    assert events
+    assert not path.exists()
 
 
 def test_checked_mode_monitor_is_allowed_and_reseeded(tmp_path):
@@ -407,6 +417,19 @@ def test_version_2_checkpoint_is_refused_as_an_older_build(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_3_checkpoint_is_refused_as_an_older_build(tmp_path):
+    # Version 4 drops the trace-sink states; a version-3 file is not read.
+    path = _written_checkpoint(tmp_path)
+
+    def downgrade(payload):
+        payload["version"] = 3
+        payload["sinks"] = []
+
+    _rewrite_payload(path, downgrade)
+    with pytest.raises(FormatVersionError, match="older repro build"):
+        load_checkpoint(path)
+
+
 def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):
     config = small_config()
     traces = _workload()
@@ -535,9 +558,30 @@ def test_auto_policy_for_directory_defaults_the_interval(tmp_path):
     assert AutoCheckpointPolicy.for_directory(tmp_path, 64).every_slots == 64
 
 
-def test_simulate_rejects_interval_without_path():
-    with pytest.raises(ConfigurationError, match="without checkpoint_path"):
-        simulate(small_config(), _workload(), checkpoint_every_slots=16)
+def test_event_sink_runs_bypass_the_auto_checkpoint_policy(tmp_path, monkeypatch):
+    import repro.robustness.checkpoint as ckpt
+
+    config = small_config()
+    traces = _workload()
+    reference = simulate(config, traces)
+    saves = []
+    real_save = ckpt.save_checkpoint
+
+    def counting_save(sim, target, **kwargs):
+        saves.append(target)
+        return real_save(sim, target, **kwargs)
+
+    monkeypatch.setattr(ckpt, "save_checkpoint", counting_save)
+    directory = tmp_path / "auto"
+    events = []
+    with run_context(checkpoints=AutoCheckpointPolicy(directory, every_slots=16)):
+        report = simulate(config, traces, event_sink=events.append)
+    assert events
+    assert saves == []
+    assert not directory.exists()
+    assert _canonical(report_to_dict(report)) == _canonical(
+        report_to_dict(reference)
+    )
 
 
 # ----------------------------------------------------------------------

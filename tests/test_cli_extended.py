@@ -151,11 +151,6 @@ class TestUsageErrors:
             ["fuzz", "--timeout", "-1", "--budget", "1"],
             ["fig7", "--requests", "0"],
             ["fig7", "--checkpoint-dir", "{tmp}/ckpts", "--checkpoint-every", "0"],
-            # A zero slot interval used to re-save the checkpoint forever.
-            ["simulate", "SS(1,16,4)", "--suite", "storm",
-             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every", "0"],
-            ["stats", "SS(1,16,4)",
-             "--checkpoint", "{tmp}/ckpt", "--checkpoint-every", "-1"],
             # An interval without a place to write is refused by every
             # command, not silently ignored.
             ["fig7", "--requests", "5", "--checkpoint-every", "0"],
@@ -163,10 +158,20 @@ class TestUsageErrors:
             ["compare", "SS(1,16,4)", "--requests", "5",
              "--checkpoint-every", "64"],
             ["all", "--out", "{tmp}/out", "--checkpoint-every", "64"],
-            ["stats", "SS(1,16,4)", "--checkpoint-every", "64"],
             # A negative gc limit used to empty the cache.
-            ["cache", "gc", "{tmp}/cache", "--max-bytes", "-1"],
-            ["cache", "gc", "{tmp}/cache", "--max-age", "-1"],
+            ["cache", "gc", "{tmp}", "--max-bytes", "-1"],
+            ["cache", "gc", "{tmp}", "--max-age", "-1"],
+            ["cache", "gc", "{tmp}"],
+            # A plain ReproError and an AnalysisError are input errors too.
+            ["timeline", "--slots", "0"],
+            ["bounds", "SS(1,16,4)", "--cores", "0"],
+            ["bounds", "SS(1,16,4)", "--slot-width", "0"],
+            # Out-of-range values the library refuses.
+            ["unbounded", "--lengths", "-1"],
+            ["fuzz", "--budget", "1", "--chaos", "2"],
+            ["fuzz", "--budget", "1", "--chaos", "-1"],
+            ["simulate", "SS(1,16,4)", "--seeds", "1", "2",
+             "--json", "{tmp}/report.json"],
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, argv):
@@ -185,3 +190,44 @@ class TestUsageErrors:
         assert not (tmp_path / "ckpt").exists()
         # A refused campaign leaves no empty results directory behind.
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "SS(1,16,4)", "--checkpoint", "{tmp}/ckpt"],
+            ["simulate", "SS(1,16,4)", "--checkpoint-every", "64"],
+            ["stats", "--checkpoint", "{tmp}/ckpt"],
+            ["stats", "--checkpoint-every", "64"],
+        ],
+    )
+    def test_removed_checkpoint_flags_exit_2(self, tmp_path, capsys, argv):
+        # A single run is checkpointed only through --checkpoint-dir.
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+
+class TestCacheCommand:
+    @pytest.mark.parametrize("action", ["stats", "verify", "gc"])
+    def test_missing_directory_is_refused_and_not_created(
+        self, tmp_path, capsys, action
+    ):
+        missing = tmp_path / "typo" / "cache"
+        assert main(["cache", action, str(missing), "--max-bytes", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no cache directory at {missing}\n"
+        assert not (tmp_path / "typo").exists()
+
+    def test_run_commands_still_create_the_cache_directory(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "new" / "cache"
+        assert main([
+            "simulate", "P(1,16)", "--requests", "20",
+            "--cache", str(directory),
+        ]) == 0
+        assert any(directory.glob("res-*.json"))
+        assert main(["cache", "verify", str(directory)]) == 0
+        assert "1 entry(ies) ok" in capsys.readouterr().out

@@ -40,6 +40,37 @@ class TestTraceRecord:
         with pytest.raises(TraceError):
             TraceRecord(-1)
 
+    # The address is ASCII decimal digits or 0x plus ASCII hex digits;
+    # each of these forms int(token, 0) would otherwise take.
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "W 1_0",
+            "W 0x1_0",
+            "W +16",
+            "R 0o20",
+            "R \uff10x10",
+            "R 0b1",
+        ],
+        ids=["underscore", "hex-underscore", "sign", "octal", "fullwidth", "binary"],
+    )
+    def test_address_must_be_ascii_decimal_or_hex(self, line):
+        with pytest.raises(TraceError, match="malformed address"):
+            TraceRecord.from_line(line)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            TraceRecord(0),
+            TraceRecord(0x1A40, AccessType.WRITE, 120),
+            TraceRecord(2**48 + 0xABC, AccessType.INSTR),
+        ],
+    )
+    def test_to_line_output_parses_back(self, record):
+        line = record.to_line()
+        assert TraceRecord.from_line(line) == record
+        assert TraceRecord.from_line(line).to_line() == line
+
 
 class TestMemoryTrace:
     def test_sequence_protocol(self):
