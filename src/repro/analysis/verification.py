@@ -21,6 +21,7 @@ from repro.analysis.wcl import (
     wcl_private_cycles,
     wcl_ss_cycles,
 )
+from repro.common.errors import AnalysisError
 from repro.common.types import CoreId, Cycle
 from repro.sim.config import SystemConfig
 from repro.sim.report import SimReport
@@ -36,6 +37,15 @@ class CoreBound:
     rule: str
     #: Cycles; ``None`` when no finite bound exists.
     cycles: Optional[Cycle]
+
+    def finite_cycles(self) -> Cycle:
+        """``cycles``, refused where the core has no finite bound."""
+        if self.cycles is None:
+            raise AnalysisError(
+                f"core {self.core} ({self.partition}) has no finite WCL "
+                "bound: a shared partition needs a 1S-TDM schedule"
+            )
+        return self.cycles
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ and LLC behaviour in one table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -21,7 +22,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.validation import require
 from repro.experiments.configs import build_system_for_notation
 from repro.experiments.tables import render_table
+from repro.sim.report import SimReport
 from repro.sim.simulator import simulate
+from repro.sim.sweeps import GridCell, run_grid
 from repro.workloads.suites import get_suite
 
 
@@ -109,18 +112,13 @@ def compare_notations(
 ) -> CompareResult:
     """Run every notation against the same suite-built traces.
 
-    The per-notation simulations are one task list for
-    :func:`repro.sim.parallel.run_parallel` (inline, or in worker
-    processes with ``jobs > 1``); rows come back in the caller's
-    notation order, so the result equals a serial run.  With
-    ``with_metrics=True`` each notation's report is distilled into a
-    ``config``-labelled registry inside its task (workers ship
-    picklable registries, not reports) and merged in notation order
-    into ``result.metrics``.  ``engine`` overrides
+    The notations are the cells of one :func:`repro.sim.sweeps.run_grid`,
+    so rows come back in the caller's notation order and ``jobs > 1``
+    gives the same rows and metrics as a serial run; with
+    ``with_metrics=True`` each notation's series are labelled
+    ``config=<notation>``.  ``engine`` overrides
     :attr:`SystemConfig.engine` for every notation's run.
     """
-    from repro.sim.parallel import run_parallel
-
     require(bool(notations), "need at least one notation", ConfigurationError)
     traces = get_suite(suite).build(
         num_cores=num_cores,
@@ -128,45 +126,32 @@ def compare_notations(
         address_range=address_range,
         seed=seed,
     )
-
-    def one_row(
-        notation: str,
-    ) -> Tuple[CompareRow, Optional["MetricsRegistry"]]:
+    cells: List[GridCell] = []
+    for notation in notations:
         config = build_system_for_notation(notation, num_cores=num_cores)
-        report = simulate(replace(config, engine=engine or config.engine), traces)
+        config = replace(config, engine=engine or config.engine)
         bounds = derive_core_bounds(config)
         finite = [b.cycles for b in bounds.values() if b.cycles is not None]
-        row = CompareRow(
-            notation=notation,
-            makespan=report.makespan,
-            observed_wcl=report.observed_wcl(),
-            analytical_wcl=max(finite) if len(finite) == len(bounds) else None,
-            llc_hit_rate=report.llc_stats.hit_rate,
-            dram_reads=report.dram_reads,
-            dram_writes=report.dram_writes,
-        )
-        registry = None
-        if with_metrics:
-            from repro.obs.collect import collect_metrics
-
-            registry = collect_metrics(report, config.slot_width).relabel(
-                config=notation
+        bound = max(finite) if len(finite) == len(bounds) else None
+        cells.append(
+            GridCell(
+                config,
+                partial(simulate, config, traces),
+                partial(_row, notation, bound),
+                {"config": notation},
             )
-        return row, registry
-
-    outcomes = run_parallel(
-        [
-            (f"{index}-{notation}", lambda notation=notation: one_row(notation))
-            for index, notation in enumerate(notations)
-        ],
-        jobs,
-    )
-    rows = [row for row, _ in outcomes]
-    metrics = None
-    if with_metrics:
-        from repro.obs.metrics import merge_all
-
-        metrics = merge_all(
-            [registry for _, registry in outcomes if registry is not None]
         )
+    rows, metrics = run_grid(cells, jobs, with_metrics)
     return CompareResult(suite=suite, rows=rows, metrics=metrics)
+
+
+def _row(notation: str, bound: Optional[int], report: SimReport) -> CompareRow:
+    return CompareRow(
+        notation=notation,
+        makespan=report.makespan,
+        observed_wcl=report.observed_wcl(),
+        analytical_wcl=bound,
+        llc_hit_rate=report.llc_stats.hit_rate,
+        dram_reads=report.dram_reads,
+        dram_writes=report.dram_writes,
+    )

@@ -14,21 +14,21 @@ and are always recomputed.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
 
-from repro.analysis.wcl import analytical_wcl_cycles
-from repro.experiments.configs import (
-    PAPER_CORE_CAPACITY_LINES,
-    fig7_system,
-)
+from repro.analysis.verification import derive_core_bounds
+from repro.experiments.configs import fig7_system
 from repro.experiments.tables import render_table
 from repro.llc.partition import PartitionKind, PartitionNotation
 from repro.sim.report import SimReport
 from repro.sim.simulator import simulate
+from repro.sim.sweeps import GridCell, run_grid
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -153,28 +153,17 @@ def run_fig7(
     :class:`~repro.common.errors.InvariantViolation` instead of
     polluting the figure.
 
-    The configuration × address-range grid of independent simulations
-    is one task list for :func:`repro.sim.parallel.run_parallel`, which
-    runs it inline or, with ``jobs > 1``, in worker processes; rows come
-    back in the same canonical (configuration, range) order, so the
-    result is identical either way.
-
-    With ``with_metrics=True`` each cell's report is distilled into a
-    :class:`~repro.obs.metrics.MetricsRegistry`
-    (:func:`repro.obs.collect.collect_metrics`), relabelled with its
-    ``config``/``range`` and merged into ``result.metrics``.  Cells are
-    collected from the canonically ordered reports in the parent
-    process, so ``--jobs N`` metrics are bit-identical to serial.
+    The configuration × address-range grid runs through
+    :func:`repro.sim.sweeps.run_grid`, so ``jobs > 1`` gives the same
+    rows and metrics as a serial run; with ``with_metrics=True`` each
+    cell's series are labelled ``config``/``range``.  Every bound comes
+    from :func:`repro.analysis.verification.derive_core_bounds`.
 
     ``engine`` overrides :attr:`SystemConfig.engine` for every cell
     (``"fast"`` or ``"reference"``); the fast engine's idle-slot
     jumps are report-identical, so the figure is the same either way.
     """
-    import dataclasses
-
-    from repro.sim.parallel import run_parallel
-
-    cells: List[tuple] = []
+    cells: List[GridCell] = []
     for notation_text in FIG7_CONFIGS:
         notation = PartitionNotation.parse(notation_text)
         steer = adversarial and notation.kind is not PartitionKind.P
@@ -184,62 +173,33 @@ def run_fig7(
         config = dataclasses.replace(
             config, checked=checked, engine=engine or config.engine
         )
-        bound = analytical_wcl_cycles(
-            notation,
-            total_cores=config.num_cores,
-            slot_width=config.slot_width,
-            core_capacity_lines=PAPER_CORE_CAPACITY_LINES,
-        )
+        # Every core of a Figure 7 platform has the same bound.
+        bound = derive_core_bounds(config)[0].finite_cycles()
         for address_range in address_ranges:
-            cells.append((notation_text, config, bound, address_range, steer))
-
-    reports = run_parallel(
-        [
-            (
-                f"{notation_text}/range-{address_range}",
-                lambda config=config, address_range=address_range, steer=steer: (
-                    _run_one(config, address_range, num_requests, seed, steer)
-                ),
+            cells.append(
+                GridCell(
+                    config,
+                    partial(_run_one, config, address_range, num_requests, seed, steer),
+                    partial(_row, notation_text, address_range, bound),
+                    {"config": notation_text, "range": address_range},
+                )
             )
-            for notation_text, config, _, address_range, steer in cells
-        ],
-        jobs,
-    )
-
-    rows = [
-        Fig7Row(
-            config=notation_text,
-            address_range=address_range,
-            observed_wcl=report.observed_wcl(),
-            analytical_wcl=bound,
-            timed_out=report.timed_out,
-            starved=bool(report.starved_cores()),
-        )
-        for (notation_text, _, bound, address_range, _), report in zip(
-            cells, reports
-        )
-    ]
-    metrics = None
-    if with_metrics:
-        from repro.obs.collect import collect_metrics
-        from repro.obs.metrics import merge_all
-
-        metrics = merge_all(
-            [
-                collect_metrics(report, config.slot_width).relabel(
-                    config=notation_text, range=address_range
-                )
-                for (notation_text, config, _, address_range, _), report in zip(
-                    cells, reports
-                )
-            ]
-        )
+    rows, metrics = run_grid(cells, jobs, with_metrics)
     return Fig7Result(rows=rows, metrics=metrics)
 
 
-def _adversarial_system(notation: PartitionNotation):
-    import dataclasses
+def _row(config: str, address_range: int, bound: int, report: SimReport) -> Fig7Row:
+    return Fig7Row(
+        config=config,
+        address_range=address_range,
+        observed_wcl=report.observed_wcl(),
+        analytical_wcl=bound,
+        timed_out=report.timed_out,
+        starved=bool(report.starved_cores()),
+    )
 
+
+def _adversarial_system(notation: PartitionNotation):
     from repro.bus.arbiter import ArbitrationPolicy
     from repro.experiments.configs import build_system_for_notation
 

@@ -33,6 +33,8 @@ computed points byte-identically instead of simulating them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -42,7 +44,9 @@ from repro.common.types import CoreId
 from repro.experiments.configs import fig8_system
 from repro.experiments.tables import render_table
 from repro.llc.partition import PartitionKind
+from repro.sim.report import SimReport
 from repro.sim.simulator import simulate
+from repro.sim.sweeps import GridCell, run_grid
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_core_trace,
@@ -190,37 +194,16 @@ def graded_workload(
 _FIG8_KINDS = (PartitionKind.SS, PartitionKind.NSS, PartitionKind.P)
 
 
-def _run_cell(
-    kind: PartitionKind,
-    num_cores: int,
-    capacity: int,
-    address_range: int,
-    num_requests: int,
-    seed: int,
-    with_metrics: bool = False,
-    engine: Optional[str] = None,
-) -> Tuple[int, Optional["MetricsRegistry"]]:
-    """One (range, configuration) cell: makespan plus optional metrics.
+def _run_cell(config, address_range: int, num_requests: int, seed: int) -> SimReport:
+    """One (range, configuration) cell on its graded workload.
 
     Traces are rebuilt from the seed inside the cell, so a cell is
     self-contained (parallel workers need no shared state) yet replays
     byte-identical addresses — the workload depends only on seed and
-    range, never on the configuration.  With ``with_metrics=True`` the
-    cell also distils its report into a relabelled registry (collected
-    *inside* the cell so parallel workers ship plain picklable data,
-    not the report).
+    range, never on the configuration.
     """
-    traces = graded_workload(num_cores, address_range, num_requests, seed)
-    config = fig8_system(kind, num_cores, capacity, seed=seed)
-    report = simulate(replace(config, engine=engine or config.engine), traces)
-    if not with_metrics:
-        return report.makespan, None
-    from repro.obs.collect import collect_metrics
-
-    registry = collect_metrics(report, config.slot_width).relabel(
-        config=kind.name, range=address_range
-    )
-    return report.makespan, registry
+    traces = graded_workload(config.num_cores, address_range, num_requests, seed)
+    return simulate(config, traces)
 
 
 def run_fig8(
@@ -234,70 +217,44 @@ def run_fig8(
 ) -> Fig8Result:
     """Run one sub-figure (``"8a"`` .. ``"8d"``).
 
-    The range × configuration grid is one task list for
-    :func:`repro.sim.parallel.run_parallel`, which runs it inline or,
-    with ``jobs > 1``, in worker processes; rows are assembled in
-    canonical (range, SS/NSS/P) order either way, so the result is
-    identical to a serial run.  With ``with_metrics=True`` each cell
-    returns a relabelled registry alongside its makespan; the cells
-    merge in canonical order into ``result.metrics``, so parallel
-    metrics are bit-identical to serial too.  ``engine`` overrides
-    :attr:`SystemConfig.engine` per cell (``"fast"``/``"reference"``);
-    the figures are bit-identical under either engine.
+    The range × configuration grid runs through
+    :func:`repro.sim.sweeps.run_grid`, so ``jobs > 1`` gives the same
+    rows and metrics as a serial run; with ``with_metrics=True`` each
+    cell's series are labelled ``config``/``range``/``subfigure``.
+    ``engine`` overrides :attr:`SystemConfig.engine` per cell
+    (``"fast"``/``"reference"``); the figures are bit-identical under
+    either engine.
     """
-    from repro.sim.parallel import run_parallel
-
     if subfigure not in SUBFIGURES:
         raise KeyError(
             f"unknown sub-figure {subfigure!r}; choose from {sorted(SUBFIGURES)}"
         )
     num_cores, capacity = SUBFIGURES[subfigure]
-    cells = [
-        (address_range, kind)
-        for address_range in address_ranges
-        for kind in _FIG8_KINDS
-    ]
-    outcomes = run_parallel(
-        [
-            (
-                f"range-{address_range}/{kind.name}",
-                lambda address_range=address_range, kind=kind: _run_cell(
-                    kind,
-                    num_cores,
-                    capacity,
-                    address_range,
-                    num_requests,
-                    seed,
-                    with_metrics,
-                    engine,
-                ),
+    cells: List[GridCell] = []
+    for address_range in address_ranges:
+        for kind in _FIG8_KINDS:
+            config = fig8_system(kind, num_cores, capacity, seed=seed)
+            config = replace(config, engine=engine or config.engine)
+            cells.append(
+                GridCell(
+                    config,
+                    partial(_run_cell, config, address_range, num_requests, seed),
+                    attrgetter("makespan"),
+                    dict(config=kind.name, range=address_range, subfigure=subfigure),
+                )
             )
-            for address_range, kind in cells
-        ],
-        jobs,
-    )
-    makespans = [makespan for makespan, _ in outcomes]
-    metrics = None
-    if with_metrics:
-        from repro.obs.metrics import merge_all
-
-        metrics = merge_all(
-            [registry for _, registry in outcomes if registry is not None]
-        ).relabel(subfigure=subfigure)
-    cycles_by_cell: Dict[tuple, int] = {
-        cell: makespan for cell, makespan in zip(cells, makespans)
-    }
+    makespans, metrics = run_grid(cells, jobs, with_metrics)
+    kinds = len(_FIG8_KINDS)
     rows = [
         Fig8Row(
-            subfigure=subfigure,
-            num_cores=num_cores,
-            capacity_bytes=capacity,
-            address_range=address_range,
-            ss_cycles=cycles_by_cell[(address_range, PartitionKind.SS)],
-            nss_cycles=cycles_by_cell[(address_range, PartitionKind.NSS)],
-            p_cycles=cycles_by_cell[(address_range, PartitionKind.P)],
+            subfigure,
+            num_cores,
+            capacity,
+            address_range,
+            # ss_cycles, nss_cycles, p_cycles: the _FIG8_KINDS order.
+            *makespans[kinds * index : kinds * (index + 1)],
         )
-        for address_range in address_ranges
+        for index, address_range in enumerate(address_ranges)
     ]
     return Fig8Result(
         subfigure=subfigure,

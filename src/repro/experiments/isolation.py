@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.wcl import (
-    SharedPartitionParams,
-    wcl_private_cycles,
-    wcl_ss_cycles,
-)
+from repro.analysis.verification import derive_core_bounds
 from repro.common.types import CoreId
 from repro.experiments.tables import render_table
 from repro.llc.partition import PartitionSpec
@@ -155,19 +151,10 @@ def run_isolation(seed: int = 2022) -> IsolationResult:
             for core in range(4)
             if report.core_reports[core].requests
         }
-    shared_bound = wcl_ss_cycles(
-        SharedPartitionParams(
-            total_cores=4,
-            sharers=2,
-            ways=16,
-            partition_lines=32,
-            core_capacity_lines=64,
-            slot_width=config.slot_width,
-        )
-    )
+    bounds = derive_core_bounds(config)
     return IsolationResult(
         private_latencies=private_latencies,
         observed_wcl=observed,
-        private_bound=wcl_private_cycles(4, config.slot_width),
-        shared_bound=shared_bound,
+        private_bound=bounds[2].finite_cycles(),
+        shared_bound=bounds[0].finite_cycles(),
     )

@@ -25,16 +25,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.wcl import (
-    SharedPartitionParams,
-    wcl_nss_cycles,
-    wcl_ss_cycles,
-)
+from repro.analysis.verification import derive_core_bounds
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import distance
-from repro.experiments.configs import PAPER_CORE_CAPACITY_LINES, build_system_for_notation
+from repro.experiments.configs import build_system_for_notation
 from repro.experiments.tables import render_table
-from repro.llc.partition import PartitionKind, PartitionNotation
+from repro.llc.partition import PartitionNotation
 from repro.sim.simulator import Simulator
 from repro.workloads.adversarial import conflict_storm_traces
 
@@ -132,20 +128,6 @@ def install_adversarial_replacement(sim: Simulator) -> None:
         llc.oracle_policy(set_index).set_chooser(chooser)
 
 
-def _bound_for(notation: PartitionNotation, slot_width: int = 50) -> int:
-    params = SharedPartitionParams(
-        total_cores=4,
-        sharers=notation.cores,
-        ways=notation.ways,
-        partition_lines=notation.sets * notation.ways,
-        core_capacity_lines=PAPER_CORE_CAPACITY_LINES,
-        slot_width=slot_width,
-    )
-    if notation.kind is PartitionKind.SS:
-        return wcl_ss_cycles(params)
-    return wcl_nss_cycles(params)
-
-
 def _run_one(notation_text: str, adversarial: bool, repeats: int) -> TightnessRow:
     notation = PartitionNotation.parse(notation_text)
     config = build_system_for_notation(
@@ -172,7 +154,8 @@ def _run_one(notation_text: str, adversarial: bool, repeats: int) -> TightnessRo
         config=notation_text,
         adversarial=adversarial,
         observed_wcl=report.observed_bus_wcl(),
-        bound=_bound_for(notation),
+        # Core 0 shares the probed partition.
+        bound=derive_core_bounds(config)[0].finite_cycles(),
     )
 
 

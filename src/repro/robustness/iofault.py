@@ -250,7 +250,6 @@ class FiredFault:
 
     spec: IoFaultSpec
     operation: IoOperation
-    operation_index: int
 
 
 class IoFaultPlan:
@@ -261,6 +260,10 @@ class IoFaultPlan:
     only the read-corruption byte choices; everything else is a pure
     function of the operation sequence, so the same run fires the same
     faults.
+
+    ``fired`` lists the faults this process injected; ``fired_count``
+    and ``operations`` also count those of forked pool workers, which
+    each run on a copy of the plan (see :meth:`add_worker_counts`).
     """
 
     def __init__(self, specs: Sequence[IoFaultSpec], seed: int = 0) -> None:
@@ -268,12 +271,23 @@ class IoFaultPlan:
         self.seed = seed
         self.operations = 0
         self.fired: List[FiredFault] = []
+        self._worker_faults = 0
         self._matches = [0] * len(self.specs)
         self._rng = random.Random(seed)
 
     @property
     def fired_count(self) -> int:
-        return len(self.fired)
+        return len(self.fired) + self._worker_faults
+
+    def add_worker_counts(self, faults: int, operations: int) -> None:
+        """Add a forked worker's faults and operations to the totals.
+
+        The per-spec match counters stay as they are: every later fork
+        starts from the same counts, so which operation a spec hits
+        does not depend on the order workers finished in.
+        """
+        self._worker_faults += faults
+        self.operations += operations
 
     def __call__(self, operation: IoOperation) -> Optional[IoFaultAction]:
         self.operations += 1
@@ -283,13 +297,7 @@ class IoFaultPlan:
             self._matches[index] += 1
             if not spec.fires_at(self._matches[index]):
                 continue
-            self.fired.append(
-                FiredFault(
-                    spec=spec,
-                    operation=operation,
-                    operation_index=self.operations,
-                )
-            )
+            self.fired.append(FiredFault(spec=spec, operation=operation))
             count_io(f"io.injected.{spec.kind.value}")
             return self._action(spec, operation)
         return None

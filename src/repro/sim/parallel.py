@@ -14,7 +14,8 @@ Design notes
   configs and trace factories, which do not survive pickling; with the
   ``fork`` start method a worker inherits the thunk through the forked
   address space, so arbitrary closures run unchanged.  Only the task's
-  *result* (or its exception) crosses the process boundary, via a pipe.
+  *result* (or its exception) crosses the process boundary, via a pipe,
+  with the counts the worker's copy of the I/O fault plan added.
 * **Parent-enforced timeouts.**  A hung task cannot be trusted to
   interrupt itself, so the *parent* tracks one deadline per in-flight
   task and kills the worker when it expires: a genuinely wedged
@@ -96,14 +97,34 @@ class PoolResult:
         return self.status == "done"
 
 
+def _fault_plan():
+    """The run context's I/O fault plan, or ``None``."""
+    from repro.common.context import current_run_context
+    from repro.robustness.iofault import IoFaultPlan
+
+    hook = current_run_context().io_hook
+    return hook if isinstance(hook, IoFaultPlan) else None
+
+
 def _worker_main(thunk: Callable[[], Any], conn) -> None:
-    """Run one task in a forked child; ship the outcome up the pipe."""
+    """Run one task in a forked child; ship the outcome up the pipe.
+
+    The outcome carries the faults and seam operations the child's copy
+    of the run's I/O fault plan saw, for the parent's reported totals.
+    """
+    plan = _fault_plan()
+    start = (plan.fired_count, plan.operations) if plan else (0, 0)
     try:
-        payload: Tuple[str, Any] = ("ok", thunk())
+        outcome: Tuple[str, Any] = ("ok", thunk())
     except BaseException as exc:  # noqa: BLE001 - ships to the parent
-        payload = ("error", exc)
+        outcome = ("error", exc)
+    io = (
+        (plan.fired_count - start[0], plan.operations - start[1])
+        if plan
+        else (0, 0)
+    )
     try:
-        conn.send(payload)
+        conn.send(outcome + (io,))
     except Exception as exc:
         # The value (or the exception) did not survive pickling; report
         # that instead of dying silently with an EOF in the parent.
@@ -115,6 +136,7 @@ def _worker_main(thunk: Callable[[], Any], conn) -> None:
                         f"task result could not cross the process "
                         f"boundary: {exc}"
                     ),
+                    io,
                 )
             )
         except Exception:
@@ -271,7 +293,7 @@ class TaskPool:
             time.sleep(wait)
 
     @staticmethod
-    def _poll_worker(run: _Running) -> Optional[Tuple[str, Any]]:
+    def _poll_worker(run: _Running) -> Optional[Tuple[str, Any, Tuple[int, int]]]:
         """Return the worker's final outcome, or None while it runs."""
         try:
             if run.conn.poll():
@@ -290,6 +312,7 @@ class TaskPool:
                 f"worker for task {run.pending.name!r} exited without a "
                 f"result (exit code {run.process.exitcode})"
             ),
+            (0, 0),
         )
 
     def _reap_finished(
@@ -304,10 +327,13 @@ class TaskPool:
             outcome = self._poll_worker(run)
             if outcome is None:
                 continue
-            status, payload = outcome
+            status, payload, io = outcome
             running.remove(run)
             run.process.join()
             run.conn.close()
+            plan = _fault_plan()
+            if plan is not None:
+                plan.add_worker_counts(*io)
             task = run.pending
             if status == "ok":
                 result = PoolResult(

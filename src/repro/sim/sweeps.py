@@ -11,17 +11,27 @@ run context's result cache (``run_context(result_cache=...)``, the
 CLI's ``--cache DIR``) applies per seed: re-running a sweep with
 unchanged configs and seeds replays the stored reports byte-identically
 instead of simulating.
+
+A seed sweep is one grid of independent runs; :func:`run_grid` is the
+runner of every such grid (Figures 7 and 8, notation comparisons and
+seed sweeps).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
+    List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -31,12 +41,67 @@ if TYPE_CHECKING:
 from repro.common.types import CoreId, Cycle
 from repro.common.validation import require
 from repro.sim.config import SystemConfig
+from repro.sim.parallel import run_parallel
 from repro.sim.report import SimReport
 from repro.sim.simulator import simulate
 from repro.workloads.trace import MemoryTrace
 
 #: Builds one seed's per-core traces.
 TraceFactory = Callable[[int], Mapping[CoreId, MemoryTrace]]
+
+
+class GridCell(NamedTuple):
+    """One independent simulation of a grid run by :func:`run_grid`."""
+
+    #: The simulated configuration; its slot width sets the width of
+    #: the cell's latency histogram buckets.
+    config: SystemConfig
+    #: Runs the cell's simulation.
+    run: Callable[[], SimReport]
+    #: What the caller keeps of the report (a row, a makespan, ...).
+    summarize: Callable[[SimReport], Any]
+    #: Labels scoping every series of the cell's metrics.
+    labels: Mapping[str, object]
+
+
+def run_grid(
+    cells: Sequence[GridCell], jobs: int, with_metrics: bool
+) -> Tuple[List[Any], Optional["MetricsRegistry"]]:
+    """Run independent cells; return their summaries and merged metrics.
+
+    The cells are one task list for
+    :func:`repro.sim.parallel.run_parallel`, which runs them inline or,
+    with ``jobs > 1``, in worker processes.  Each cell is reduced where
+    it ran: its report becomes ``summarize(report)`` and, with
+    ``with_metrics=True``, a registry relabelled with the cell's labels,
+    so no report crosses a process boundary.  Summaries come back and
+    registries merge in cell order, so the result is byte-identical at
+    every ``jobs``.  Tasks are named by cell position, so no two cells
+    can collide in the pool whatever their labels.
+    """
+
+    def reduce(cell: GridCell) -> Tuple[Any, Optional["MetricsRegistry"]]:
+        report = cell.run()
+        if not with_metrics:
+            return cell.summarize(report), None
+        from repro.obs.collect import collect_metrics
+
+        registry = collect_metrics(report, cell.config.slot_width)
+        return cell.summarize(report), registry.relabel(**cell.labels)
+
+    outcomes = run_parallel(
+        [
+            (f"cell-{index}", partial(reduce, cell))
+            for index, cell in enumerate(cells)
+        ],
+        jobs,
+    )
+    metrics = None
+    if with_metrics:
+        from repro.obs.metrics import merge_all
+
+        metrics = merge_all([registry for _, registry in outcomes])
+    return [summary for summary, _ in outcomes], metrics
 
 
 @dataclass(frozen=True)
@@ -50,21 +115,6 @@ class SweepResult:
     #: only), every series labelled ``seed=<seed>``.  Excluded from
     #: equality: two sweeps are "the same sweep" by their aggregates.
     metrics: Optional["MetricsRegistry"] = field(default=None, compare=False)
-
-    @classmethod
-    def from_reports(
-        cls,
-        seeds: Sequence[int],
-        reports: Sequence[SimReport],
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> "SweepResult":
-        """Aggregate one report per seed, in seed order."""
-        return cls(
-            seeds=tuple(seeds),
-            observed_wcls=tuple(report.observed_wcl() for report in reports),
-            makespans=tuple(report.makespan for report in reports),
-            metrics=metrics,
-        )
 
     @property
     def max_observed_wcl(self) -> Cycle:
@@ -142,38 +192,31 @@ def sweep_seeds(
 ) -> SweepResult:
     """Run ``config`` once per seed; optionally verify each report.
 
-    The seeds are one task each for
-    :func:`repro.sim.parallel.run_parallel`, which runs them inline or,
-    with ``jobs > 1``, in worker processes; results are aggregated in
-    canonical seed order, so the returned :class:`SweepResult` is
-    bit-identical either way.  With ``with_metrics=True`` each seed's
-    report is distilled into a ``seed``-labelled registry and merged in
-    seed order into ``result.metrics`` — the same canonical-order merge,
-    so parallel metrics equal serial metrics byte for byte.
+    The seeds are the cells of one :func:`run_grid`, so the result is
+    byte-identical at every ``jobs``; with ``with_metrics=True`` each
+    seed's series are labelled ``seed=<seed>``.  Repeated seeds are
+    refused: they would run the same simulation twice and merge its
+    metrics into one series.
     """
-    from repro.sim.parallel import run_parallel
-
     require(bool(seeds), "sweep needs at least one seed", ConfigurationError)
-    reports = run_parallel(
+    repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+    require(
+        not repeated,
+        f"sweep seeds must be distinct; repeated: {repeated}",
+        ConfigurationError,
+    )
+    summaries, metrics = run_grid(
         [
-            (
-                f"seed-{seed}",
-                lambda seed=seed: run_seed(config, trace_factory, seed, check),
+            GridCell(
+                config,
+                partial(run_seed, config, trace_factory, seed, check),
+                lambda report: (report.observed_wcl(), report.makespan),
+                {"seed": seed},
             )
             for seed in seeds
         ],
         jobs,
+        with_metrics,
     )
-    metrics = None
-    if with_metrics:
-        from repro.obs.collect import collect_metrics
-        from repro.obs.metrics import merge_all
-
-        metrics = merge_all(
-            [
-                collect_metrics(report, config.slot_width).relabel(seed=seed)
-                for seed, report in zip(seeds, reports)
-            ]
-        )
-    return SweepResult.from_reports(seeds, reports, metrics)
-
+    observed_wcls, makespans = zip(*summaries)
+    return SweepResult(tuple(seeds), observed_wcls, makespans, metrics)

@@ -172,6 +172,11 @@ class TestUsageErrors:
             ["fuzz", "--budget", "1", "--chaos", "-1"],
             ["simulate", "SS(1,16,4)", "--seeds", "1", "2",
              "--json", "{tmp}/report.json"],
+            # Repeated sweep seeds are refused at every --jobs.
+            ["simulate", "SS(1,16,4)", "--seeds", "1", "1",
+             "--requests", "20", "--jobs", "1"],
+            ["simulate", "SS(1,16,4)", "--seeds", "1", "1",
+             "--requests", "20", "--jobs", "2"],
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, argv):

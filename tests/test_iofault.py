@@ -16,7 +16,13 @@ from sim_helpers import small_config, write_trace_of
 
 from repro.cli import main
 from repro.common import fileio
-from repro.common.context import IoState, RetryPolicy, RunContext, run_context
+from repro.common.context import (
+    IoState,
+    RetryPolicy,
+    RunContext,
+    run_context,
+    store_changes,
+)
 from repro.common.errors import (
     ConfigurationError,
     ObservabilityError,
@@ -29,6 +35,7 @@ from repro.common.fileio import (
     read_bytes,
     tmp_sibling,
 )
+from repro.experiments.fig7 import run_fig7
 from repro.obs.tracing import JsonlTraceSink
 from repro.robustness.iofault import (
     InjectedIoError,
@@ -38,6 +45,7 @@ from repro.robustness.iofault import (
     record_io_operations,
 )
 from repro.sim.cache import SimResultCache
+from repro.sim.parallel import parallel_available
 from repro.sim.simulator import simulate
 
 pytestmark = pytest.mark.usefixtures("fast_io")
@@ -552,3 +560,37 @@ class TestCliIoFault:
             main(["simulate", "SS(1,16,4)", "--io-fault", "frobnicate@1"])
         assert excinfo.value.code == 2
         assert "unknown io-fault kind" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Forked pool workers
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not parallel_available(), reason="fork start method unavailable")
+class TestForkedWorkers:
+    def test_worker_faults_reach_the_reported_totals(self, tmp_path):
+        # Each of the six Figure 7 cells runs in a worker forked from the
+        # same match counters, so a spec that fires at the first match
+        # fires once in every cell, whichever worker finishes first.
+        faults = plan("enospc@1,site=auto-checkpoint")
+        stores = store_changes(checkpoint_dir=tmp_path, checkpoint_every=64)
+        with run_context(io_hook=faults, **stores):
+            run_fig7(address_ranges=(1024, 2048), num_requests=100, jobs=2)
+        assert faults.fired == []  # none landed in this process
+        assert faults.fired_count == 6
+        assert faults.operations > faults.fired_count
+
+    def test_cli_summary_counts_worker_faults(self, tmp_path, capsys):
+        code = main(
+            [
+                "fig7",
+                "--requests", "100",
+                "--jobs", "2",
+                "--checkpoint-dir", str(tmp_path),
+                "--checkpoint-every", "64",
+                "--io-fault", "enospc@1x*,site=auto-checkpoint",
+            ]
+        )
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 0
+        faults = int(summary.split()[1])
+        assert summary.startswith("io-fault: ") and faults >= 1, summary

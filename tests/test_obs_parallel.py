@@ -50,6 +50,12 @@ def all_renderings(registry):
     )
 
 
+def assert_scoped_by(registry, labels):
+    """Every series carries its cell's labels, so none collided in the merge."""
+    for (_, series_labels), _ in registry:
+        assert labels <= dict(series_labels).keys()
+
+
 def test_sweep_metrics_parallel_is_bit_identical():
     serial = sweep_seeds(CONFIG, trace_factory, SEEDS, jobs=1, with_metrics=True)
     parallel = sweep_seeds(
@@ -58,6 +64,7 @@ def test_sweep_metrics_parallel_is_bit_identical():
     assert all_renderings(parallel.metrics) == all_renderings(serial.metrics)
     # Seed labels scope every series, so nothing collided in the merge.
     assert parallel.metrics.get("sim.slots.total", seed=1) is not None
+    assert_scoped_by(parallel.metrics, {"seed"})
 
 
 def test_fig7_metrics_parallel_is_bit_identical():
@@ -65,6 +72,20 @@ def test_fig7_metrics_parallel_is_bit_identical():
     serial = run_fig7(jobs=1, **kwargs)
     parallel = run_fig7(jobs=3, **kwargs)
     assert all_renderings(parallel.metrics) == all_renderings(serial.metrics)
+    assert_scoped_by(parallel.metrics, {"config", "range"})
+
+
+def test_fig7_steered_metrics_parallel_is_bit_identical():
+    kwargs = dict(
+        address_ranges=(1024, 2048),
+        num_requests=30,
+        adversarial=True,
+        with_metrics=True,
+    )
+    serial = run_fig7(jobs=1, **kwargs)
+    parallel = run_fig7(jobs=3, **kwargs)
+    assert all_renderings(parallel.metrics) == all_renderings(serial.metrics)
+    assert_scoped_by(parallel.metrics, {"config", "range"})
 
 
 def test_fig8_metrics_parallel_is_bit_identical():
@@ -77,6 +98,7 @@ def test_fig8_metrics_parallel_is_bit_identical():
         dict(labels).get("subfigure") == "8a"
         for (_, labels), _ in parallel.metrics
     )
+    assert_scoped_by(parallel.metrics, {"config", "range", "subfigure"})
 
 
 def test_compare_metrics_parallel_is_bit_identical():
@@ -86,6 +108,7 @@ def test_compare_metrics_parallel_is_bit_identical():
         notations, num_requests=30, jobs=2, with_metrics=True
     )
     assert all_renderings(parallel.metrics) == all_renderings(serial.metrics)
+    assert_scoped_by(parallel.metrics, {"config"})
 
 
 def test_metrics_off_by_default():

@@ -1,25 +1,31 @@
-"""Parallel-vs-serial bit-identity across the sweep and campaign layers.
+"""Parallel-vs-serial bit-identity across the grid and campaign layers.
 
-Every test here runs the same work twice — ``jobs=1`` and ``jobs>1`` —
-and asserts the merged results are identical: the deterministic-merge
-guarantee of :mod:`repro.sim.parallel` as seen by its real callers.
+Every grid test here runs the same work twice — ``jobs=1`` and
+``jobs=2`` — and asserts the rows are identical: the deterministic-merge
+guarantee of :func:`repro.sim.sweeps.run_grid` as seen by each of its
+callers.  The metrics bytes are compared in ``test_obs_parallel``.
 """
 
 import time
 from functools import partial
+from operator import attrgetter
 
 import pytest
 
 from sim_helpers import small_config
 
 from repro.common.context import RetryPolicy
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.experiments.compare import compare_notations
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
+from repro.obs.metrics import MetricsRegistry
 from repro.robustness.runner import CampaignRunner, RunManifest
+from repro.sim import sweeps
 from repro.sim.parallel import parallel_available
-from repro.sim.sweeps import run_seed, sweep_seeds
+from repro.sim.report import SimReport
+from repro.sim.simulator import simulate
+from repro.sim.sweeps import GridCell, SweepResult, run_grid, run_seed, sweep_seeds
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
@@ -41,12 +47,95 @@ def trace_factory(seed):
 
 
 # ----------------------------------------------------------------------
-# Plain sweeps
+# Grids (every caller of run_grid)
 # ----------------------------------------------------------------------
+GRIDS = {
+    "fig7": partial(
+        run_fig7, address_ranges=(1024, 2048), num_requests=30, with_metrics=True
+    ),
+    "fig7-steered": partial(
+        run_fig7,
+        address_ranges=(1024, 2048),
+        num_requests=30,
+        adversarial=True,
+        with_metrics=True,
+    ),
+    "fig8": partial(
+        run_fig8, "8a", address_ranges=(512, 1024), num_requests=40,
+        with_metrics=True,
+    ),
+    "compare": partial(
+        compare_notations, ["SS(1,16,4)", "P(1,16)"], num_requests=30,
+        with_metrics=True,
+    ),
+    "sweep": partial(
+        sweep_seeds, CONFIG, trace_factory, SEEDS, with_metrics=True
+    ),
+}
+
+def rows_of(result):
+    if isinstance(result, SweepResult):
+        return result.seeds, result.observed_wcls, result.makespans
+    return result.rows
+
+
+def assert_grid_parallel_is_bit_identical(grid):
+    """Rows of ``jobs=2`` equal the serial rows (metrics bytes: test_obs_parallel)."""
+    serial = GRIDS[grid](jobs=1)
+    parallel = GRIDS[grid](jobs=2)
+    assert rows_of(parallel) == rows_of(serial)
+
+
 def test_sweep_seeds_parallel_is_bit_identical():
-    serial = sweep_seeds(CONFIG, trace_factory, SEEDS, jobs=1)
-    parallel = sweep_seeds(CONFIG, trace_factory, SEEDS, jobs=3)
-    assert parallel == serial
+    assert_grid_parallel_is_bit_identical("sweep")
+
+
+def test_fig7_parallel_is_bit_identical():
+    assert_grid_parallel_is_bit_identical("fig7")
+
+
+def test_fig7_steered_parallel_is_bit_identical():
+    assert_grid_parallel_is_bit_identical("fig7-steered")
+
+
+def test_fig8_parallel_is_bit_identical():
+    assert_grid_parallel_is_bit_identical("fig8")
+
+
+def test_compare_notations_parallel_is_bit_identical():
+    assert_grid_parallel_is_bit_identical("compare")
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_no_grid_task_returns_a_report(grid, monkeypatch):
+    returned = []
+
+    def inline(tasks, jobs):
+        values = [thunk() for _, thunk in tasks]
+        returned.extend(values)
+        return values
+
+    monkeypatch.setattr(sweeps, "run_parallel", inline)
+    GRIDS[grid](jobs=1)
+    assert returned
+    for summary, registry in returned:
+        assert not isinstance(summary, SimReport)
+        assert isinstance(registry, MetricsRegistry)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_refuses_repeated_seeds(jobs):
+    with pytest.raises(ConfigurationError, match=r"repeated: \[1, 3\]"):
+        sweep_seeds(CONFIG, trace_factory, [3, 1, 2, 1, 3], jobs=jobs)
+
+
+def test_identical_cells_do_not_trip_the_pool():
+    traces = trace_factory(1)
+    cell = GridCell(
+        CONFIG, partial(simulate, CONFIG, traces), attrgetter("makespan"), {}
+    )
+    makespans, metrics = run_grid([cell, cell], jobs=2, with_metrics=False)
+    assert makespans[0] == makespans[1] and metrics is None
 
 
 def test_sweep_seeds_parallel_propagates_check_failures():
@@ -55,31 +144,6 @@ def test_sweep_seeds_parallel_propagates_check_failures():
 
     with pytest.raises(AssertionError, match="seed 1"):
         sweep_seeds(CONFIG, trace_factory, SEEDS, check=check, jobs=3)
-
-
-# ----------------------------------------------------------------------
-# Experiment grids
-# ----------------------------------------------------------------------
-def test_fig7_parallel_is_bit_identical():
-    kwargs = dict(address_ranges=(1024, 2048), num_requests=30)
-    serial = run_fig7(jobs=1, **kwargs)
-    parallel = run_fig7(jobs=3, **kwargs)
-    assert parallel == serial
-    assert [r.config for r in parallel.rows] == [r.config for r in serial.rows]
-
-
-def test_fig8_parallel_is_bit_identical():
-    kwargs = dict(address_ranges=(512, 1024), num_requests=40)
-    serial = run_fig8("8a", jobs=1, **kwargs)
-    parallel = run_fig8("8a", jobs=3, **kwargs)
-    assert parallel == serial
-
-
-def test_compare_notations_parallel_is_bit_identical():
-    notations = ["SS(1,16,4)", "P(1,16)"]
-    serial = compare_notations(notations, num_requests=30, jobs=1)
-    parallel = compare_notations(notations, num_requests=30, jobs=2)
-    assert parallel.rows == serial.rows
 
 
 # ----------------------------------------------------------------------
