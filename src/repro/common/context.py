@@ -2,9 +2,9 @@
 
 A run is more than its :class:`~repro.sim.config.SystemConfig`: the
 CLI and the campaign runner also decide whether simulations consult a
-result cache, write auto-checkpoints, see an I/O fault plan, how hard
-ESSENTIAL writes retry, and where ``io.*`` counters and circuit
-breakers live.  That state is one frozen :class:`RunContext`.
+result cache, write auto-checkpoints, see an I/O fault plan, and where
+``io.*`` counters and circuit breakers live.  That state is one frozen
+:class:`RunContext`.
 
 :func:`run_context` installs a changed copy of the current context for
 the duration of a ``with`` block and restores the previous one on exit,
@@ -96,14 +96,12 @@ class RunContext:
     ``checkpoints``: the auto-checkpoint policy ``simulate()`` applies
     to every run without an event sink.  ``io_hook``: the
     I/O fault hook the seam consults before every operation.
-    ``essential_retry``: the schedule ESSENTIAL writes retry on.
     ``io``: the ``io.*`` counters and circuit breakers.
     """
 
     result_cache: Optional["SimResultCache"] = None
     checkpoints: Optional["AutoCheckpointPolicy"] = None
     io_hook: Optional["IoFaultHook"] = None
-    essential_retry: RetryPolicy = RetryPolicy(backoff_base=0.05)
     io: IoState = field(default_factory=IoState)
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.common.context import current_run_context
+from repro.common.context import RetryPolicy, current_run_context
 from repro.common.errors import PersistenceError
 
 #: Operation labels the seam distinguishes.  Fault specs may filter on
@@ -286,6 +286,9 @@ class Durability(enum.Enum):
     BEST_EFFORT = "best-effort"
 
 
+#: The schedule ESSENTIAL writes retry on: 3 attempts from 50 ms.
+ESSENTIAL_RETRY = RetryPolicy(backoff_base=0.05)
+
 _sleep = time.sleep  # monkeypatchable in tests
 
 
@@ -329,9 +332,9 @@ def persist_text(
 ) -> Optional[Path]:
     """Write ``text`` to ``path`` under the durability policy.
 
-    ESSENTIAL: retries on the run context's ``essential_retry`` policy
-    (``io.retry.<site>`` counted per retry), then raises :class:`~repro.common.errors.PersistenceError` with the
-    path, site and underlying errno.  Returns the path on success.
+    ESSENTIAL: retries on :data:`ESSENTIAL_RETRY` (``io.retry.<site>`` counted
+    per retry), then raises :class:`~repro.common.errors.PersistenceError`
+    with the path, site and underlying errno.  Returns the path on success.
 
     BEST_EFFORT: one attempt through the site's circuit breaker.
     Returns the path on success, ``None`` when the write was lost —
@@ -343,7 +346,7 @@ def persist_text(
     """
     path = Path(path)
     if durability is Durability.ESSENTIAL:
-        policy = current_run_context().essential_retry
+        policy = ESSENTIAL_RETRY
         last: Optional[OSError] = None
         for attempt in range(1, policy.max_attempts + 1):
             try:

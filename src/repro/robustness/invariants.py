@@ -17,7 +17,8 @@ The monitored invariants:
 ``slot-accounting``
     Each processed slot produced exactly one arbitration outcome —
     request, write-back or idle — across all cores (the PRB/PWB mutual
-    exclusion of Section 3's per-slot arbitration).
+    exclusion of Section 3's per-slot arbitration), and never idle when
+    its owner's request is on the bus.
 ``llc-consistency``
     The LLC's storage, indexes and entry lifecycle agree
     (:meth:`~repro.llc.llc.PartitionedLlc.validate`).
@@ -39,8 +40,9 @@ The monitored invariants:
     contract of the paper's evaluation; a mutated trace breaks this).
 ``latency-bound``
     Every completed request's bus latency sits within its core's
-    analytical WCL (Theorems 4.7/4.8 or the private bound), checked the
-    slot the response arrives.
+    analytical WCL (Theorems 4.7/4.8 or the private bound), plus the
+    Theorem 4.8 own-write-back allowance, checked the slot the response
+    arrives.
 
 Use :func:`standard_invariants` /
 :meth:`InvariantMonitor.install_checked` for the full set, or build an
@@ -127,27 +129,43 @@ class SlotAccountingInvariant(Invariant):
     bus transaction (or passes idle); the per-core slot-usage counters
     must therefore sum to exactly the number of slots processed.  A
     duplicated transaction (the same TDM slot served twice) or a slot
-    whose arbitration never ran shows up as a count mismatch.
+    whose arbitration never ran shows up as a count mismatch.  An owner
+    idling with its request on the bus is flagged too (it would break
+    :func:`~repro.analysis.verification.own_writebacks`).
     """
 
     name = "slot-accounting"
 
     def __init__(self) -> None:
-        self._slots_seen = 0
+        self._slots_seen = self._idle_seen = 0
+
+    def seed(self, engine: "SlotEngine") -> None:
+        """Adopt ``engine``'s slot-usage totals as the slots seen."""
+        usages = engine._slot_usage.values()
+        self._idle_seen = sum(usage["idle"] for usage in usages)
+        self._slots_seen = self._idle_seen + sum(
+            usage["request"] + usage["writeback"] for usage in usages
+        )
 
     def check(self, engine: "SlotEngine", slot: SlotIndex) -> None:
-        self._slots_seen += 1
-        total = sum(
-            usage["idle"] + usage["request"] + usage["writeback"]
-            for usage in engine._slot_usage.values()
-        )
-        if total != self._slots_seen:
-            owner = engine.schedule.owner_of_slot(slot)
-            kind = "extra transaction" if total > self._slots_seen else "lost slot"
+        expected, idle_before = self._slots_seen + 1, self._idle_seen
+        self.seed(engine)
+        total, owner = self._slots_seen, engine.schedule.owner_of_slot(slot)
+        if total != expected:
+            kind = "extra transaction" if total > expected else "lost slot"
             raise self.violation(
                 f"{total} arbitration outcomes recorded over "
-                f"{self._slots_seen} processed slots ({kind}); the slot "
+                f"{expected} processed slots ({kind}); the slot "
                 "owner must perform at most one bus transaction per slot",
+                slot=slot,
+                core=owner,
+            )
+        request = engine.system.prbs[owner].entry
+        on_bus = request is not None and request.first_on_bus_at is not None
+        if on_bus and self._idle_seen > idle_before:
+            raise self.violation(
+                f"core {owner} idles with its request for block "
+                f"{request.block:#x} on the bus",
                 slot=slot,
                 core=owner,
             )
@@ -365,42 +383,26 @@ class PartitionRoutingInvariant(Invariant):
 class LatencyBoundInvariant(Invariant):
     """Completed requests respect their core's analytical WCL.
 
-    Bus latency (first broadcast to response) is the quantity Theorems
-    4.7/4.8 bound.  Cores without a finite bound (shared partition under
-    a non-1S-TDM schedule, Section 4.1) are skipped.  The check runs the
-    slot each response arrives, so a violating request is reported at
-    its completion slot rather than after the run.
+    Each request is judged by the one bound rule,
+    :meth:`~repro.analysis.verification.CoreBound.violation`, the slot
+    its response arrives, so a violating request is reported at its
+    completion slot rather than after the run.
     """
 
     name = "latency-bound"
 
     def __init__(self, config) -> None:
-        self._bounds: Dict[CoreId, Optional[Cycle]] = {
-            core: bound.cycles
-            for core, bound in derive_core_bounds(config).items()
-        }
-        self._rules: Dict[CoreId, str] = {
-            core: bound.rule
-            for core, bound in derive_core_bounds(config).items()
-        }
+        self._bounds = derive_core_bounds(config)
         self._checked = 0
 
     def check(self, engine: "SlotEngine", slot: SlotIndex) -> None:
-        completed = engine._completed
-        while self._checked < len(completed):
-            request = completed[self._checked]
+        completed, schedule = engine._completed, engine.system.schedule
+        for request in completed[self._checked:]:
             self._checked += 1
-            bound = self._bounds.get(request.core)
-            if bound is None:
-                continue
-            assert request.completed_at is not None
-            assert request.first_on_bus_at is not None
-            bus_latency = request.completed_at - request.first_on_bus_at
-            if bus_latency > bound:
+            violation = self._bounds[request.core].violation(request, schedule)
+            if violation is not None:
                 raise self.violation(
-                    f"request for block {request.block:#x} took "
-                    f"{bus_latency} cycles on the bus, above the "
-                    f"{self._rules[request.core]} bound of {bound} cycles",
+                    str(violation),
                     slot=slot,
                     core=request.core,
                     set_index=engine.system.llc.fold(
@@ -470,13 +472,9 @@ class InvariantMonitor:
         state, so checkpoints do not serialize monitor internals; the
         restore path calls this instead.
         """
-        slots_processed = sum(
-            usage["idle"] + usage["request"] + usage["writeback"]
-            for usage in engine._slot_usage.values()
-        )
         for invariant in self.invariants:
             if isinstance(invariant, SlotAccountingInvariant):
-                invariant._slots_seen = slots_processed
+                invariant.seed(engine)
             elif isinstance(invariant, LatencyBoundInvariant):
                 invariant._checked = len(engine._completed)
             elif isinstance(invariant, SlotSequenceInvariant):

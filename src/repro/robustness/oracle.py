@@ -15,7 +15,8 @@ Checks performed by :func:`check_run`:
 ``slot-accounting``
     Every bus slot in ``[0, total_slots)`` carries *exactly one* owner
     action (idle, request broadcast, or write-back) — a dropped TDM slot
-    leaves a hole, a duplicated grant doubles up.
+    leaves a hole, a duplicated grant doubles up — and an owner whose
+    request is on the bus (broadcast, not yet answered) never idles.
 ``slot-ownership``
     Every slot-owner action is attributed to the core the TDM schedule
     grants that slot to.
@@ -38,14 +39,10 @@ Checks performed by :func:`check_run`:
     Each response follows a hit/allocation in the same slot, exactly
     ``llc_hit_latency``/``llc_miss_latency`` cycles after slot start.
 ``analytical-bounds``
-    Every completed request's bus latency (first broadcast to response,
-    re-derived from the event stream) is within its core's Theorem 4.7
-    / Theorem 4.8 / private bound.  Theorem 4.8's formula is capacity-
-    independent and budgets no write-backs of the core under analysis,
-    while the engine model does charge a blocked core for back-
-    invalidations forced on it mid-wait; SS windows therefore allow
-    exactly the core's *own* write-backs observed inside the request
-    window, one period each (see :func:`_check_bounds`).
+    Every completed request is within its core's Theorem 4.7 / 4.8 /
+    private limit (:meth:`~repro.analysis.verification.CoreBound.limit`),
+    judged by :func:`~repro.analysis.verification.verify_bounds` on the
+    records ``request-accounting`` has just matched against the replay.
 ``completion``
     A run whose every core has a finite analytical bound must not
     starve (Observation 2: 1S-TDM terminates).
@@ -67,7 +64,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.verification import derive_core_bounds
+from repro.analysis.verification import derive_core_bounds, verify_bounds
 from repro.common.errors import FuzzError, ReproError
 from repro.common.types import CoreId, Cycle
 from repro.sim.config import SystemConfig
@@ -343,13 +340,16 @@ def _check_requests(
     service: Dict[CoreId, Tuple[EventKind, int, int]] = {}  # kind, slot, cycle
     width = config.slot_width
     broadcast, response = EventKind.REQ_BROADCAST, EventKind.RESPONSE
-    hit, alloc = EventKind.LLC_HIT, EventKind.LLC_ALLOC
+    hit, alloc, idle = EventKind.LLC_HIT, EventKind.LLC_ALLOC, EventKind.SLOT_IDLE
     for event in events:
         core = event.core
         kind = event.kind
         if kind is broadcast:
             first, attempts = in_flight.get(core, (event.cycle, 0))
             in_flight[core] = (first, attempts + 1)
+        elif kind is idle and core in in_flight:  # own_writebacks' premise
+            detail = f"core {core} idles with its request on the bus"
+            out.append(OracleViolation("slot-accounting", detail, event.slot, core))
         elif kind is hit or kind is alloc:
             service[core] = (kind, event.slot, event.cycle)
         elif kind is response:
@@ -427,73 +427,6 @@ def _check_requests(
                 )
             )
     return checked
-
-
-def _check_bounds(
-    events: List[SimEvent],
-    config: SystemConfig,
-    out: List[OracleViolation],
-) -> None:
-    """Check every request window against its core's analytical bound.
-
-    Latency is measured from the request's first broadcast to its
-    response, straight from the event stream (``request-accounting``
-    separately asserts this equals the engine's records).  Theorem 4.7
-    and the private bound are checked as-is — both already budget the
-    core's own write-backs (the ``(m + 1)`` factor, resp. one of the
-    ``2N + 1`` periods).  Theorem 4.8 is capacity-independent by design
-    and budgets none, but the engine model charges a blocked core for
-    back-invalidations forced on it mid-wait (each consumes one of its
-    slots, i.e. one period of progress towards its own request).  SS
-    windows therefore allow exactly the core's own write-backs observed
-    *inside the window*, one period (``N·SW``) each.  The allowance is
-    dynamic and minimal: genuine interference bugs exceed the bound
-    beyond the core's own obligations and still flag (the FIFO-PWB
-    priority bug did exactly that under Theorem 4.7's unmodified
-    check).
-    """
-    bounds = derive_core_bounds(config)
-    period = config.num_cores * config.slot_width
-    #: core -> [first broadcast cycle, own write-backs inside the window]
-    windows: Dict[CoreId, List[int]] = {}
-    broadcast, wb_sent = EventKind.REQ_BROADCAST, EventKind.WB_SENT
-    response = EventKind.RESPONSE
-    for event in events:
-        core = event.core
-        if core is None:
-            continue
-        kind = event.kind
-        if kind is broadcast:
-            windows.setdefault(core, [event.cycle, 0])
-        elif kind is wb_sent and core in windows:
-            windows[core][1] += 1
-        elif kind is response and core in windows:
-            start, own_writebacks = windows.pop(core)
-            bound = bounds[core]
-            if bound.cycles is None:
-                continue
-            latency = event.cycle - start
-            allowance = (
-                own_writebacks * period if bound.rule == "theorem-4.8" else 0
-            )
-            if latency > bound.cycles + allowance:
-                out.append(
-                    OracleViolation(
-                        check="analytical-bounds",
-                        detail=(
-                            f"core {core} block {event.block:#x}: bus "
-                            f"latency {latency} exceeds the {bound.rule} "
-                            f"bound of {bound.cycles} cycles"
-                            + (
-                                f" plus {own_writebacks} own write-back "
-                                f"period(s) ({allowance} cycles)"
-                                if allowance
-                                else ""
-                            )
-                        ),
-                        core=core,
-                    )
-                )
 
 
 def _check_engine_differential(
@@ -714,7 +647,8 @@ def check_run(
     requests_checked = _check_requests(events, report, config, out)
 
     # -- analytical bounds (Theorems 4.7 / 4.8 / private) ---------------
-    _check_bounds(events, config, out)
+    for v in verify_bounds(report, config):
+        out.append(OracleViolation("analytical-bounds", str(v), core=v.core))
 
     # -- fast vs reference engine differential --------------------------
     if traces is not None:

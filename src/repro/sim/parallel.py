@@ -15,7 +15,9 @@ Design notes
   ``fork`` start method a worker inherits the thunk through the forked
   address space, so arbitrary closures run unchanged.  Only the task's
   *result* (or its exception) crosses the process boundary, via a pipe,
-  with the counts the worker's copy of the I/O fault plan added.
+  with the counts the worker's copy of the I/O fault plan added and the
+  sites whose circuit breaker is open in the worker; the parent opens
+  those breakers too, so later forks skip a store that already failed.
 * **Parent-enforced timeouts.**  A hung task cannot be trusted to
   interrupt itself, so the *parent* tracks one deadline per in-flight
   task and kills the worker when it expires: a genuinely wedged
@@ -44,8 +46,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.context import RetryPolicy
+from repro.common.context import RetryPolicy, current_run_context
 from repro.common.errors import ConfigurationError, ReproError, TaskTimeoutError
+from repro.common.fileio import circuit_breaker
 from repro.common.validation import require
 
 #: A pool task: a stable name plus a nullary callable producing the
@@ -99,7 +102,6 @@ class PoolResult:
 
 def _fault_plan():
     """The run context's I/O fault plan, or ``None``."""
-    from repro.common.context import current_run_context
     from repro.robustness.iofault import IoFaultPlan
 
     hook = current_run_context().io_hook
@@ -110,19 +112,19 @@ def _worker_main(thunk: Callable[[], Any], conn) -> None:
     """Run one task in a forked child; ship the outcome up the pipe.
 
     The outcome carries the faults and seam operations the child's copy
-    of the run's I/O fault plan saw, for the parent's reported totals.
+    of the run's I/O fault plan saw and the sites of its open breakers.
     """
     plan = _fault_plan()
-    start = (plan.fired_count, plan.operations) if plan else (0, 0)
+    faults, operations = (plan.fired_count, plan.operations) if plan else (0, 0)
     try:
         outcome: Tuple[str, Any] = ("ok", thunk())
     except BaseException as exc:  # noqa: BLE001 - ships to the parent
         outcome = ("error", exc)
-    io = (
-        (plan.fired_count - start[0], plan.operations - start[1])
-        if plan
-        else (0, 0)
-    )
+    if plan:
+        faults, operations = plan.fired_count - faults, plan.operations - operations
+    breakers = current_run_context().io.breakers
+    open_sites = tuple(site for site, breaker in breakers.items() if breaker.open)
+    io = (faults, operations, open_sites)
     try:
         conn.send(outcome + (io,))
     except Exception as exc:
@@ -293,15 +295,18 @@ class TaskPool:
             time.sleep(wait)
 
     @staticmethod
-    def _poll_worker(run: _Running) -> Optional[Tuple[str, Any, Tuple[int, int]]]:
+    def _poll_worker(run: _Running) -> Optional[Tuple[str, Any, Tuple]]:
         """Return the worker's final outcome, or None while it runs."""
+        # Liveness first: a worker that sends and exits between the two
+        # checks would otherwise look as if it died without a result.
+        alive = run.process.is_alive()
         try:
             if run.conn.poll():
                 return run.conn.recv()
         except (EOFError, OSError):
             pass  # pipe closed without a final message
         else:
-            if run.process.is_alive():
+            if alive:
                 return None
         # Worker died without reporting (killed by the OS, or its result
         # pipe broke): surface as a non-transient error rather than
@@ -312,7 +317,7 @@ class TaskPool:
                 f"worker for task {run.pending.name!r} exited without a "
                 f"result (exit code {run.process.exitcode})"
             ),
-            (0, 0),
+            (0, 0, ()),
         )
 
     def _reap_finished(
@@ -327,13 +332,15 @@ class TaskPool:
             outcome = self._poll_worker(run)
             if outcome is None:
                 continue
-            status, payload, io = outcome
+            status, payload, (faults, operations, open_sites) = outcome
             running.remove(run)
             run.process.join()
             run.conn.close()
             plan = _fault_plan()
             if plan is not None:
-                plan.add_worker_counts(*io)
+                plan.add_worker_counts(faults, operations)
+            for site in open_sites:
+                circuit_breaker(site).open = True
             task = run.pending
             if status == "ok":
                 result = PoolResult(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import contextlib
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import TdmSchedule
-from repro.common.context import IoState, RetryPolicy, run_context
+from repro.common import fileio
+from repro.common.context import IoState, RunContext, run_context
 from repro.common.types import AccessType, CoreId
 from repro.llc.partition import PartitionSpec
 from repro.sim.config import SystemConfig
@@ -106,13 +108,19 @@ def read_trace_of(blocks: Sequence[int]) -> MemoryTrace:
     return trace_of_blocks(blocks, AccessType.READ)
 
 
-def fast_io_context(**changes):
+@contextlib.contextmanager
+def fast_io_context(**changes) -> Iterator[RunContext]:
     """A run-context scope with fresh ``io.*`` state and no retry backoff.
 
     Closed breakers and zeroed counters, so a breaker tripped by one
     injected fault schedule cannot silently disable a store in the
     next; ``changes`` add further fields (a fault plan, a cache, ...).
+    ESSENTIAL retries do not sleep inside the scope.
     """
-    return run_context(
-        io=IoState(), essential_retry=RetryPolicy(backoff_base=0.0), **changes
-    )
+    sleep = fileio._sleep
+    fileio._sleep = lambda seconds: None
+    try:
+        with run_context(io=IoState(), **changes) as context:
+            yield context
+    finally:
+        fileio._sleep = sleep

@@ -1,23 +1,42 @@
 """Tests for the automatic bound-compliance verifier."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.verification import (
+    CoreBound,
     assert_bounds,
     derive_core_bounds,
+    own_writebacks,
     verify_bounds,
 )
 from repro.bus.schedule import TdmSchedule
+from repro.common.errors import InvariantViolation
 from repro.experiments.configs import build_system_for_notation, fig7_system
 from repro.llc.partition import PartitionKind
-from repro.sim.simulator import simulate
+from repro.robustness.fuzz import (
+    config_from_dict,
+    generate_cases,
+    run_fuzz_case,
+    traces_from_case,
+)
+from repro.robustness.oracle import check_run
+from repro.sim.events import EventKind
+from repro.sim.report import RequestRecord
+from repro.sim.simulator import Simulator, simulate
 from repro.workloads.adversarial import conflict_storm_traces
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
 )
 
-from sim_helpers import private_partitions, shared_partition, small_config
+from sim_helpers import (
+    private_partitions,
+    shared_partition,
+    small_config,
+    write_trace_of,
+)
 
 
 class TestDeriveCoreBounds:
@@ -135,3 +154,116 @@ class TestVerifyBounds:
                 assert_bounds(report, private_view)
         else:  # extremely unlikely, but keep the test honest
             assert report.observed_bus_wcl() <= 250
+
+
+class TestOneBoundRule:
+    """The oracle, checked mode and ``verify_bounds`` judge alike."""
+
+    @pytest.mark.parametrize("index", [959, 1183])
+    def test_fuzz_cases_within_the_allowance_pass_all_three_checks(self, index):
+        # Seed 6's case-00959 (545 > 500 cycles) and case-01183 (945 >
+        # 900) exceed Theorem 4.8 by their cores' own write-backs only.
+        case = generate_cases(index + 1, 6)[index]
+        config = config_from_dict(case.config)
+        traces = traces_from_case(case)
+        report = simulate(dataclasses.replace(config, checked=True), traces)
+        assert report.observed_bus_wcl() > derive_core_bounds(config)[0].cycles
+        assert verify_bounds(report, config) == []
+        assert run_fuzz_case(case).passed
+
+    def test_own_writebacks_equals_the_replayed_wb_sent_events(self):
+        # The event replay is the independent reference: the core's
+        # write-backs between its first broadcast and its response.
+        for case in generate_cases(300, 6):
+            config = config_from_dict(case.config)
+            report = simulate(config, traces_from_case(case))
+            windows, replayed = {}, []
+            for event in report.events.all():
+                if event.kind is EventKind.REQ_BROADCAST:
+                    windows.setdefault(event.core, 0)
+                elif event.kind is EventKind.WB_SENT and event.core in windows:
+                    windows[event.core] += 1
+                elif event.kind is EventKind.RESPONSE:
+                    replayed.append(windows.pop(event.core))
+            schedule = config.build_schedule()
+            counted = [own_writebacks(r, schedule) for r in report.requests]
+            assert counted == replayed, case.case_id
+
+    def test_a_request_past_theorem_and_allowance_trips_every_check(self):
+        config = small_config(num_cores=2, sequencer=True)
+        bound = derive_core_bounds(config)[0]
+        schedule = config.build_schedule()
+        # The rule and the schedule fix the allowance: a hand-built bound
+        # gets the same limit as a derived one.
+        assert bound == CoreBound(0, bound.partition, "theorem-4.8", 500)
+        assert bound.limit(1, schedule) == 600
+        report = simulate(config, {0: write_trace_of([1]), 1: write_trace_of([9])})
+        # Core 0 owns the even 50-cycle slots.  Broadcast in slot 0 and
+        # answered in slot 10 (or 12) after 5 (6) attempts: its other
+        # owned slot carried one write-back of its own.
+        within = RequestRecord(0, 1, 0, 0, 545, 5, False)
+        past = RequestRecord(0, 1, 0, 0, 645, 6, False)
+        assert own_writebacks(within, schedule) == own_writebacks(past, schedule) == 1
+        edited = dataclasses.replace(report, requests=[within, past])
+        detail = (
+            "core 0 block 0x1: bus latency 645 exceeds the theorem-4.8 bound "
+            "of 500 cycles plus 1 own write-back period(s) (100 cycles)"
+        )
+        assert [str(v) for v in verify_bounds(edited, config)] == [detail]
+        with pytest.raises(AssertionError, match="1 analytical bound violation"):
+            assert_bounds(edited, config)
+        verdict = check_run(edited, config)
+        assert [
+            v.detail for v in verdict.violations if v.check == "analytical-bounds"
+        ] == [detail]
+
+    def test_an_idled_owned_slot_of_a_waiting_core_is_flagged(self):
+        # own_writebacks counts every owned slot of a request window as
+        # an attempt or a write-back, so an engine that idles one of them
+        # instead must be caught, by the oracle and by checked mode.
+        config = small_config(
+            num_cores=2,
+            partitions=[shared_partition(2, ways=2, sequencer=True)],
+            llc_sets=1,
+            llc_ways=2,
+            sequencer=True,
+        )
+        traces = {
+            0: write_trace_of([1, 2, 3, 1, 2, 3, 1, 2]),
+            1: write_trace_of([4097, 4098, 4097, 4098]),
+        }
+
+        def idle_once(sim):
+            # Core 0's arbiter passes one slot while its request waits.
+            system = sim.engine.system
+            arbiter, prb = system.arbiters[0], system.prbs[0]
+            choose, idled = arbiter.choose, []
+
+            def buggy(has_request, has_writeback):
+                entry = prb.entry
+                on_bus = entry is not None and entry.first_on_bus_at is not None
+                if on_bus and not idled:
+                    idled.append(sim.engine._slot)
+                    return None
+                return choose(has_request, has_writeback)
+
+            arbiter.choose = buggy
+            return idled
+
+        sim = Simulator(config, traces)
+        idled = idle_once(sim)
+        report = sim.run()
+        assert idled == [12]
+        # The longer window stays within the bound: only the idle check sees it.
+        assert verify_bounds(report, config) == []
+        violations = check_run(report, config).violations
+        assert [(v.check, v.slot, v.core) for v in violations] == [
+            ("slot-accounting", 12, 0)
+        ]
+        sim = Simulator(dataclasses.replace(config, checked=True), traces)
+        idle_once(sim)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        violation = excinfo.value
+        assert (violation.invariant, violation.slot) == ("slot-accounting", 12)
+        assert "on the bus" in str(violation)

@@ -21,7 +21,7 @@ from repro.common.errors import (
     PersistenceError,
 )
 from repro.common import fileio
-from repro.common.context import IoState, RetryPolicy, run_context
+from repro.common.context import IoState, run_context
 from repro.common.fileio import atomic_write_text, cleanup_stale_tmp, tmp_sibling
 from repro.obs.exporters import metrics_to_jsonl, write_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -485,11 +485,10 @@ def _interrupted_save(tmp_path, monkeypatch, boom, expect=None):
 def test_torn_write_keeps_previous_checkpoint_valid(tmp_path, monkeypatch):
     # An ESSENTIAL save retries, then fails loudly as PersistenceError
     # (never a bare OSError: the retry budget is already spent).
-    with run_context(essential_retry=RetryPolicy(backoff_base=0.0)):
-        config, traces, path, before = _interrupted_save(
-            tmp_path, monkeypatch, OSError("disk full"),
-            expect=PersistenceError,
-        )
+    monkeypatch.setattr(fileio, "_sleep", lambda seconds: None)
+    config, traces, path, before = _interrupted_save(
+        tmp_path, monkeypatch, OSError("disk full"), expect=PersistenceError
+    )
     # The target was never touched and the failed write cleaned up its
     # own temp sibling — an ENOSPC mid-save leaks no partial data.
     assert path.read_bytes() == before

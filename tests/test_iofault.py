@@ -19,7 +19,6 @@ from repro.common import fileio
 from repro.common.context import (
     IoState,
     RetryPolicy,
-    RunContext,
     run_context,
     store_changes,
 )
@@ -252,7 +251,7 @@ class TestEssentialPolicy:
         )
         assert [policy.delay(n) for n in (1, 2, 3)] == [0.05, 0.1, 0.2]
         # The default ESSENTIAL schedule: 3 attempts from 50 ms, doubling.
-        assert RunContext().essential_retry == RetryPolicy(
+        assert fileio.ESSENTIAL_RETRY == RetryPolicy(
             max_attempts=3, backoff_base=0.05, backoff_factor=2.0
         )
 
@@ -594,3 +593,25 @@ class TestForkedWorkers:
         assert code == 0
         faults = int(summary.split()[1])
         assert summary.startswith("io-fault: ") and faults >= 1, summary
+
+    def test_a_breaker_opened_in_a_worker_stays_open_for_later_forks(
+        self, tmp_path, capfd
+    ):
+        # Every auto-checkpoint save fails.  A worker sends the sites of
+        # its open breakers back and the parent opens them, so only the
+        # two workers forked before the first one finished trip their
+        # own breaker; the other four cells start with it open.
+        code = main(
+            [
+                "fig7",
+                "--requests", "100",
+                "--jobs", "2",
+                "--checkpoint-dir", str(tmp_path),
+                "--checkpoint-every", "64",
+                "--io-fault", "enospc@1x*,site=auto-checkpoint",
+            ]
+        )
+        assert code == 0
+        # File-descriptor capture: the notices are printed in the workers.
+        notices = capfd.readouterr().err.count("disabled after")
+        assert 1 <= notices <= 2

@@ -11,6 +11,8 @@ from repro.common.context import RetryPolicy
 from repro.common.errors import ConfigurationError, TaskTimeoutError
 from repro.sim.parallel import (
     TaskPool,
+    _Pending,
+    _Running,
     effective_jobs,
     parallel_available,
     run_parallel,
@@ -173,6 +175,30 @@ def test_worker_killed_by_os_reports_exit_code():
     results = TaskPool(jobs=1).run([("killed", suicide)])
     assert results[0].status == "error"
     assert "exited without a result" in str(results[0].error)
+
+
+def test_worker_that_reports_then_exits_between_the_checks_is_not_lost():
+    # The result reaches the pipe just before the worker exits, both
+    # after the parent looked: the outcome must be the result, not
+    # "exited without a result".
+    checks = []
+
+    class ExitedWorker:
+        exitcode = 0
+
+        def is_alive(self):
+            checks.append("alive")
+            return False
+
+    class ResultPipe:
+        def poll(self):
+            return "alive" in checks
+
+        def recv(self):
+            return ("ok", 42, (0, 0, ()))
+
+    run = _Running(_Pending(0, "late", None), ExitedWorker(), ResultPipe(), 0.0, None)
+    assert TaskPool._poll_worker(run) == ("ok", 42, (0, 0, ()))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from sim_helpers import small_config, write_trace_of
 from repro.cli import main
 from repro.common.context import (
     IoState,
-    RetryPolicy,
     current_run_context,
     run_context,
 )
@@ -103,7 +102,7 @@ def test_scope_exited_by_an_exception_restores_the_previous_context(tmp_path):
 
 def test_nested_scope_shares_io_state_unless_given_a_fresh_one():
     with run_context(io=IoState()) as outer:
-        with run_context(essential_retry=RetryPolicy(max_attempts=1)) as inner:
+        with run_context(io_hook=None) as inner:
             count_io("io.test")
         assert inner.io is outer.io
         with run_context(io=IoState()):
@@ -116,7 +115,6 @@ def test_fork_pool_tasks_see_the_parents_context(tmp_path):
     cache = SimResultCache(tmp_path / "cache")
     policy = AutoCheckpointPolicy(tmp_path / "ckpts", every_slots=64)
     plan = IoFaultPlan([IoFaultSpec.parse("enospc@1x*,site=auto-checkpoint")])
-    retry = RetryPolicy(max_attempts=5, backoff_base=0.0)
 
     def probe():
         context = current_run_context()
@@ -125,19 +123,15 @@ def test_fork_pool_tasks_see_the_parents_context(tmp_path):
             str(context.checkpoints.directory),
             context.checkpoints.every_slots,
             [spec.describe() for spec in context.io_hook.specs],
-            context.essential_retry,
         )
 
-    with run_context(
-        result_cache=cache, checkpoints=policy, io_hook=plan, essential_retry=retry
-    ):
+    with run_context(result_cache=cache, checkpoints=policy, io_hook=plan):
         results = TaskPool(jobs=2).run([("a", probe), ("b", probe)])
     expected = (
         str(tmp_path / "cache"),
         str(tmp_path / "ckpts"),
         64,
         ["enospc@1x*,site=auto-checkpoint"],
-        retry,
     )
     assert [result.value for result in results] == [expected, expected]
 
