@@ -138,15 +138,21 @@ def starvation_witness(
 
     The multi-slot schedule is ``{c_ua, c_1, c_1}`` (the interferer owns
     two consecutive slots, enough to write back *and* re-occupy before
-    the victim returns); the 1S-TDM control is ``{c_ua, c_1}``.
+    the victim returns); the 1S-TDM control is ``{c_ua, c_1}``.  Growth
+    needs at least two lengths, given in strictly increasing order.
     """
     from repro.analysis.wcl import SharedPartitionParams, wcl_nss_cycles
 
-    for length in stream_lengths:
-        if length < 0:
-            raise ConfigurationError(
-                f"interferer stream length must be >= 0, got {length}"
-            )
+    lengths = list(stream_lengths)
+    if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ConfigurationError(
+            "growth needs at least two strictly increasing stream lengths, "
+            f"got {lengths}"
+        )
+    if lengths[0] < 0:
+        raise ConfigurationError(
+            f"interferer stream length must be >= 0, got {lengths[0]}"
+        )
     multi = TdmSchedule((0, 1, 1), slot_width)
     one_slot = TdmSchedule((0, 1), slot_width)
     multi_latencies: List[int] = []

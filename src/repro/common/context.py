@@ -87,6 +87,15 @@ class IoState:
             self._metrics = MetricsRegistry()
         return self._metrics
 
+    def take_metrics(self) -> Optional["MetricsRegistry"]:
+        """Hand over the counters counted so far and start afresh."""
+        metrics, self._metrics = self._metrics, None
+        return metrics
+
+    def add_metrics(self, other: "MetricsRegistry") -> None:
+        """Merge a fork-pool worker's ``io.*`` counters into this run's."""
+        self._metrics = self.metrics.merged(other)
+
 
 @dataclass(frozen=True)
 class RunContext:

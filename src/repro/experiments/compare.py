@@ -10,6 +10,7 @@ and LLC behaviour in one table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -117,9 +118,17 @@ def compare_notations(
     gives the same rows and metrics as a serial run; with
     ``with_metrics=True`` each notation's series are labelled
     ``config=<notation>``.  ``engine`` overrides
-    :attr:`SystemConfig.engine` for every notation's run.
+    :attr:`SystemConfig.engine` for every notation's run.  Repeated
+    notations are refused: they would print one row twice and merge
+    both runs' metrics into one series.
     """
     require(bool(notations), "need at least one notation", ConfigurationError)
+    repeated = sorted(n for n, count in Counter(notations).items() if count > 1)
+    require(
+        not repeated,
+        f"notations must be distinct; repeated: {repeated}",
+        ConfigurationError,
+    )
     traces = get_suite(suite).build(
         num_cores=num_cores,
         num_requests=num_requests,

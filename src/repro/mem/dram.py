@@ -1,92 +1,34 @@
-"""A simple DRAM backend model.
+"""The DRAM behind the LLC: a read/write traffic counter.
 
 The paper's system model (Section 3) places the DRAM directly behind the
 LLC; the LLC↔DRAM interface does **not** use the TDM bus, so DRAM
 traffic never competes with L2↔LLC transactions.  The analysis counts
 latency purely in bus slots, which requires an LLC miss's line fetch to
-complete within the requesting core's slot.  We therefore model DRAM as
-a fixed-latency device and validate at system-build time that
-``fetch_latency <= slot_width``.
-
-The model still keeps honest accounting (reads, writes, busy cycles) so
-experiments can report memory traffic, and it supports an optional
-bandwidth model (one transfer at a time) for ablations that want a
-less idealised backend.
+complete within the requesting core's slot:
+:class:`~repro.sim.config.SystemConfig` refuses an ``llc_miss_latency``
+below :data:`DRAM_FETCH_LATENCY`.  No DRAM timing reaches a report, so
+the model keeps only the traffic the report exports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
-from repro.common.types import BlockAddress, Cycle
-from repro.common.validation import require_non_negative, require_positive
-
-
-@dataclass(frozen=True)
-class DramConfig:
-    """Configuration of the DRAM backend.
-
-    Parameters
-    ----------
-    fetch_latency:
-        Cycles to read one cache line.
-    write_latency:
-        Cycles to absorb one line write-back (buffered; does not stall
-        the LLC pipeline unless ``serialize`` is set).
-    serialize:
-        When true, transfers are serialised (a fetch issued while an
-        earlier transfer is in flight waits); the idealised paper model
-        leaves this off.
-    """
-
-    fetch_latency: int = 30
-    write_latency: int = 30
-    serialize: bool = False
-
-    def __post_init__(self) -> None:
-        require_positive(self.fetch_latency, "fetch_latency", ConfigurationError)
-        require_non_negative(self.write_latency, "write_latency", ConfigurationError)
+#: Cycles to read one line from DRAM; an LLC miss must cover them.
+DRAM_FETCH_LATENCY = 30
 
 
 @dataclass
-class DramStats:
-    """Traffic counters for the DRAM backend."""
+class Dram:
+    """The DRAM behind the LLC, counting line reads and write-backs."""
 
     reads: int = 0
     writes: int = 0
-    busy_cycles: int = 0
 
+    def fetch(self) -> None:
+        """Count one line fetch."""
+        self.reads += 1
 
-class Dram:
-    """Fixed-latency DRAM behind the LLC."""
-
-    def __init__(self, config: DramConfig | None = None) -> None:
-        self.config = config or DramConfig()
-        self.stats = DramStats()
-        self._free_at: Cycle = 0
-
-    def fetch(self, block: BlockAddress, now: Cycle) -> Cycle:
-        """Fetch a line; returns the cycle at which the data is ready."""
-        start = max(now, self._free_at) if self.config.serialize else now
-        done = start + self.config.fetch_latency
-        self.stats.reads += 1
-        self.stats.busy_cycles += self.config.fetch_latency
-        if self.config.serialize:
-            self._free_at = done
-        return done
-
-    def write_back(self, block: BlockAddress, now: Cycle) -> Cycle:
-        """Absorb a line write-back; returns the completion cycle."""
-        start = max(now, self._free_at) if self.config.serialize else now
-        done = start + self.config.write_latency
-        self.stats.writes += 1
-        self.stats.busy_cycles += self.config.write_latency
-        if self.config.serialize:
-            self._free_at = done
-        return done
-
-    def reset(self) -> None:
-        """Clear traffic counters and the serialisation horizon."""
-        self.stats = DramStats()
-        self._free_at = 0
+    def write_back(self) -> None:
+        """Count one line write-back."""
+        self.writes += 1

@@ -101,7 +101,7 @@ from repro.sim.codec import (
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: File-format discriminator, so an unrelated JSON file is rejected
 #: with a clear message instead of a cryptic missing-key error.
@@ -359,34 +359,27 @@ def _sequencer_state(sequencer: SetSequencer) -> Dict[str, Any]:
     # core is queued for follows from it.
     return {
         "stats": dataclass_state(sequencer.stats),
-        "overflows": sequencer.overflows,
         "queues": sorted(
             [set_index, list(queue)]
             for set_index, queue in sequencer.queues.items()
         ),
-        "unsequenced": sorted(sequencer._unsequenced),
     }
 
 
 def _load_sequencer(sequencer: SetSequencer, state: Mapping[str, Any]) -> None:
     queues = state["queues"]
     cores = [core for _, queue in queues for core in queue]
-    if (
-        len(queues) > sequencer.max_queues
-        or len(set(cores)) != len(cores)
-        or not all(queue and 0 <= s < sequencer.num_sets for s, queue in queues)
+    if len(set(cores)) != len(cores) or not all(
+        queue and 0 <= s < sequencer.num_sets for s, queue in queues
     ):
         raise CheckpointError(
-            "sequencer table of the checkpoint does not fit the built "
-            "sequencer (different sequencer_max_queues?)"
+            "sequencer table of the checkpoint does not fit the built sequencer"
         )
     load_dataclass_state(sequencer.stats, state["stats"])
-    sequencer.overflows = state["overflows"]
     sequencer.queues = {set_index: deque(queue) for set_index, queue in queues}
     sequencer._queued_set = dict(
         sorted((core, set_index) for set_index, queue in queues for core in queue)
     )
-    sequencer._unsequenced = set(state["unsequenced"])
 
 
 def _rng_state(rng) -> Dict[str, Any]:
@@ -485,10 +478,7 @@ def _payload(sim, completed: List[Any]) -> Dict[str, Any]:
             for core_id, arbiter in sorted(system.arbiters.items())
         ],
         "llc": _llc_state(system.llc),
-        "dram": {
-            "stats": dataclass_state(system.dram.stats),
-            "free_at": system.dram._free_at,
-        },
+        "dram": dataclass_state(system.dram),
         "sequencers": [
             [name, _sequencer_state(sequencer)]
             for name, sequencer in sorted(system.sequencers.items())
@@ -580,8 +570,7 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
         arbiter._preferred = TransactionKind(stored["preferred"])
         arbiter.contended_slots = stored["contended_slots"]
     _load_llc(system.llc, state["llc"])
-    load_dataclass_state(system.dram.stats, state["dram"]["stats"])
-    system.dram._free_at = state["dram"]["free_at"]
+    load_dataclass_state(system.dram, state["dram"])
     stored_sequencers = dict(state["sequencers"])
     if set(stored_sequencers) != set(system.sequencers):
         raise CheckpointError(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.bus.schedule import one_slot_tdm
 from repro.common.errors import FuzzError, ReproError
 from repro.common.fileio import Durability, persist_text
 from repro.common.types import CoreId
@@ -141,7 +142,11 @@ def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
         num_cores=data["num_cores"],
         partitions=partitions,
         slot_width=data["slot_width"],
-        schedule_order=tuple(order) if order is not None else None,
+        schedule=(
+            None
+            if order is None
+            else one_slot_tdm(data["num_cores"], data["slot_width"], order)
+        ),
         line_size=FUZZ_LINE_SIZE,
         llc_sets=data["llc_sets"],
         llc_ways=data["llc_ways"],

@@ -258,10 +258,6 @@ def _check_sequenced(
     out: List[OracleViolation],
 ) -> None:
     """Replay the per-set FIFOs and enforce head-only claims."""
-    if config.sequencer_max_queues is not None:
-        # Overflowed registrations legitimately fall back to
-        # best-effort handling; FIFO order is not promised then.
-        return
     partition_map = config.build_partition_map()
     sequenced: Set[CoreId] = {
         core

@@ -8,18 +8,16 @@ deque of cores, head first, in the order their requests were first
 broadcast on the shared bus.  A set is in the table exactly while it
 has a queued core.
 
-A hardware implementation has a fixed queue count; ``max_queues``
-models it, so experiments can study overflow, while the default (one
-queue per possible set) never runs out — matching the paper's
-assumption that ordering is always maintained.
+The table has room for one queue per set, the paper's QLT size, so
+ordering is always maintained: a set that needs a new queue has none
+in the table yet.
 
 The slot engine talks to this class only:
 
 * :meth:`register` — a request missed and could not complete; record it
   in broadcast order (idempotent per outstanding request).
 * :meth:`may_claim` — may this core take a free entry in this set now?
-  True iff the core heads the set's queue (or was never sequenced, e.g.
-  after an overflow).
+  True iff the core heads the set's queue, or the set has none.
 * :meth:`complete` — the core's request finished; pop it and drop the
   set from the table once drained.
 * :meth:`cancel` — the request stopped needing an allocation (it became
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import CoreId
@@ -52,22 +50,14 @@ class SequencerStats:
 class SetSequencer:
     """Orders pending misses per LLC set in bus-broadcast order."""
 
-    def __init__(self, num_sets: int, max_queues: Optional[int] = None) -> None:
+    def __init__(self, num_sets: int) -> None:
         require_positive(num_sets, "num_sets", ConfigurationError)
-        if max_queues is None:
-            max_queues = num_sets
-        require_positive(max_queues, "max_queues", ConfigurationError)
         self.num_sets = num_sets
-        self.max_queues = max_queues
         #: set index -> queued cores, head first; never holds an empty queue.
         self.queues: Dict[int, Deque[CoreId]] = {}
-        #: Registrations that found the table full (handled best-effort).
-        self.overflows = 0
         self.stats = SequencerStats()
         # core -> set it is queued for (a core has one outstanding request)
         self._queued_set: Dict[CoreId, int] = {}
-        # cores whose registration overflowed the table
-        self._unsequenced: Set[CoreId] = set()
 
     def is_queued(self, core: CoreId) -> bool:
         """Whether ``core`` currently has a sequenced pending miss."""
@@ -78,23 +68,13 @@ class SetSequencer:
         return self._queued_set.get(core)
 
     def register(self, core: CoreId, set_index: int) -> None:
-        """Record ``core``'s pending miss on ``set_index`` (idempotent).
-
-        When the table already tracks ``max_queues`` other sets, the
-        overflow is counted and the request is handled best-effort
-        (NSS), which can only lengthen the observed latency, never
-        corrupt state.
-        """
-        if core in self._queued_set or core in self._unsequenced:
+        """Record ``core``'s pending miss on ``set_index`` (idempotent)."""
+        if core in self._queued_set:
             return
         if not 0 <= set_index < self.num_sets:
             raise self._range_error(set_index)
         queue = self.queues.get(set_index)
         if queue is None:
-            if len(self.queues) >= self.max_queues:
-                self.overflows += 1
-                self._unsequenced.add(core)
-                return
             queue = self.queues[set_index] = deque()
             if len(self.queues) > self.stats.max_active_sets:
                 self.stats.max_active_sets = len(self.queues)
@@ -122,9 +102,6 @@ class SetSequencer:
 
     def complete(self, core: CoreId, set_index: int) -> None:
         """``core``'s request completed; release its queue position."""
-        if core in self._unsequenced:
-            self._unsequenced.discard(core)
-            return
         queued_set = self._queued_set.pop(core, None)
         if queued_set is None:
             return  # completed on first attempt; never registered
@@ -142,7 +119,6 @@ class SetSequencer:
 
     def cancel(self, core: CoreId) -> None:
         """``core`` no longer needs an allocation (from any position)."""
-        self._unsequenced.discard(core)
         queued_set = self._queued_set.pop(core, None)
         if queued_set is None:
             return

@@ -93,7 +93,7 @@ def config_document(value: Any) -> Any:
     Walks the dataclass tree field by field, so the document is stable,
     inspectable and complete: *every* declared field enters it,
     including ones left at their default, so two configs differing in
-    any field (``seed``, ``drain_writebacks``, ``engine``, a nested
+    any field (``seed``, ``self_writeback_in_slot``, ``engine``, a nested
     latency) can never silently share an identity.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

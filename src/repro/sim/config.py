@@ -18,7 +18,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.validation import require, require_non_negative, require_positive
 from repro.cpu.private_stack import PrivateStackConfig
 from repro.llc.partition import PartitionMap, PartitionSpec
-from repro.mem.dram import DramConfig
+from repro.mem.dram import DRAM_FETCH_LATENCY
 
 #: Slot width implied by the paper's Figure 7 analytical WCLs.
 PAPER_SLOT_WIDTH = 50
@@ -41,9 +41,11 @@ class SystemConfig:
     schedule:
         Explicit TDM schedule.  When ``None``, a 1S-TDM schedule over
         ``num_cores`` cores in core order is built (the paper's
-        ``{c_ua, c_2, ..., c_N}``).  Passing a non-1S-TDM schedule is
-        allowed — that is how the Section 4.1 unbounded scenario is
-        demonstrated — but shared partitions then lose their WCL bound.
+        ``{c_ua, c_2, ..., c_N}``); ``one_slot_tdm(num_cores,
+        slot_width, order)`` gives another order.  Passing a non-1S-TDM
+        schedule is allowed — that is how the Section 4.1 unbounded
+        scenario is demonstrated — but shared partitions then lose their
+        WCL bound.
     llc_hit_latency / llc_miss_latency:
         Cycles from slot start to the response for an LLC hit / for a
         miss that allocates and fetches from DRAM.  Both must fit in a
@@ -58,7 +60,6 @@ class SystemConfig:
     partitions: Sequence[PartitionSpec] = ()
     slot_width: int = PAPER_SLOT_WIDTH
     schedule: Optional[TdmSchedule] = None
-    schedule_order: Optional[Sequence[int]] = None
     line_size: int = PAPER_LINE_SIZE
     llc_sets: int = PAPER_LLC_SETS
     llc_ways: int = PAPER_LLC_WAYS
@@ -67,11 +68,9 @@ class SystemConfig:
     llc_miss_latency: int = 45
     stack: PrivateStackConfig = field(default_factory=PrivateStackConfig)
     arbitration: ArbitrationPolicy = ArbitrationPolicy.ROUND_ROBIN
-    dram: DramConfig = field(default_factory=DramConfig)
     seed: int = 1
     max_slots: int = 2_000_000
     record_events: bool = False
-    drain_writebacks: bool = True
     #: Checked mode: install the per-slot invariant monitor
     #: (:mod:`repro.robustness.invariants`) on the engine, so model
     #: invariants — inclusivity, one outstanding request per core,
@@ -112,12 +111,6 @@ class SystemConfig:
     #: ``random`` replacement policy (its shared RNG stream cannot be
     #: kept in lock-step with the prediction clone).
     engine: str = "fast"
-    #: Hardware queue count of each partition's set sequencer (QLT
-    #: size).  ``None`` gives one queue per LLC set (never overflows,
-    #: the paper's implicit assumption); small values let experiments
-    #: study graceful degradation — an overflowed registration falls
-    #: back to best-effort (NSS) handling for that request.
-    sequencer_max_queues: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_positive(self.num_cores, "num_cores", ConfigurationError)
@@ -129,10 +122,6 @@ class SystemConfig:
         require_positive(self.llc_miss_latency, "llc_miss_latency", ConfigurationError)
         require_non_negative(self.seed, "seed", ConfigurationError)
         require_positive(self.max_slots, "max_slots", ConfigurationError)
-        if self.sequencer_max_queues is not None:
-            require_positive(
-                self.sequencer_max_queues, "sequencer_max_queues", ConfigurationError
-            )
         # The checks below run once per config built, which a fuzz case
         # does three times: each message is formatted only on failure.
         if self.engine not in ("fast", "reference"):
@@ -149,19 +138,14 @@ class SystemConfig:
                 f"llc_miss_latency ({self.llc_miss_latency}) must fit in a slot "
                 f"({self.slot_width}): the LLC responds within the requester's slot"
             )
-        if self.dram.fetch_latency > self.llc_miss_latency:
+        if DRAM_FETCH_LATENCY > self.llc_miss_latency:
             raise ConfigurationError(
                 f"llc_miss_latency ({self.llc_miss_latency}) must cover the DRAM "
-                f"fetch ({self.dram.fetch_latency})"
+                f"fetch ({DRAM_FETCH_LATENCY})"
             )
         require(
             bool(self.partitions),
             "SystemConfig needs at least one partition",
-            ConfigurationError,
-        )
-        require(
-            not (self.schedule is not None and self.schedule_order is not None),
-            "give either schedule or schedule_order, not both",
             ConfigurationError,
         )
         # Validate the carving and core coverage eagerly, and keep both
@@ -178,7 +162,7 @@ class SystemConfig:
         if self.schedule is not None:
             schedule = self.schedule
         else:
-            schedule = one_slot_tdm(self.num_cores, self.slot_width, self.schedule_order)
+            schedule = one_slot_tdm(self.num_cores, self.slot_width)
         if set(schedule.cores) != expected:
             raise ConfigurationError(
                 f"schedule must cover exactly cores {sorted(expected)}, "
@@ -208,7 +192,7 @@ class SystemConfig:
         """The validated TDM schedule the bus will follow.
 
         ``schedule`` when given, otherwise the 1S-TDM schedule over
-        ``num_cores`` in ``schedule_order``; built and checked once by
+        ``num_cores`` in core order; built and checked once by
         ``__post_init__``, and the same object on every call.
         """
         return self._schedule

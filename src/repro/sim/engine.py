@@ -302,8 +302,8 @@ class SlotEngine:
             return self._finished_scan()
         if not self._counters_ready:
             self._init_progress_counters()
-        finished = self._done_count == len(self.system.cores) and (
-            not self.config.drain_writebacks or self._nonempty_pwbs == 0
+        finished = (
+            self._done_count == len(self.system.cores) and self._nonempty_pwbs == 0
         )
         if self.config.checked:
             assert finished == self._finished_scan(), (
@@ -313,12 +313,9 @@ class SlotEngine:
 
     def _finished_scan(self) -> bool:
         """Reference O(cores) completion check (see _finished)."""
-        cores_done = all(core.done for core in self.system.cores.values())
-        if not cores_done:
-            return False
-        if not self.config.drain_writebacks:
-            return True
-        return all(pwb.is_empty for pwb in self.system.pwbs.values())
+        return all(core.done for core in self.system.cores.values()) and all(
+            pwb.is_empty for pwb in self.system.pwbs.values()
+        )
 
     def _init_progress_counters(self) -> None:
         """(Re)build the completion counters from a full scan."""
@@ -361,8 +358,8 @@ class SlotEngine:
         have, per the side-effect-free next-miss prediction) an eligible
         PRB request or PWB write-back — and advances directly to it,
         accounting the skipped slots as idle analytically.  When every
-        core will instead run to completion on private hits (and, under
-        ``drain_writebacks``, every PWB is empty), the jump target is
+        core will instead run to completion on private hits (and every
+        PWB is empty), the jump target is
         the exact slot at which the reference loop's completion check
         would fire.  Idle slots mutate no model state, so the resulting
         report is bit-identical to ticking them one by one.
@@ -398,11 +395,9 @@ class SlotEngine:
                 quiescent = False
             pwb_ready = system.pwbs[core_id].earliest_enqueue()
             if pwb_ready is not None:
-                # A queued write-back is always a candidate (it occupies
-                # its owner's slot either way), but only blocks
-                # termination when the run must drain write-backs.
-                if self.config.drain_writebacks:
-                    quiescent = False
+                # A queued write-back is a candidate, and the run
+                # drains it before it ends.
+                quiescent = False
                 candidate = self._candidate_slot(core_id, pwb_ready, start_slot)
                 if best is None or candidate < best:
                     best = candidate
@@ -562,7 +557,7 @@ class SlotEngine:
         pending = llc.pending_entry(entry.block)
         outcome = llc.complete_writeback(core, entry.block)
         if outcome is _FREED or outcome is _DRAM_DIRECT:
-            self.system.dram.write_back(entry.block, slot_start)
+            self.system.dram.write_back()
         self._events_on and self.events.append(
             SimEvent(
                 slot_start,
@@ -725,7 +720,7 @@ class SlotEngine:
             )
             return False
         llc.allocate(region, entry, core, request.block)
-        self.system.dram.fetch(request.block, slot_start)
+        self.system.dram.fetch()
         if sequencer is not None:
             sequencer.complete(core, set_index)
         self._events_on and self.events.append(
@@ -805,7 +800,7 @@ class SlotEngine:
         freed_now = llc.begin_eviction(victim, dirty_owners)
         if freed_now:
             if victim.llc_dirty:
-                self.system.dram.write_back(victim.block, slot_start)
+                self.system.dram.write_back()
             self._events_on and self.events.append(
                 SimEvent(
                     slot_start,
@@ -842,7 +837,7 @@ class SlotEngine:
             removed = self.system.stacks[owner].invalidate_block(victim.block)
             is_dirty = removed is not None and removed.dirty
             if is_dirty and owner == requester and in_slot_self:
-                self.system.dram.write_back(victim.block, slot_start)
+                self.system.dram.write_back()
                 detail = "self-dirty-in-slot"
             elif is_dirty:
                 dirty_owners.append(owner)

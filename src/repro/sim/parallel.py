@@ -15,9 +15,10 @@ Design notes
   ``fork`` start method a worker inherits the thunk through the forked
   address space, so arbitrary closures run unchanged.  Only the task's
   *result* (or its exception) crosses the process boundary, via a pipe,
-  with the counts the worker's copy of the I/O fault plan added and the
-  sites whose circuit breaker is open in the worker; the parent opens
-  those breakers too, so later forks skip a store that already failed.
+  with the counts the worker's copy of the I/O fault plan added, the
+  worker's ``io.*`` counters and the sites whose circuit breaker is
+  open in the worker; the parent merges the counters and opens those
+  breakers too, so later forks skip a store that already failed.
 * **Parent-enforced timeouts.**  A hung task cannot be trusted to
   interrupt itself, so the *parent* tracks one deadline per in-flight
   task and kills the worker when it expires: a genuinely wedged
@@ -112,19 +113,23 @@ def _worker_main(thunk: Callable[[], Any], conn) -> None:
     """Run one task in a forked child; ship the outcome up the pipe.
 
     The outcome carries the faults and seam operations the child's copy
-    of the run's I/O fault plan saw and the sites of its open breakers.
+    of the run's I/O fault plan saw, the ``io.*`` counters the child
+    counted and the sites of its open breakers.
     """
     plan = _fault_plan()
     faults, operations = (plan.fired_count, plan.operations) if plan else (0, 0)
+    io_state = current_run_context().io
+    io_state.take_metrics()  # the parent's counters, inherited by fork
     try:
         outcome: Tuple[str, Any] = ("ok", thunk())
     except BaseException as exc:  # noqa: BLE001 - ships to the parent
         outcome = ("error", exc)
     if plan:
         faults, operations = plan.fired_count - faults, plan.operations - operations
-    breakers = current_run_context().io.breakers
-    open_sites = tuple(site for site, breaker in breakers.items() if breaker.open)
-    io = (faults, operations, open_sites)
+    open_sites = tuple(
+        site for site, breaker in io_state.breakers.items() if breaker.open
+    )
+    io = (faults, operations, io_state.take_metrics(), open_sites)
     try:
         conn.send(outcome + (io,))
     except Exception as exc:
@@ -317,7 +322,7 @@ class TaskPool:
                 f"worker for task {run.pending.name!r} exited without a "
                 f"result (exit code {run.process.exitcode})"
             ),
-            (0, 0, ()),
+            (0, 0, None, ()),
         )
 
     def _reap_finished(
@@ -332,13 +337,15 @@ class TaskPool:
             outcome = self._poll_worker(run)
             if outcome is None:
                 continue
-            status, payload, (faults, operations, open_sites) = outcome
+            status, payload, (faults, operations, counters, open_sites) = outcome
             running.remove(run)
             run.process.join()
             run.conn.close()
             plan = _fault_plan()
             if plan is not None:
                 plan.add_worker_counts(faults, operations)
+            if counters is not None:
+                current_run_context().io.add_metrics(counters)
             for site in open_sites:
                 circuit_breaker(site).open = True
             task = run.pending

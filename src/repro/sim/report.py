@@ -248,8 +248,8 @@ def build_report(
         pwb_max_occupancy={
             core_id: pwb.max_occupancy for core_id, pwb in system.pwbs.items()
         },
-        dram_reads=system.dram.stats.reads,
-        dram_writes=system.dram.stats.writes,
+        dram_reads=system.dram.reads,
+        dram_writes=system.dram.writes,
         slot_usage=dict(slot_usage or {}),
         arbiter_contended={
             core_id: arbiter.contended_slots

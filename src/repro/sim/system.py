@@ -60,7 +60,7 @@ class System:
             policy=config.llc_policy,
             rng=rng,
         )
-        self.dram = Dram(config.dram)
+        self.dram = Dram()
         self.stacks: Dict[CoreId, PrivateStack] = {}
         self.cores: Dict[CoreId, TraceDrivenCore] = {}
         self.prbs: Dict[CoreId, PendingRequestBuffer] = {}
@@ -84,9 +84,7 @@ class System:
         # partitions never contend, so a sequencer there would be inert;
         # we honour the flag anyway to keep configs explicit.
         self.sequencers: Dict[str, SetSequencer] = {
-            partition.name: SetSequencer(
-                config.llc_sets, config.sequencer_max_queues
-            )
+            partition.name: SetSequencer(config.llc_sets)
             for partition in self.partition_map.partitions
             if partition.sequencer
         }

@@ -430,6 +430,23 @@ def test_version_3_checkpoint_is_refused_as_an_older_build(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_4_checkpoint_is_refused_as_an_older_build(tmp_path):
+    # Version 5 stores the DRAM as its two counters and each sequencer
+    # without overflow state; a version-4 file is not read.
+    path = _written_checkpoint(tmp_path)
+
+    def downgrade(payload):
+        payload["version"] = 4
+        state = payload["state"]
+        state["dram"] = {"stats": state["dram"], "free_at": 0}
+        for _, sequencer in state["sequencers"]:
+            sequencer.update(overflows=0, unsequenced=[])
+
+    _rewrite_payload(path, downgrade)
+    with pytest.raises(FormatVersionError, match="older repro build"):
+        load_checkpoint(path)
+
+
 def test_version_1_auto_checkpoint_is_discarded_and_recomputed(tmp_path):
     config = small_config()
     traces = _workload()

@@ -177,6 +177,12 @@ class TestUsageErrors:
              "--requests", "20", "--jobs", "1"],
             ["simulate", "SS(1,16,4)", "--seeds", "1", "1",
              "--requests", "20", "--jobs", "2"],
+            # Ranges that split a line, a repeated notation, and
+            # stream lengths that cannot show growth.
+            ["simulate", "SS(1,16,4)", "--range", "100"],
+            ["compare", "SS(1,16,4)", "SS(1,16,4)", "--requests", "20"],
+            ["unbounded", "--lengths", "50"],
+            ["unbounded", "--lengths", "100", "50"],
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, argv):

@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from repro.bus.schedule import one_slot_tdm
 from repro.cache.replacement import POLICY_NAMES, make_policy
 from repro.common.errors import ConfigurationError, PartitionError
 from repro.common.types import AccessType
@@ -54,7 +55,7 @@ class TestConfigMemo:
         assert config.build_partition_map() is config.build_partition_map()
 
     def test_build_schedule_returns_one_object(self):
-        config = _config(schedule_order=(1, 0))
+        config = _config(schedule=one_slot_tdm(2, 50, (1, 0)))
         assert config.build_schedule() is config.build_schedule()
         assert config.build_schedule().slot_owners == (1, 0)
 
@@ -92,9 +93,10 @@ class TestConfigMemo:
 
     def test_run_key_is_unchanged(self):
         # The memo slots are not dataclass fields, so the run identity
-        # (and every result-cache key and checkpoint name) keeps its value.
+        # (and every result-cache key and checkpoint name) keeps its value:
+        # the digest of the declared fields only.
         assert codec.run_key(_config(), _traces()) == (
-            "2f9235389dc38bbb12cef26ace182bb128f8689d23a438704fdfbf79dd84826a"
+            "8e3795ab4dfdb53344828239762d91ae2e4a4bad53edab3d5df503a5ebbb63f0"
         )
 
     @pytest.mark.parametrize("clone", CLONES, ids=["deepcopy", "pickle"])

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.bus.arbiter import ArbitrationPolicy
-from repro.bus.schedule import TdmSchedule
+from repro.bus.schedule import TdmSchedule, one_slot_tdm
 from repro.common.errors import ConfigurationError
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.adversarial import conflict_storm_traces
@@ -72,25 +72,6 @@ class TestTimedOutRuns:
 
 
 class TestDrainBehaviour:
-    def test_drain_disabled_leaves_pwb_entries(self):
-        config = dataclasses.replace(
-            small_config(
-                num_cores=2,
-                partitions=[shared_partition(2, ways=1)],
-                llc_sets=1,
-                llc_ways=1,
-            ),
-            drain_writebacks=False,
-        )
-        # Core 1's line gets evicted for core 0 and its write-back may
-        # still be queued when both traces end.
-        traces = {1: write_trace_of([0]), 0: write_trace_of([2])}
-        sim = Simulator(config, traces, start_cycles={0: 60})
-        # Do not run the facade's inclusivity check: with draining off,
-        # the run legitimately ends with in-flight write-backs.
-        report = sim.engine.run()
-        assert not report.timed_out
-
     def test_drain_enabled_empties_pwbs(self):
         config = small_config(
             num_cores=2,
@@ -145,7 +126,9 @@ class TestScheduleVariants:
             llc_sets=3,
             llc_ways=4,
         )
-        permuted = dataclasses.replace(base, schedule_order=(2, 0, 1))
+        permuted = dataclasses.replace(
+            base, schedule=one_slot_tdm(3, base.slot_width, (2, 0, 1))
+        )
         traces = {core: write_trace_of([core]) for core in range(3)}
         first = simulate(base, traces)
         second = simulate(permuted, traces)

@@ -161,13 +161,9 @@ class TestSparseWorkloads:
         assert fast.timed_out
         assert fast.total_slots == 40
 
-    @pytest.mark.parametrize("drain", [True, False])
-    def test_drain_writebacks_both_ways(self, drain):
-        """Dirty write-backs queued at the end: drained or abandoned."""
-        config = dataclasses.replace(
-            small_config(num_cores=2, llc_sets=1, llc_ways=2, record_events=False),
-            drain_writebacks=drain,
-        )
+    def test_drain_writebacks(self):
+        """Dirty write-backs queued at the end are drained."""
+        config = small_config(num_cores=2, llc_sets=1, llc_ways=2, record_events=False)
         # Writes over more blocks than the one-set LLC region holds:
         # evictions and back-invalidation write-backs are guaranteed.
         traces = {

@@ -63,6 +63,12 @@ class TestCompareNotations:
         with pytest.raises(ConfigurationError):
             compare_notations([])
 
+    def test_repeated_notations_rejected(self):
+        # A repeated notation would print its row twice and merge both
+        # runs' metrics into one config=<notation> series.
+        with pytest.raises(ConfigurationError, match="repeated"):
+            compare_notations(["SS(1,16,4)", "P(2,16)", "SS(1,16,4)"])
+
     def test_same_traces_across_configs(self):
         # DRAM read counts can differ (partition capacity), but the
         # workload itself must be identical: a P(2,16) system given the

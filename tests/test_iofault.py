@@ -594,6 +594,29 @@ class TestForkedWorkers:
         faults = int(summary.split()[1])
         assert summary.startswith("io-fault: ") and faults >= 1, summary
 
+    def test_worker_io_counters_reach_the_parent(self, tmp_path):
+        # Every result-cache store fails.  Each Figure 7 cell runs in a
+        # forked worker, which ships the io.* counters it counted back
+        # with its result: none is lost and none is counted twice, so
+        # every store is a fault or a skip at --jobs 2 as at --jobs 1.
+        counts = {}
+        for jobs in (1, 2):
+            state = IoState()
+            with run_context(
+                io=state,
+                io_hook=plan("enospc@1x*,site=result-cache"),
+                **store_changes(cache_dir=tmp_path / f"cache{jobs}"),
+            ):
+                run_fig7(address_ranges=(1024, 2048), num_requests=100, jobs=jobs)
+            counts[jobs] = {row["name"]: row["value"] for row in state.metrics.rows()}
+        assert counts[2]["io.degraded.result-cache"] >= 1
+        stores = [
+            counts[jobs]["io.fault.result-cache"]
+            + counts[jobs].get("io.skipped.result-cache", 0)
+            for jobs in (1, 2)
+        ]
+        assert stores[0] == stores[1] > 0
+
     def test_a_breaker_opened_in_a_worker_stays_open_for_later_forks(
         self, tmp_path, capfd
     ):

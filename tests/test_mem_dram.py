@@ -1,68 +1,21 @@
-"""Unit tests for the DRAM backend model."""
+"""Unit tests for the DRAM behind the LLC."""
 
-import pytest
-
-from repro.common.errors import ConfigurationError
-from repro.mem.dram import Dram, DramConfig
+from repro.mem.dram import DRAM_FETCH_LATENCY, Dram
+from repro.sim.config import SystemConfig
 
 
 class TestDramConfig:
     def test_defaults(self):
-        config = DramConfig()
-        assert config.fetch_latency > 0
-        assert not config.serialize
-
-    def test_rejects_zero_fetch_latency(self):
-        with pytest.raises(ConfigurationError):
-            DramConfig(fetch_latency=0)
-
-    def test_rejects_negative_write_latency(self):
-        with pytest.raises(ConfigurationError):
-            DramConfig(write_latency=-1)
+        # The DRAM's one timing value: the fetch an LLC miss must cover.
+        assert DRAM_FETCH_LATENCY == 30
+        assert SystemConfig.llc_miss_latency >= DRAM_FETCH_LATENCY
 
 
 class TestDram:
-    def test_fetch_completion_time(self):
-        dram = Dram(DramConfig(fetch_latency=30))
-        assert dram.fetch(block=5, now=100) == 130
-
-    def test_write_back_completion_time(self):
-        dram = Dram(DramConfig(write_latency=20))
-        assert dram.write_back(block=5, now=10) == 30
-
     def test_counts_traffic(self):
         dram = Dram()
-        dram.fetch(1, 0)
-        dram.fetch(2, 0)
-        dram.write_back(1, 0)
-        assert dram.stats.reads == 2
-        assert dram.stats.writes == 1
-
-    def test_parallel_when_not_serialized(self):
-        dram = Dram(DramConfig(fetch_latency=30, serialize=False))
-        assert dram.fetch(1, now=0) == 30
-        assert dram.fetch(2, now=0) == 30
-
-    def test_serialized_transfers_queue(self):
-        dram = Dram(DramConfig(fetch_latency=30, serialize=True))
-        assert dram.fetch(1, now=0) == 30
-        assert dram.fetch(2, now=0) == 60
-        assert dram.fetch(3, now=100) == 130
-
-    def test_serialized_mixes_reads_and_writes(self):
-        dram = Dram(DramConfig(fetch_latency=30, write_latency=10, serialize=True))
-        assert dram.fetch(1, now=0) == 30
-        assert dram.write_back(2, now=0) == 40
-
-    def test_reset_clears_state(self):
-        dram = Dram(DramConfig(serialize=True))
-        dram.fetch(1, 0)
-        dram.reset()
-        assert dram.stats.reads == 0
-        assert dram.fetch(2, now=0) == dram.config.fetch_latency
-
-    def test_busy_cycles_accumulate(self):
-        dram = Dram(DramConfig(fetch_latency=30, write_latency=10))
-        dram.fetch(1, 0)
-        dram.write_back(2, 0)
-        assert dram.stats.busy_cycles == 40
+        dram.fetch()
+        dram.fetch()
+        dram.write_back()
+        assert dram.reads == 2
+        assert dram.writes == 1

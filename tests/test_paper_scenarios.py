@@ -15,6 +15,7 @@ from repro.analysis.unbounded import starvation_witness
 from repro.analysis.wcl import SharedPartitionParams, wcl_nss_cycles, wcl_ss_cycles
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import TdmSchedule, one_slot_tdm
+from repro.common.errors import ConfigurationError
 from repro.sim.events import EventKind
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.adversarial import conflict_storm_traces
@@ -31,6 +32,12 @@ class TestFigure2Unbounded:
         result = starvation_witness(stream_lengths=(20, 40, 80), ways=2)
         assert len(set(result.one_slot_latencies)) == 1
         assert result.one_slot_bounded
+
+    @pytest.mark.parametrize("lengths", [(50,), (40, 20), (20, 20, 40)])
+    def test_growth_needs_two_increasing_lengths(self, lengths):
+        # One point, or points out of order, cannot show growth.
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            starvation_witness(stream_lengths=lengths, ways=2)
 
     def test_growth_is_roughly_linear_in_stream_length(self):
         result = starvation_witness(stream_lengths=(25, 50, 100), ways=2)

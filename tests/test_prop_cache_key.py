@@ -111,7 +111,7 @@ def test_key_invariant_to_explicit_default_field_values(per_core):
         config,
         seed=config.seed,
         engine=config.engine,
-        drain_writebacks=config.drain_writebacks,
+        self_writeback_in_slot=config.self_writeback_in_slot,
         llc_policy=config.llc_policy,
     )
     assert run_key(config, traces) == run_key(
@@ -157,7 +157,7 @@ FIELD_MUTATIONS = [
     ("llc_miss_latency", lambda v: v + 1),
     ("max_slots", lambda v: v + 1),
     ("record_events", lambda v: not v),
-    ("drain_writebacks", lambda v: not v),
+    ("self_writeback_in_slot", lambda v: not v),
     ("checked", lambda v: not v),
     ("record_metrics", lambda v: not v),
     ("engine", lambda v: "reference" if v == "fast" else "fast"),

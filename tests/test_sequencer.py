@@ -1,6 +1,5 @@
 """Unit tests for the set sequencer (one per-set FIFO table, Section 4.5)."""
 
-import dataclasses
 import json
 from collections import deque
 
@@ -100,21 +99,12 @@ class TestQueueLookupTable:
         assert 3 not in sequencer.queues
 
     def test_queue_pool_recycled(self):
-        # A drained set frees its place in a full table.
-        sequencer = SetSequencer(num_sets=8, max_queues=1)
+        # A drained set leaves the table; a new set takes its place.
+        sequencer = SetSequencer(num_sets=8)
         sequencer.register(0, 0)
         sequencer.complete(0, 0)
         sequencer.register(1, 5)
-        assert sequencer.queue_snapshot(5) == (1,)
-        assert sequencer.overflows == 0
-
-    def test_overflow_returns_none_and_counts(self):
-        sequencer = SetSequencer(num_sets=8, max_queues=1)
-        sequencer.register(0, 0)
-        sequencer.register(1, 1)
-        assert sequencer.overflows == 1
-        assert 1 not in sequencer.queues
-        assert not sequencer.is_queued(1)
+        assert sequencer.queues == {5: deque([1])}
 
     def test_out_of_range_set_rejected(self):
         sequencer = SetSequencer(num_sets=4)
@@ -182,14 +172,6 @@ class TestSetSequencer:
         sequencer.complete(0, 2)
         assert not sequencer.is_queued(0)
 
-    def test_overflow_falls_back_to_best_effort(self):
-        sequencer = SetSequencer(num_sets=8, max_queues=1)
-        sequencer.register(0, 0)
-        sequencer.register(1, 5)  # overflows, handled best-effort
-        assert sequencer.may_claim(1, 5)
-        sequencer.complete(1, 5)
-        assert sequencer.overflows == 1
-
     def test_stats_counting(self):
         sequencer = SetSequencer(num_sets=8)
         sequencer.register(0, 0)
@@ -211,17 +193,14 @@ class TestSetSequencer:
 
 
 # ----------------------------------------------------------------------
-# Against a reference model: a list of FIFOs with a capacity
+# Against a reference model: a list of FIFOs
 # ----------------------------------------------------------------------
 class FifoListModel:
     """The sequencer's contract, spelled out with plain lists."""
 
-    def __init__(self, num_sets, capacity):
+    def __init__(self, num_sets):
         self.num_sets = num_sets
-        self.capacity = capacity
         self.fifos = {}
-        self.best_effort = set()
-        self.overflows = 0
 
     def set_of(self, core):
         for set_index, fifo in self.fifos.items():
@@ -230,15 +209,8 @@ class FifoListModel:
         return None
 
     def register(self, core, set_index):
-        if self.set_of(core) is not None or core in self.best_effort:
-            return
-        if set_index not in self.fifos:
-            if len(self.fifos) == self.capacity:
-                self.overflows += 1
-                self.best_effort.add(core)
-                return
-            self.fifos[set_index] = []
-        self.fifos[set_index].append(core)
+        if self.set_of(core) is None:
+            self.fifos.setdefault(set_index, []).append(core)
 
     def may_claim(self, core, set_index):
         fifo = self.fifos.get(set_index)
@@ -249,11 +221,9 @@ class FifoListModel:
         return set_index is None or self.fifos[set_index][0] == core
 
     def complete(self, core):
-        self.best_effort.discard(core)
         self.cancel(core)
 
     def cancel(self, core):
-        self.best_effort.discard(core)
         set_index = self.set_of(core)
         if set_index is not None:
             self.fifos[set_index].remove(core)
@@ -272,10 +242,10 @@ OPERATIONS = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 4), operations=OPERATIONS)
-def test_sequencer_matches_a_list_of_fifos(capacity, operations):
-    sequencer = SetSequencer(num_sets=4, max_queues=capacity)
-    model = FifoListModel(num_sets=4, capacity=capacity)
+@given(operations=OPERATIONS)
+def test_sequencer_matches_a_list_of_fifos(operations):
+    sequencer = SetSequencer(num_sets=4)
+    model = FifoListModel(num_sets=4)
     for operation, core, set_index in operations:
         if operation == "register":
             sequencer.register(core, set_index)
@@ -295,8 +265,6 @@ def test_sequencer_matches_a_list_of_fifos(capacity, operations):
             sequencer.cancel(core)
             model.cancel(core)
         assert {s: list(q) for s, q in sequencer.queues.items()} == model.fifos
-        assert sequencer.overflows == model.overflows
-        assert len(sequencer.queues) <= capacity
         for each in range(4):
             assert sequencer.queued_set_of(each) == model.set_of(each)
 
@@ -304,32 +272,28 @@ def test_sequencer_matches_a_list_of_fifos(capacity, operations):
 # ----------------------------------------------------------------------
 # Checkpoint round trip
 # ----------------------------------------------------------------------
-def _overflowed_sequencer():
-    sequencer = SetSequencer(num_sets=8, max_queues=2)
+def _contended_sequencer():
+    sequencer = SetSequencer(num_sets=8)
     sequencer.register(0, 1)
     sequencer.register(1, 1)
     sequencer.register(2, 6)
-    sequencer.register(3, 4)  # overflows
     sequencer.may_claim(1, 1)
     return sequencer
 
 
-def test_overflowed_sequencer_round_trips_through_its_checkpoint_state():
-    original = _overflowed_sequencer()
+def test_sequencer_round_trips_through_its_checkpoint_state():
+    original = _contended_sequencer()
     state = json.loads(json.dumps(_sequencer_state(original)))
-    restored = SetSequencer(num_sets=8, max_queues=2)
+    restored = SetSequencer(num_sets=8)
     _load_sequencer(restored, state)
     for sequencer in (original, restored):
-        assert sequencer.overflows == 1
         assert sequencer.queues == {1: deque([0, 1]), 6: deque([2])}
         assert sequencer._queued_set == {0: 1, 1: 1, 2: 6}
-        assert sequencer._unsequenced == {3}
     assert restored.stats == original.stats
-    # Both continue identically: the head completes, the best-effort
-    # core completes, and the freed table slot takes a new set.
+    # Both continue identically: the heads complete and a new set
+    # takes a queue.
     for sequencer in (original, restored):
         sequencer.complete(0, 1)
-        sequencer.complete(3, 4)
         sequencer.complete(2, 6)
         sequencer.register(3, 7)
     assert restored.queues == original.queues == {1: deque([1]), 7: deque([3])}
@@ -337,16 +301,13 @@ def test_overflowed_sequencer_round_trips_through_its_checkpoint_state():
 
 
 def test_checkpoint_table_larger_than_the_sequencer_is_refused():
-    state = _sequencer_state(_overflowed_sequencer())
+    state = _sequencer_state(_contended_sequencer())
     with pytest.raises(CheckpointError, match="does not fit"):
-        _load_sequencer(SetSequencer(num_sets=8, max_queues=1), state)
+        _load_sequencer(SetSequencer(num_sets=4), state)
 
 
-def test_simulation_paused_during_overflow_resumes_bit_identically():
-    config = dataclasses.replace(
-        build_system_for_notation("SS(4,16,4)", num_cores=4),
-        sequencer_max_queues=1,
-    )
+def test_simulation_paused_with_queued_cores_resumes_bit_identically():
+    config = build_system_for_notation("SS(4,16,4)", num_cores=4)
     traces = generate_disjoint_workload(
         SyntheticWorkloadConfig(
             num_requests=40, address_range_size=8192, write_fraction=1.0, seed=2022
@@ -358,7 +319,7 @@ def test_simulation_paused_during_overflow_resumes_bit_identically():
     paused = Simulator(config, traces)
     paused.engine.advance(90)
     sequencer = next(iter(paused.system.sequencers.values()))
-    assert sequencer.overflows and sequencer._unsequenced and sequencer.queues
+    assert sequencer.queues
     payload = json.loads(json.dumps(snapshot_simulator(paused)))
     resumed = Simulator(config, traces)
     restore_simulator(resumed, payload)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bus.schedule import TdmSchedule
+from repro.bus.schedule import TdmSchedule, one_slot_tdm
 from repro.common.errors import ConfigurationError
 from repro.llc.partition import PartitionSpec
 from repro.sim.config import PAPER_SLOT_WIDTH, SystemConfig
@@ -29,20 +29,9 @@ class TestSystemConfig:
             partitions=[shared_partition(2)],
             llc_sets=4,
             llc_ways=4,
-            schedule_order=(1, 0),
+            schedule=one_slot_tdm(2, PAPER_SLOT_WIDTH, (1, 0)),
         )
         assert config.build_schedule().slot_owners == (1, 0)
-
-    def test_schedule_and_order_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SystemConfig(
-                num_cores=2,
-                partitions=[shared_partition(2)],
-                llc_sets=4,
-                llc_ways=4,
-                schedule=TdmSchedule((0, 1), 50),
-                schedule_order=(0, 1),
-            )
 
     def test_partition_must_cover_all_cores(self):
         with pytest.raises(ConfigurationError, match="cover"):

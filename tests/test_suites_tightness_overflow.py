@@ -13,15 +13,14 @@ from repro.experiments.tightness import (
     install_adversarial_replacement,
     run_tightness,
 )
-from repro.sim.simulator import Simulator, simulate
+from repro.sequencer.set_sequencer import SetSequencer
+from repro.sim.simulator import Simulator
 from repro.workloads.adversarial import conflict_storm_traces
 from repro.workloads.suites import SuiteSpec, get_suite, register_suite, suite_names
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     generate_disjoint_workload,
 )
-
-from sim_helpers import shared_partition, small_config
 
 
 class TestSuites:
@@ -69,41 +68,11 @@ class TestSuites:
 
 
 class TestQltOverflowInSystem:
-    def make_config(self, max_queues):
-        config = small_config(
-            num_cores=4,
-            partitions=[
-                shared_partition(4, sets=(0, 1, 2, 3), ways=4, sequencer=True)
-            ],
-            llc_sets=4,
-            llc_ways=4,
-            max_slots=300_000,
-        )
-        return dataclasses.replace(config, sequencer_max_queues=max_queues)
-
-    def traces(self):
-        # Contention on several sets at once to pressure the QLT.
-        return conflict_storm_traces(
-            cores=[0, 1, 2, 3],
-            partition_sets=4,
-            lines_per_core=24,
-            repeats=8,
-        )
-
-    def test_tiny_qlt_still_completes_correctly(self):
-        sim = Simulator(self.make_config(max_queues=1), self.traces())
-        report = sim.run()
-        assert not report.timed_out
-        assert report.starved_cores() == []
-        sim.system.check_inclusivity()
-
-    def test_overflow_counted(self):
-        # Four cores writing back-to-back into one shared partition
-        # contend on more sets at once than the one-queue table holds.
-        config = dataclasses.replace(
-            build_system_for_notation("SS(4,16,4)", num_cores=4),
-            sequencer_max_queues=1,
-        )
+    def test_unlimited_qlt_never_overflows(self):
+        # One queue per set: four cores writing back-to-back into one
+        # shared partition contend on several sets at once, yet never
+        # need more queues than there are sets.
+        config = build_system_for_notation("SS(4,16,4)", num_cores=4)
         workload = SyntheticWorkloadConfig(
             num_requests=40, address_range_size=8192, write_fraction=1.0
         )
@@ -112,27 +81,12 @@ class TestQltOverflowInSystem:
         assert not report.timed_out
         assert report.starved_cores() == []
         [sequencer] = sim.system.sequencers.values()
-        assert sequencer.max_queues == 1
-        assert sequencer.overflows > 0
-
-    def test_unlimited_qlt_never_overflows(self):
-        sim = Simulator(self.make_config(max_queues=None), self.traces())
-        sim.run()
-        assert sim.system.sequencers["shared"].overflows == 0
-
-    def test_results_match_with_and_without_limit_pressure(self):
-        # Correctness (every request completes; inclusivity) holds at
-        # any QLT size; only timing may differ.
-        small = simulate(self.make_config(1), self.traces())
-        large = simulate(self.make_config(None), self.traces())
-        assert small.dram_reads > 0 and large.dram_reads > 0
-        for core in range(4):
-            assert small.core_reports[core].completed
-            assert large.core_reports[core].completed
+        assert 1 < sequencer.stats.max_active_sets <= sequencer.num_sets
 
     def test_bad_queue_count_rejected(self):
+        # The QLT has one queue per set: a sequencer needs a set.
         with pytest.raises(ConfigurationError):
-            self.make_config(max_queues=0)
+            SetSequencer(num_sets=0)
 
 
 class TestTightness:

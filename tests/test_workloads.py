@@ -183,6 +183,18 @@ class TestSyntheticWorkload:
         with pytest.raises(ConfigurationError):
             SyntheticWorkloadConfig(address_range_size=4096, range_stride=1024)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"address_range_size": 100},
+            {"address_range_size": 128, "range_stride": 200},
+        ],
+    )
+    def test_range_and_stride_must_be_whole_lines(self, fields):
+        # [0, 100) and [100, 200) would both hold block 1.
+        with pytest.raises(ConfigurationError, match="whole number"):
+            SyntheticWorkloadConfig(**fields)
+
     def test_think_cycles_default_zero(self):
         trace = generate_core_trace(SyntheticWorkloadConfig(num_requests=30), 0)
         assert all(record.compute_cycles == 0 for record in trace)
